@@ -23,10 +23,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .boundary import BoundaryCurve
-from .kernels import SQRT_TWO_PI, gaussian, psi
+from .kernels import SQRT_TWO_PI, gaussian, psi, smeared_gaussian
 from .solver import (
     DensityEstimate,
     SourceSpec,
@@ -105,26 +104,13 @@ def _eval_batch(field: GreenField, xs: np.ndarray, t: float) -> np.ndarray:
     c = _nodal_weights(-0.5, t, part)
     emitted = phi @ c
 
-    if field.src.kind == "point":
-        free = np.asarray(gaussian(xs, t, field.src.r0, 0.0))
+    src = field.src
+    if src.kind == "point":
+        free = np.asarray(gaussian(xs, t, src.r0, 0.0))
     else:
-        free = _smeared_free_term(field.src, xs, t)
+        # free evolution of h in closed form over its linear pieces
+        free = smeared_gaussian(xs, t, src.knots_x, src.knots_y)
     return free - emitted
-
-
-def _smeared_free_term(src: SourceSpec, xs: np.ndarray, t: float) -> np.ndarray:
-    """int h(xi) G(x, t; xi, 0) dxi per x, adaptive over each linear piece."""
-    out = np.zeros(len(xs))
-    for i, x in enumerate(xs):
-        total = 0.0
-        for lo, hi in zip(src.knots_x[:-1], src.knots_x[1:]):
-            val, _ = integrate.quad(
-                lambda xi: src.density(xi) * gaussian(x, t, xi, 0.0),
-                lo, hi, epsabs=1e-12, epsrel=1e-10, limit=200,
-            )
-            total += val
-        out[i] = total
-    return out
 
 
 def green_eval(field: GreenField, x: float, t: float) -> float:

@@ -35,10 +35,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .boundary import BoundaryCurve, estimate_holder
-from .kernels import SQRT_TWO_PI, _exp_clipped, gaussian_dx, segment_weight
+from .kernels import SQRT_TWO_PI, _exp_clipped, gaussian_dx, segment_weight, smeared_gaussian_dx
 
 #: density values may dip this far below zero before we call it an error
 TOL_NEG = 1e-8
@@ -70,12 +69,12 @@ class TimeGrid:
     nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.T <= 0.0:
-            raise ValueError("grid horizon T must be positive")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"grid horizon T must be finite and positive, got {self.T!r}")
         if self.N < 8:
             raise ValueError("grid needs N >= 8 intervals")
-        if self.q < 1.0:
-            raise ValueError("grading power q must be >= 1")
+        if not (math.isfinite(self.q) and self.q >= 1.0):
+            raise ValueError(f"grading power q must be finite and >= 1, got {self.q!r}")
         nodes = self.T * (np.arange(self.N + 1) / self.N) ** self.q
         if np.any(np.diff(nodes) <= 0.0):
             raise ValueError("grid nodes are not strictly increasing (q too large for N)")
@@ -176,6 +175,8 @@ class DensityEstimate:
         n = len(self.grid.nodes)
         if len(self.p) != n or len(self.F) != n:
             raise ValueError("p and F must have one value per grid node")
+        if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.F))):
+            raise ValueError("density estimate has non-finite p or F values")
         if self.p[0] != 0.0:
             raise ValueError("density must vanish at t = 0")
         if float(np.min(self.p)) < -TOL_NEG:
@@ -264,26 +265,20 @@ def problem_fingerprint(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -
 # ---------------------------------------------------------------------------
 
 
-def source_term(src: SourceSpec, curve: BoundaryCurve, t: float) -> float:
-    """Forcing term of the Volterra equation at time t > 0.
+def source_term(src: SourceSpec, curve: BoundaryCurve, t):
+    """Forcing term of the Volterra equation at time(s) t > 0.
 
     Point source: -G_x(X_t, t; r0, 0).  Smeared source:
-    -int h(xi) G_x(X_t, t; xi, 0) dxi by adaptive quadrature over the
-    support of h (absolute tolerance 1e-10).
+    -int h(xi) G_x(X_t, t; xi, 0) dxi, in closed form over the linear
+    pieces of h (`kernels.smeared_gaussian_dx`).  Vectorised over t.
     """
-    if t <= 0.0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t <= 0.0):
         raise ValueError("source term requires t > 0")
     xt = curve.value(t)
     if src.kind == "point":
         return -gaussian_dx(xt, t, src.r0, 0.0)
-    total = 0.0
-    for lo, hi in zip(src.knots_x[:-1], src.knots_x[1:]):
-        val, _ = integrate.quad(
-            lambda xi: -src.density(xi) * gaussian_dx(xt, t, xi, 0.0),
-            lo, hi, epsabs=1e-10, epsrel=1e-10, limit=200,
-        )
-        total += val
-    return total
+    return -smeared_gaussian_dx(xt, t, src.knots_x, src.knots_y)
 
 
 def kernel_k(curve: BoundaryCurve, t: float, tau: float) -> float:
@@ -346,12 +341,7 @@ def _nodal_weights(beta, t_end, ts):
 
 def _source_vector(src, curve, ts):
     g = np.zeros(len(ts))
-    if src.kind == "point":
-        xt = np.asarray(curve.value(ts[1:]))
-        g[1:] = -gaussian_dx(xt, ts[1:], src.r0, 0.0)
-    else:
-        for i, t in enumerate(ts[1:], start=1):
-            g[i] = source_term(src, curve, float(t))
+    g[1:] = source_term(src, curve, ts[1:])
     return g
 
 

@@ -6,7 +6,8 @@ through quantities the solvers do *not* use directly:
 
 * `master_residual` - the hitting distribution must satisfy
   Psi((z - r0)/sqrt(t)) = int_0^t Psi((z - X_s)/sqrt(t - s)) p(s) ds
-  for every level z >= X_t;
+  for every level z >= X_t (for a smeared source h the left-hand side
+  is int h(xi) Psi((z - xi)/sqrt(t)) dxi);
 * `heat_residual` - finite-difference heat-equation residual of any
   space-time field;
 * `mass_conservation` - survival probability and hitting CDF must sum
@@ -27,7 +28,7 @@ import numpy as np
 
 from .boundary import BoundaryCurve
 from .green import GreenField, boundary_flux, survival
-from .kernels import psi
+from .kernels import psi, smeared_psi
 from .solver import (
     DensityEstimate,
     SourceSpec,
@@ -76,14 +77,16 @@ def master_residual(
 
     For z = X_t + offset (offset >= 0) the true density satisfies
 
-        Psi((z - r0)/sqrt(t)) = int_0^t Psi((z - X_s)/sqrt(t - s)) p(s) ds.
+        P(B_t >= z) = int_0^t Psi((z - X_s)/sqrt(t - s)) p(s) ds,
 
-    The integrand is bounded; at the s -> t endpoint it tends to
-    Psi(0) p(t) = p(t)/2 when offset = 0 (continuous boundaries) and to 0
-    otherwise, and is evaluated by that limit.
+    where the left-hand side is Psi((z - r0)/sqrt(t)) for a point source
+    and int h(xi) Psi((z - xi)/sqrt(t)) dxi for a smeared source h, the
+    latter in closed form over the linear pieces of h
+    (`kernels.smeared_psi`).  The right-hand integrand is bounded; at the
+    s -> t endpoint it tends to Psi(0) p(t) = p(t)/2 when offset = 0
+    (continuous boundaries) and to 0 otherwise, and is evaluated by that
+    limit.
     """
-    if src.kind != "point":
-        raise ValueError("master-equation residual requires a point source")
     offsets = [float(o) for o in z_offsets]
     if any(o < 0.0 for o in offsets):
         raise ValueError("offsets must be >= 0 (identity holds for z >= X_t)")
@@ -106,7 +109,10 @@ def master_residual(
             phi = np.asarray(psi(arg)) * pv[:-1]
             endpoint = 0.5 * pv[-1] if off == 0.0 else 0.0
             integral = float(c[:-1] @ phi + c[-1] * endpoint)
-            lhs = psi((z - src.r0) / math.sqrt(t))
+            if src.kind == "point":
+                lhs = psi((z - src.r0) / math.sqrt(t))
+            else:
+                lhs = smeared_psi(z, t, src.knots_x, src.knots_y)
             pts.append((t, off))
             res.append(abs(lhs - integral))
     sup = max(res) if res else 0.0

@@ -1,12 +1,18 @@
 import json
 
 import numpy as np
+import pytest
 
+import fptkit.cli
 from fptkit.cli import main
 
 LINEAR_ARGS = [
     "--boundary", "linear", "--a", "1", "--b", "0.5", "--gamma", "1",
     "--r0", "0", "--T", "4", "--N", "256", "--q", "2",
+]
+SMEARED_ARGS = [
+    "--boundary", "linear", "--a", "1", "--b", "0.5", "--gamma", "1",
+    "--bump-center", "0", "--bump-width", "0.25", "--T", "4", "--N", "512", "--q", "2",
 ]
 
 
@@ -79,6 +85,15 @@ class TestSolve:
         doc = json.loads((tmp_path / "run.json").read_text())
         assert doc["config"]["source"]["kind"] == "smeared"
 
+    @pytest.mark.parametrize("flag", ["T", "q"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_grid_rejected(self, tmp_path, capsys, flag, value):
+        code = run(["solve", *LINEAR_ARGS, f"--{flag}={value}", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invalid configuration:") and err.count("\n") == 1
+        assert not (tmp_path / "density.csv").exists()
+
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # steep falling boundary on the coarsest legal grid loses diagonal
         # dominance: exit 3, not a traceback
@@ -146,6 +161,32 @@ class TestValidate:
         doc = json.loads((tmp_path / "validate.json").read_text())
         assert doc["all_passed"] is True
         assert doc["reports"][0]["name"] == "master_equation"
+
+    def test_smeared_master_suite_passes(self, tmp_path):
+        code = run(["validate", *SMEARED_ARGS, "--suite", "master", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "validate.json").read_text())
+        assert doc["all_passed"] is True
+        assert doc["reports"][0]["name"] == "master_equation"
+
+    def test_smeared_all_suite_omits_delta(self, tmp_path):
+        code = run(["validate", *SMEARED_ARGS, "--suite", "all", "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "validate.json").read_text())
+        assert doc["all_passed"] is True
+        names = {r["name"] for r in doc["reports"]}
+        assert "master_equation" in names and "mass_conservation" in names
+        assert "delta_convergence" not in names
+
+    def test_smeared_delta_suite_rejected_before_solve(self, tmp_path, capsys, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("delta suite solved before checking the source")
+
+        monkeypatch.setattr(fptkit.cli, "solve_marching", no_solve)
+        code = run(["validate", *SMEARED_ARGS, "--suite", "delta", "--out", str(tmp_path)])
+        assert code == 2
+        assert "point source" in capsys.readouterr().err
+        assert not (tmp_path / "validate.json").exists()
 
     def test_corrupted_density_detected(self, tmp_path):
         # solve, scale the stored p column by 1.1, then validate: exit 5

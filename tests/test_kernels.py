@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from fptkit import (
     psi,
     segment_weight,
 )
+from fptkit.kernels import smeared_gaussian, smeared_gaussian_dx, smeared_psi
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -217,3 +222,75 @@ class TestSegmentWeight:
         vals = segment_weight(-0.5, 1.0, a, b)
         assert vals.shape == (3,)
         assert np.sum(vals) == pytest.approx(2.0, rel=1e-14)
+
+
+@st.composite
+def smeared_sources(draw):
+    """Unit-mass piecewise-linear densities with 2-6 knots."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    start = draw(st.floats(min_value=-2.0, max_value=0.0))
+    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n - 1,
+                         max_size=n - 1))
+    ys = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=n, max_size=n)
+              .filter(lambda v: max(v) > 0.1))
+    kx = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    ky = np.asarray(ys) / np.trapezoid(ys, kx)
+    return kx, ky
+
+
+class TestSmearedClosedForms:
+    @staticmethod
+    def _quad(f, kx, ky, x):
+        """int h(xi) f(xi) dxi piece by piece, split at x where it falls inside."""
+        total = 0.0
+        for lo, hi in zip(kx[:-1], kx[1:]):
+            val, _ = integrate.quad(
+                lambda xi: np.interp(xi, kx, ky) * f(xi), lo, hi,
+                points=[x] if lo < x < hi else None,
+                epsabs=1e-12, epsrel=1e-12, limit=200,
+            )
+            total += val
+        return total
+
+    @given(
+        smeared_sources(),
+        st.floats(min_value=1e-3, max_value=4.0),
+        st.floats(min_value=-4.0, max_value=4.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_against_quadrature(self, source, t, x):
+        kx, ky = source
+        free = self._quad(lambda xi: gaussian(x, t, xi, 0.0), kx, ky, x)
+        dx = self._quad(lambda xi: gaussian_dx(x, t, xi, 0.0), kx, ky, x)
+        lhs = self._quad(lambda xi: psi((x - xi) / math.sqrt(t)), kx, ky, x)
+        assert smeared_gaussian(x, t, kx, ky) == pytest.approx(free, abs=1e-10)
+        assert smeared_gaussian_dx(x, t, kx, ky) == pytest.approx(dx, abs=1e-10)
+        assert smeared_psi(x, t, kx, ky) == pytest.approx(lhs, abs=1e-10)
+
+    def test_vectorized(self):
+        kx, ky = np.array([-1.0, 0.0, 0.5]), np.array([0.0, 4.0 / 3.0, 4.0 / 3.0])
+        xs = np.linspace(-2.0, 2.0, 7)
+        ts = np.full(7, 0.5)
+        for fn in (smeared_gaussian, smeared_gaussian_dx, smeared_psi):
+            vals = fn(xs, ts, kx, ky)
+            assert vals.shape == (7,)
+            assert np.array_equal(vals, [fn(x, 0.5, kx, ky) for x in xs])
+
+    def test_domain_error(self):
+        with pytest.raises(ValueError):
+            smeared_gaussian(0.0, 0.0, [0.0, 1.0], [1.0, 1.0])
+
+
+def test_import_leaves_out_scipy_integrate():
+    # scipy.integrate pulls in scipy.optimize, a large share of the import time
+    import fptkit
+
+    src = str(Path(fptkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fptkit; print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"

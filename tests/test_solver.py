@@ -38,6 +38,9 @@ class TestTimeGrid:
             TimeGrid(T=4.0, N=64, q=0.5)
         with pytest.raises(ValueError):
             TimeGrid(T=-1.0, N=64, q=2.0)
+        for T, q in ((math.nan, 2.0), (math.inf, 2.0), (4.0, math.nan), (4.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                TimeGrid(T=T, N=64, q=q)
 
 
 class TestSourceSpec:
@@ -277,6 +280,15 @@ class TestEstimateInvariants:
         p[3] = -1e-6
         with pytest.raises(ValueError, match="negative"):
             DensityEstimate(grid=grid, p=p, F=np.zeros(9), method="marching", gamma=1.0)
+
+    @pytest.mark.parametrize("column", ["p", "F"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, column, value):
+        grid = TimeGrid(T=1.0, N=8, q=1.0)
+        arrays = {"p": np.zeros(9), "F": np.zeros(9)}
+        arrays[column][5] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityEstimate(grid=grid, method="marching", gamma=1.0, **arrays)
 
 
 class TestSerialization:
