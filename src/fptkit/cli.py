@@ -205,6 +205,16 @@ def _write_run_json(path: Path, cfg: dict, est: DensityEstimate, extra: dict | N
         fh.write("\n")
 
 
+def _read_density(density_csv: Path, run_json: Path) -> DensityEstimate | None:
+    """The density artifact pair, or None (after a one-line reason) if it fails its checks."""
+    try:
+        return DensityEstimate.from_files(density_csv, run_json)
+    except (ValueError, KeyError, IndexError) as exc:
+        reason = " ".join(str(exc).split())
+        print(f"artifact mismatch: {density_csv.name} fails its checks: {reason}", file=sys.stderr)
+        return None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -252,7 +262,9 @@ def cmd_simulate(cfg: dict) -> int:
     density_csv = out / "density.csv"
     run_json = out / "run.json"
     if density_csv.exists() and run_json.exists():
-        est = DensityEstimate.from_files(density_csv, run_json)
+        est = _read_density(density_csv, run_json)
+        if est is None:
+            return EXIT_MISMATCH
         if est.grid.T != mc_cfg.T:
             print(
                 f"horizon mismatch: existing density has T={est.grid.T},"
@@ -331,7 +343,9 @@ def cmd_validate(cfg: dict, suite: str) -> int:
     run_json = out / "run.json"
     if density_csv.exists() and run_json.exists():
         # validate the artifact already in the output directory
-        est = DensityEstimate.from_files(density_csv, run_json)
+        est = _read_density(density_csv, run_json)
+        if est is None:
+            return EXIT_MISMATCH
     else:
         try:
             est = solve_marching(src, curve, grid)

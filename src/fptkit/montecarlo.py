@@ -1,20 +1,54 @@
 """Monte Carlo oracle for first-passage-time distributions.
 
-Simulates Euler skeletons of Brownian paths on a fixed step dt and detects
-boundary crossings two ways: directly (B_{k+1} >= X_{t_{k+1}}) and, between
-monitoring times, through the exact Brownian-bridge crossing probability
-against the boundary linearized over the substep:
-
-    P(cross in (t_k, t_{k+1})) = exp(-2 d_k d_{k+1} / dt),
-    d_k = X_{t_k} - B_{t_k} > 0,
-
-which removes the systematic undercount of discrete monitoring (exactly,
-for boundaries that are linear over each substep).  Hit times are recorded
+The estimator ("fine scheme") monitors each Brownian path on the fine grid
+t_k = min(k dt, T), k = 0..n, and declares the first crossing in substep
+(t_k, t_{k+1}] when either B_{t_{k+1}} >= X_{t_{k+1}} or, with the bridge
+correction on, u_k < exp(-2 d_k d_{k+1} / (t_{k+1} - t_k)), where
+d_k = X_{t_k} - B_{t_k} and u_k is uniform.  That probability is exact for
+a Brownian bridge against the boundary linearized over the substep, so
+discrete monitoring does not undercount crossings.  Hit times are recorded
 at substep right endpoints and censored at the horizon.
 
-Reproducibility is a hard contract: path i draws from a dedicated Philox
-counter-based stream keyed by (seed, i), so results are independent of
-execution order, block partitioning, and worker count.
+The fine path is never built in full.  It is generated by dyadic Brownian-
+bridge refinement:
+
+* Coarse grid: every 2^k-th fine node plus the last, with
+  k = max(0, floor(log2 n) - 6), so K = 64-128 coarse intervals (fewer for
+  short runs).  Coarse node values are r0 + cumsum(sqrt(Δt_j) Z_j).
+* An interval [i0, i1] of fine indices is split at m = (i0 + i1) // 2 by
+  the Lévy midpoint  B_m = B_0 + w (B_1 - B_0) + s Z_m,  with
+  w = (t_m - t_0)/Δ and s = sqrt((t_m - t_0)(t_1 - t_m)/Δ), Δ = t_1 - t_0,
+  at the real node times (the last fine step may be short).
+* It is split only while a bound on the fine scheme's crossing probability
+  inside it exceeds 2^-53.  The fine scheme crosses iff a Brownian bridge
+  crosses the piecewise-linear interpolant of X at the fine nodes, which
+  lies above chord - δ, δ = max over the interval's fine nodes of
+  (chord - X)+.  Hence P(cross) <= exp(-2 (d_0 - δ)(d_1 - δ)/Δ), or 1 when
+  d_0 <= δ or d_1 <= δ: exact for constant and linear boundaries and
+  conservative for any other curve.  δ does not depend on the path; it is
+  tabulated once per call, by midpoint (`_Plan`).
+* A one-step interval (leaf) applies the fine scheme's substep test.
+* Intervals that start at or after a path's earliest known crossed node
+  are dropped: they cannot hold the first crossing.
+
+Every skipped interval changes the result with probability at most 2^-53,
+so the hits equal those of the full fine path built by Lévy construction
+at every node.  A path far from the boundary costs about K draws instead
+of 2n.
+
+Reproducibility is a hard contract.  Every number path i uses is a fixed
+word of numpy's own `Philox(key=[seed, i]).random_raw()` stream, computed
+here by a vectorized Philox4x64-10 (word j is lane j % 4 at counter
+j // 4 + 1; counter-based random access after Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11):
+
+* words [0, K): the coarse increments Z_j;
+* word K + m: the midpoint normal of fine node m;
+* word K + n + 1 + k: the bridge uniform u_k of substep k.
+
+A normal is ndtri(((w >> 12) + 0.5) 2^-52), one word each; a uniform is
+(w >> 11) 2^-53.  A path is thus a pure function of (seed, i), whatever the
+refinement order, block partition or worker count.
 """
 
 from __future__ import annotations
@@ -23,15 +57,25 @@ import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.special import ndtri
 
 from .boundary import BoundaryCurve
 from .solver import SourceSpec
 
-#: paths per work block; fixed so that block boundaries never depend on
-#: the worker count (outputs must be identical for any parallel schedule)
-BLOCK_PATHS = 4096
+#: paths per work block; bounds the working set (results do not depend on it)
+BLOCK_PATHS = 256
+
+#: an interval is refined while exp(-2 e0 e1 / Δ) > 2^-53, i.e. while
+#: e0 e1 < _HALF_LOG_INV_EPS * Δ
+_HALF_LOG_INV_EPS = 0.5 * 53.0 * math.log(2.0)
+
+_U64 = np.uint64
+_LO32 = _U64(0xFFFFFFFF)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
 
 @dataclass(frozen=True)
@@ -47,10 +91,10 @@ class McConfig:
     def __post_init__(self):
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.T <= 0.0:
-            raise ValueError("horizon T must be positive")
+        if not math.isfinite(self.dt) or self.dt <= 0.0:
+            raise ValueError("dt must be positive and finite")
+        if not math.isfinite(self.T) or self.T <= 0.0:
+            raise ValueError("horizon T must be positive and finite")
         if self.dt > self.T / 10.0:
             raise ValueError("dt must be <= T/10")
         if not 0 <= self.seed < 2 ** 64:
@@ -59,11 +103,16 @@ class McConfig:
 
 @dataclass(eq=False)
 class McRun:
-    """Sorted hit-time samples plus the implied empirical CDF."""
+    """Sorted hit-time samples plus the implied empirical CDF.
+
+    `n_draws` counts the Philox words the simulation consumed; like the
+    hits it is a function of the config alone.
+    """
 
     config: McConfig
     hit_times: np.ndarray
     n_censored: int
+    n_draws: int
 
     def __post_init__(self):
         if len(self.hit_times) + self.n_censored != self.config.n_paths:
@@ -94,6 +143,7 @@ class McRun:
             "bridge_correction": self.config.bridge_correction,
             "n_hits": int(len(self.hit_times)),
             "n_censored": int(self.n_censored),
+            "n_draws": int(self.n_draws),
             "ecdf_at_horizon": float(self.ecdf(self.config.T)),
             "hit_time_quantiles": quantiles,
         }
@@ -116,34 +166,208 @@ def _time_axis(cfg: McConfig) -> np.ndarray:
     return t
 
 
-def _simulate_block(args):
-    seed, i0, i1, r0, tgrid, xgrid, bridge = args
-    dts = np.diff(tgrid)
-    sq = np.sqrt(dts)
-    n_steps = len(dts)
-    hits = []
-    censored = 0
-    for i in range(i0, i1):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, i], dtype=np.uint64))
-        )
-        z = gen.standard_normal(n_steps)
-        b = np.empty(n_steps + 1)
-        b[0] = r0
-        np.cumsum(sq * z, out=b[1:])
-        b[1:] += r0
-        gap = xgrid - b  # distance below the boundary; <= 0 means crossed
-        crossed = gap[1:] <= 0.0
-        if bridge:
-            u = gen.random(n_steps)
-            arg = np.minimum(-2.0 * gap[:-1] * gap[1:] / dts, 0.0)
-            crossed = crossed | (u < np.exp(arg))
-        if crossed.any():
-            k = int(np.argmax(crossed))
-            hits.append(tgrid[k + 1])
-        else:
-            censored += 1
-    return np.asarray(hits, dtype=float), censored
+# ---------------------------------------------------------------------------
+# counter-addressed random words
+# ---------------------------------------------------------------------------
+
+
+def _mulhi(m: int, x, out, s, t, q) -> None:
+    """out = high 64 bits of the 128-bit products m * x; s, t, q are scratch.
+
+    Schoolbook product on 32-bit halves (x = xh 2^32 + xl, m = mh 2^32 + ml);
+    no partial sum overflows 64 bits.
+    """
+    ml, mh = _U64(m & 0xFFFFFFFF), _U64(m >> 32)
+    np.bitwise_and(x, _LO32, out=s)       # xl
+    np.multiply(s, ml, out=t)
+    t >>= _U64(32)                        # carry out of xl ml
+    s *= mh                               # xl mh
+    np.right_shift(x, _U64(32), out=out)  # xh
+    np.multiply(out, ml, out=q)
+    t += q                                # xh ml + carry
+    np.bitwise_and(t, _LO32, out=q)
+    s += q                                # xl mh + low half of xh ml + carry
+    out *= mh                             # xh mh
+    t >>= _U64(32)
+    s >>= _U64(32)
+    out += t
+    out += s
+
+
+def _philox(seed: int, path: np.ndarray, counter: np.ndarray) -> tuple:
+    """The 4 lanes of Philox4x64-10 with key (seed, path) at counter (counter, 0, 0, 0)."""
+    c0 = np.array(counter, dtype=_U64)
+    c1, c2, c3 = (np.zeros_like(c0) for _ in range(3))
+    hi0, hi1, s, t, q = (np.empty_like(c0) for _ in range(5))
+    k0, k1 = seed, np.array(path, dtype=_U64)
+    m0, m1 = _PHILOX_M
+    for r in range(10):
+        if r:
+            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
+            k1 += _U64(_PHILOX_W[1])
+        _mulhi(m0, c0, hi0, s, t, q)
+        _mulhi(m1, c2, hi1, s, t, q)
+        hi1 ^= c1
+        hi1 ^= _U64(k0)
+        hi0 ^= c3
+        hi0 ^= k1
+        np.multiply(c2, _U64(m1), out=c1)
+        np.multiply(c0, _U64(m0), out=c3)
+        c0, c2, hi1, hi0 = hi1, hi0, c0, c2
+    return c0, c1, c2, c3
+
+
+def _philox_words(seed: int, path: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """Word `word` of `Philox(key=[seed, path]).random_raw()`, elementwise.
+
+    Word j is lane j % 4 of the block at counter j // 4 + 1.
+    """
+    word = word.astype(_U64)
+    lanes = _philox(seed, path, (word >> _U64(2)) + _U64(1))
+    return np.choose((word & _U64(3)).astype(np.intp), lanes)
+
+
+def _leading_words(seed: int, paths: np.ndarray, n: int) -> np.ndarray:
+    """Words [0, n) of every path's stream, shape (len(paths), n)."""
+    n_ctr = -(-n // 4)
+    path, counter = np.broadcast_arrays(paths[:, None], np.arange(1, n_ctr + 1, dtype=_U64))
+    lanes = _philox(seed, path, counter)
+    return np.stack(lanes, axis=-1).reshape(len(paths), 4 * n_ctr)[:, :n]
+
+
+def _normals(words: np.ndarray) -> np.ndarray:
+    return ndtri(((words >> _U64(12)).astype(float) + 0.5) * 2.0 ** -52)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    return (words >> _U64(11)).astype(float) * 2.0 ** -53
+
+
+# ---------------------------------------------------------------------------
+# refinement tree
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Path-independent tables of one `simulate` call.
+
+    Every interior fine node is the Lévy midpoint of exactly one interval
+    of the refinement tree; `sag[m]` is δ of the interval split at m.
+    """
+
+    tgrid: np.ndarray
+    xgrid: np.ndarray
+    coarse: np.ndarray  # fine indices of the coarse nodes
+    sag: np.ndarray
+
+    @property
+    def n_steps(self) -> int:
+        return len(self.tgrid) - 1
+
+    @classmethod
+    def build(cls, tgrid: np.ndarray, xgrid: np.ndarray) -> "_Plan":
+        n = len(tgrid) - 1
+        stride = 1 << max(0, n.bit_length() - 7)  # 2^k, k = max(0, floor(log2 n) - 6)
+        coarse = np.append(np.arange(0, n, stride), n)
+        sag = np.zeros(n + 1)
+        lo, hi = coarse[:-1], coarse[1:]
+        while True:
+            split = hi - lo > 1
+            lo, hi = lo[split], hi[split]
+            if not len(lo):
+                break
+            mid = (lo + hi) // 2
+            sag[mid] = _sag(tgrid, xgrid, lo, hi)
+            lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        return cls(tgrid=tgrid, xgrid=xgrid, coarse=coarse, sag=sag)
+
+
+def _sag(tgrid, xgrid, lo, hi) -> np.ndarray:
+    """max over fine nodes i in [lo, hi] of (chord - X_i)+, per interval.
+
+    The intervals must be sorted and disjoint.
+    """
+    node = np.arange(lo[0], hi[-1])
+    own = np.searchsorted(lo, node, side="right") - 1
+    inside = node < hi[own]
+    node, own = node[inside], own[inside]
+    a, b = lo[own], hi[own]
+    chord = xgrid[a] + (tgrid[node] - tgrid[a]) / (tgrid[b] - tgrid[a]) * (xgrid[b] - xgrid[a])
+    sag = np.zeros(len(lo))
+    np.maximum.at(sag, own, chord - xgrid[node])
+    return sag
+
+
+def _must_split(d0, d1, sag, span):
+    """Whether the bound exp(-2 (d0 - δ)(d1 - δ)/Δ) on a fine crossing inside exceeds 2^-53."""
+    e0, e1 = d0 - sag, d1 - sag
+    return (e0 <= 0.0) | (e1 <= 0.0) | (e0 * e1 < _HALF_LOG_INV_EPS * span)
+
+
+def _coarse_level(plan: _Plan, seed: int, paths: np.ndarray, r0: float):
+    """First crossed coarse node of every path (n + 1 if none), and its busy intervals.
+
+    Busy intervals are those that may hold the first crossing, returned as
+    (path row, fine nodes lo < hi, B at both ends).
+    """
+    tg, xg = plan.tgrid, plan.xgrid
+    z = _normals(_leading_words(seed, paths, len(plan.coarse) - 1))
+    b = np.empty((len(paths), len(plan.coarse)))
+    b[:, 0] = r0
+    b[:, 1:] = r0 + np.cumsum(np.sqrt(np.diff(tg[plan.coarse])) * z, axis=1)
+    gap = xg[plan.coarse] - b
+    crossed = gap <= 0.0
+    first = np.where(crossed.any(axis=1), plan.coarse[np.argmax(crossed, axis=1)],
+                     plan.n_steps + 1)
+    lo, hi = plan.coarse[:-1], plan.coarse[1:]
+    busy = (lo < first[:, None]) & ((hi - lo == 1) | _must_split(
+        gap[:, :-1], gap[:, 1:], plan.sag[(lo + hi) // 2], tg[hi] - tg[lo]))
+    p, c = np.nonzero(busy)
+    return first, (p, lo[c], hi[c], b[p, c], b[p, c + 1])
+
+
+def _simulate_block(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge: bool):
+    """First fine crossing index (n + 1 if none) of paths i0..i1-1, and words drawn."""
+    tg, xg, n = plan.tgrid, plan.xgrid, plan.n_steps
+    paths = np.arange(i0, i1, dtype=_U64)
+    n_coarse = len(plan.coarse) - 1
+    first, (p, lo, hi, blo, bhi) = _coarse_level(plan, seed, paths, r0)
+    n_draws = len(paths) * n_coarse
+    while True:
+        keep = lo < first[p]
+        p, lo, hi, blo, bhi = p[keep], lo[keep], hi[keep], blo[keep], bhi[keep]
+        if not len(p):
+            break
+        d0, d1 = xg[lo] - blo, xg[hi] - bhi
+        m = (lo + hi) // 2
+        leaf = hi - lo == 1
+        split = ~leaf & _must_split(d0, d1, plan.sag[m], tg[hi] - tg[lo])
+        test = leaf & (d1 > 0.0) & bridge
+        m = m[split]
+        words = _philox_words(seed, paths[np.concatenate((p[test], p[split]))],
+                              np.concatenate((n_coarse + n + 1 + lo[test], n_coarse + m)))
+        n_draws += len(words)
+        n_test = np.count_nonzero(test)
+
+        # leaves: the fine scheme's substep test
+        hit = leaf & (d1 <= 0.0)
+        k = lo[test]
+        hit[test] = (_uniforms(words[:n_test])
+                     < np.exp(-2.0 * d0[test] * d1[test] / (tg[k + 1] - tg[k])))
+        np.minimum.at(first, p[hit], hi[hit])
+
+        # split intervals: Lévy midpoints
+        p, lo, hi, blo, bhi = p[split], lo[split], hi[split], blo[split], bhi[split]
+        t0, t1, tm = tg[lo], tg[hi], tg[m]
+        span = t1 - t0
+        bm = (blo + (tm - t0) / span * (bhi - blo)
+              + np.sqrt((tm - t0) * (t1 - tm) / span) * _normals(words[n_test:]))
+        hit = xg[m] - bm <= 0.0
+        np.minimum.at(first, p[hit], m[hit])
+        p, lo, hi = np.concatenate((p, p)), np.concatenate((lo, m)), np.concatenate((m, hi))
+        blo, bhi = np.concatenate((blo, bm)), np.concatenate((bm, bhi))
+    return first, n_draws
 
 
 def simulate(
@@ -154,9 +378,9 @@ def simulate(
 ) -> McRun:
     """Simulate first-passage times of Brownian paths started at the point source.
 
-    Deterministic given (seed, n_paths, dt): path i uses its own
-    counter-based stream, blocks have a fixed size, and the merged hit
-    times are sorted, so the output is byte-identical for any `workers`.
+    Deterministic given (seed, n_paths, dt): path i is a pure function of
+    its Philox words, and the merged hit times are sorted, so the output is
+    byte-identical for any `workers`.
     """
     if src.kind != "point":
         raise ValueError("Monte Carlo oracle simulates point sources only")
@@ -167,22 +391,20 @@ def simulate(
         raise ValueError("simulation horizon exceeds the boundary's domain")
 
     tgrid = _time_axis(cfg)
-    xgrid = np.asarray(curve.value(tgrid))
-    blocks = [
-        (cfg.seed, i, min(i + BLOCK_PATHS, cfg.n_paths), src.r0, tgrid, xgrid,
-         cfg.bridge_correction)
-        for i in range(0, cfg.n_paths, BLOCK_PATHS)
-    ]
-    if workers > 1 and len(blocks) > 1:
+    plan = _Plan.build(tgrid, np.asarray(curve.value(tgrid), dtype=float))
+    starts = range(0, cfg.n_paths, BLOCK_PATHS)
+    ends = [min(i + BLOCK_PATHS, cfg.n_paths) for i in starts]
+    run_block = partial(_simulate_block, plan, cfg.seed, r0=src.r0, bridge=cfg.bridge_correction)
+    if workers > 1 and len(starts) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(_simulate_block, blocks))
+            results = list(ex.map(run_block, starts, ends))
     else:
-        results = [_simulate_block(b) for b in blocks]
+        results = list(map(run_block, starts, ends))
 
-    hit_arrays = [h for h, _ in results]
-    n_censored = sum(c for _, c in results)
-    hits = np.sort(np.concatenate(hit_arrays)) if hit_arrays else np.array([])
-    return McRun(config=cfg, hit_times=hits, n_censored=n_censored)
+    first = np.concatenate([f for f, _ in results])
+    hits = np.sort(tgrid[first[first <= plan.n_steps]])
+    return McRun(config=cfg, hit_times=hits, n_censored=int(np.sum(first > plan.n_steps)),
+                 n_draws=sum(d for _, d in results))
 
 
 def ks_distance(run: McRun, est) -> float:

@@ -20,6 +20,18 @@ def run(args):
     return main(args)
 
 
+def poison_density(path):
+    """Replace the first interior p cell of a density.csv with nan."""
+    rows = path.read_text().splitlines()
+    t, _, F = rows[2].split(",")
+    rows[2] = f"{t},nan,{F}"
+    path.write_text("\n".join(rows) + "\n")
+
+
+def assert_one_line(err, prefix):
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 class TestSolve:
     def test_happy_path_writes_three_files(self, tmp_path):
         code = run(["solve", *LINEAR_ARGS, "--method", "both", "--out", str(tmp_path)])
@@ -140,6 +152,25 @@ class TestSimulate:
         assert code == 4
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_dt_rejected(self, tmp_path, capsys, value):
+        code = run([*self.SIM, f"--dt={value}", "--out", str(tmp_path)])
+        assert code == 2
+        assert_one_line(capsys.readouterr().err, "invalid configuration:")
+        assert not (tmp_path / "hits.csv").exists()
+
+    def test_corrupt_density_rejected(self, tmp_path, capsys):
+        solve_args = ["solve", "--boundary", "constant", "--a", "1", "--r0", "0",
+                      "--T", "1", "--N", "256", "--method", "marching",
+                      "--out", str(tmp_path)]
+        assert run(solve_args) == 0
+        poison_density(tmp_path / "density.csv")
+        capsys.readouterr()
+        code = run([*self.SIM, "--out", str(tmp_path)])
+        assert code == 4
+        assert_one_line(capsys.readouterr().err, "artifact mismatch:")
+        assert not (tmp_path / "ks.json").exists()
+
     def test_fpt_threads_does_not_change_results(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "w1", tmp_path / "wn"
         monkeypatch.setenv("FPT_THREADS", "1")
@@ -201,6 +232,16 @@ class TestValidate:
         assert code == 5
         doc = json.loads((tmp_path / "validate.json").read_text())
         assert doc["all_passed"] is False
+
+    def test_corrupt_density_rejected(self, tmp_path, capsys):
+        # one NaN cell fails the artifact's checks: exit 4, no validate.json
+        assert run(["solve", *LINEAR_ARGS, "--method", "marching", "--out", str(tmp_path)]) == 0
+        poison_density(tmp_path / "density.csv")
+        capsys.readouterr()
+        code = run(["validate", *LINEAR_ARGS, "--suite", "master", "--out", str(tmp_path)])
+        assert code == 4
+        assert_one_line(capsys.readouterr().err, "artifact mismatch:")
+        assert not (tmp_path / "validate.json").exists()
 
     def test_mismatched_artifact(self, tmp_path, capsys):
         # density solved for a different boundary: fingerprint mismatch

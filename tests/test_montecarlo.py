@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from fptkit import (
     BoundaryCurve,
@@ -18,6 +20,8 @@ POINT = SourceSpec.point(0.0)
 CONST = BoundaryCurve.constant(1.0)
 
 TRUE_CDF_1 = 2.0 * psi(1.0)  # reflection principle: P(hit 1 by t=1) = 0.31731...
+
+GOLDEN_HITS_SHA256 = "867f9c35b48e29a0a80edd32b52989f1892203fa575575eff2d68e9690abda54"
 
 
 class _EcdfStub:
@@ -51,6 +55,13 @@ class TestConfig:
             McConfig(n_paths=10, dt=1e-3, T=1.0, seed=-1)
         McConfig(n_paths=10, dt=1e-3, T=1.0, seed=2 ** 64 - 1)
 
+    @pytest.mark.parametrize("field", ["dt", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = {"n_paths": 10, "dt": 1e-3, "T": 1.0, "seed": 0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            McConfig(**kwargs)
+
 
 class TestSimulate:
     def test_reflection_principle(self, base_run):
@@ -66,9 +77,11 @@ class TestSimulate:
     def test_worker_count_invariance(self, base_run):
         cfg = McConfig(n_paths=10_000, dt=1e-3, T=1.0, seed=base_run.config.seed)
         one = simulate(POINT, CONST, cfg, workers=1)
-        four = simulate(POINT, CONST, cfg, workers=4)
-        assert np.array_equal(one.hit_times, four.hit_times)
-        assert one.n_censored == four.n_censored
+        for workers in (2, 4):
+            many = simulate(POINT, CONST, cfg, workers=workers)
+            assert np.array_equal(one.hit_times, many.hit_times)
+            assert one.n_censored == many.n_censored
+            assert one.n_draws == many.n_draws
 
     def test_bridge_off_undercounts(self):
         # discrete monitoring misses crossings; the deficit at dt = 1e-2
@@ -116,6 +129,89 @@ class TestSimulate:
         cfg = McConfig(n_paths=10, dt=1e-3, T=1.0, seed=0)
         with pytest.raises(ValueError, match="point"):
             simulate(SourceSpec.uniform_bump(0.0, 0.1), CONST, cfg)
+
+
+def _fine_scheme_hits(src, curve, cfg):
+    """Hit times of the fine scheme on full paths, one fine node at a time.
+
+    Every word comes from numpy's own `Philox(key=[seed, i]).random_raw()`:
+    words [0, K) are the coarse increments, word K + m the Lévy midpoint
+    normal of node m and word K + n + 1 + k the bridge uniform of substep k.
+    Every node is built, so no interval is skipped.
+    """
+    n = math.ceil(cfg.T / cfg.dt - 1e-9)
+    t = np.minimum(np.arange(n + 1) * cfg.dt, cfg.T)
+    x = np.asarray(curve.value(t), dtype=float)
+    stride = 2 ** max(0, math.floor(math.log2(n)) - 6)
+    coarse = np.append(np.arange(0, n, stride), n)
+    K = len(coarse) - 1
+
+    words = np.stack([
+        np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)).random_raw(K + 2 * n + 1)
+        for i in range(cfg.n_paths)
+    ])
+    z = ndtri(((words >> np.uint64(12)).astype(float) + 0.5) * 2.0 ** -52)
+    u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
+
+    b = np.empty((cfg.n_paths, n + 1))
+    b[:, 0] = src.r0
+    b[:, coarse[1:]] = src.r0 + np.cumsum(np.sqrt(np.diff(t[coarse])) * z[:, :K], axis=1)
+    todo = list(zip(coarse[:-1], coarse[1:]))
+    while todo:
+        lo, hi = todo.pop()
+        if hi - lo < 2:
+            continue
+        m = (lo + hi) // 2
+        span = t[hi] - t[lo]
+        b[:, m] = (b[:, lo] + (t[m] - t[lo]) / span * (b[:, hi] - b[:, lo])
+                   + np.sqrt((t[m] - t[lo]) * (t[hi] - t[m]) / span) * z[:, K + m])
+        todo += [(lo, m), (m, hi)]
+
+    gap = x - b
+    crossed = gap[:, 1:] <= 0.0
+    if cfg.bridge_correction:
+        arg = np.minimum(-2.0 * gap[:, :-1] * gap[:, 1:] / np.diff(t), 0.0)
+        crossed |= u[:, K + n + 1:] < np.exp(arg)
+    hit = crossed.any(axis=1)
+    return np.sort(t[np.argmax(crossed, axis=1)[hit] + 1])
+
+
+class TestRefinement:
+    """The dyadic refinement against the fine scheme on full paths."""
+
+    @pytest.mark.parametrize("curve", [
+        CONST,
+        BoundaryCurve.linear(0.8, -0.3),
+        BoundaryCurve.power(1.0, 0.5, 0.75),
+        BoundaryCurve.power(1.0, -0.5, 0.6),
+        # a dip three fine steps wide inside one coarse interval: only its
+        # sag below the chord makes that interval refine
+        BoundaryCurve.sampled([0.0, 0.395, 0.3964, 0.3978, 1.2], [1.0, 1.0, 0.1, 1.0, 1.0], 1.0),
+    ], ids=["constant", "linear", "power", "power-convex", "sampled-dip"])
+    @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "no-bridge"])
+    def test_matches_full_fine_paths(self, curve, bridge):
+        # dt = 0.0014: n = 715 steps, a short last step and a 3-step last
+        # coarse interval, so the tree is ragged
+        cfg = McConfig(n_paths=200, dt=0.0014, T=1.0, seed=7, bridge_correction=bridge)
+        run = simulate(POINT, curve, cfg)
+        expected = _fine_scheme_hits(POINT, curve, cfg)
+        assert len(expected) > 20
+        assert run.hit_times.tobytes() == expected.tobytes()
+
+    def test_golden_stream(self):
+        # pins the random stream: a change here must be deliberate
+        cfg = McConfig(n_paths=512, dt=1e-3, T=1.0, seed=20261018)
+        run = simulate(POINT, BoundaryCurve.linear(1.0, 0.5), cfg)
+        digest = hashlib.sha256(run.hit_times.tobytes()).hexdigest()
+        assert digest == GOLDEN_HITS_SHA256
+
+    def test_far_boundary_draws_few_words(self):
+        cfg = McConfig(n_paths=2048, dt=1e-4, T=1.0, seed=5)
+        run = simulate(POINT, BoundaryCurve.linear(1.0, 0.5), cfg)
+        full = 2 * cfg.n_paths * 10_000
+        assert run.n_censored > cfg.n_paths / 2
+        assert cfg.n_paths * 64 <= run.n_draws < 0.01 * full
+        assert run.summary()["n_draws"] == run.n_draws
 
 
 class TestKsDistance:
