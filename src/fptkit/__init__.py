@@ -24,8 +24,6 @@ from .solver import (
     SolverError,
     SourceSpec,
     TimeGrid,
-    cdf_at,
-    kernel_k,
     problem_fingerprint,
     solve_marching,
     solve_picard,
@@ -56,7 +54,6 @@ __all__ = [
     "TimeGrid",
     "beta_moment",
     "boundary_flux",
-    "cdf_at",
     "closed_form_linear",
     "delta_convergence",
     "estimate_holder",
@@ -66,7 +63,6 @@ __all__ = [
     "green_eval",
     "heat_residual",
     "jump_check",
-    "kernel_k",
     "ks_distance",
     "mass_conservation",
     "master_residual",

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .green import GreenField, _eval_batch
+from .green import GreenField, green_eval
 from .kernels import gaussian, gaussian_dx
 from .montecarlo import McConfig, ks_distance, simulate
 from .solver import (
@@ -311,7 +311,7 @@ def run_validation_suite(suite: str, curve, src, grid, est: DensityEstimate,
             xt = float(curve.value(t))
             probes.append((xt - (0.5 + rng.uniform(0.0, 2.0)) * np.sqrt(t), float(t)))
         reports.append(validation.heat_residual(
-            lambda x, t: _eval_batch(fld, np.array([x]), t)[0],
+            lambda x, t: green_eval(fld, x, t),
             probes, dx=float(np.sqrt(T) / 40.0), dt_fd=float(T / 200.0),
             tolerance=1e-2, name="green_interior",
         ))
@@ -397,7 +397,7 @@ def cmd_green(cfg: dict, x_range, t_range, resolution) -> int:
     with open(out / "green.csv", "w") as fh:
         fh.write("x,t,G\n")
         for t in ts:
-            vals = _eval_batch(fld, xs, float(t))
+            vals = green_eval(fld, xs, float(t))
             for x, v in zip(xs, vals):
                 fh.write(f"{x:.17g},{t:.17g},{v:.17g}\n")
     return EXIT_OK

@@ -82,11 +82,17 @@ def _time_partition(nodes: np.ndarray, t: float) -> np.ndarray:
     return np.concatenate([base, np.asarray(extras), [t]])
 
 
-def _eval_batch(field: GreenField, xs: np.ndarray, t: float) -> np.ndarray:
-    """G^X(x, t) for an array of x at a common time t."""
+def green_eval(field: GreenField, x, t: float):
+    """Green function G^X(x, t) at one time t (diagnostic values >= X_t are ~0).
+
+    An array `x` gives an array of the same shape, a scalar a float.  Each
+    value depends only on its own x: an array call equals the scalar calls
+    bit for bit.
+    """
     if not 0.0 < t <= field.horizon:
         raise ValueError(f"Green function defined for 0 < t <= {field.horizon}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    x = np.asarray(x, dtype=float)
+    xs = np.atleast_1d(x).ravel()
     curve, density = field.curve, field.density
 
     part = _time_partition(density.grid.nodes, t)
@@ -101,8 +107,10 @@ def _eval_batch(field: GreenField, xs: np.ndarray, t: float) -> np.ndarray:
     last = np.where(xs == xt, 1.0, 0.0)
     phi = np.concatenate([expo, last[:, None]], axis=1) * pv[None, :] / SQRT_TWO_PI
 
+    # einsum sums each row in the same order whatever the row count (a BLAS
+    # matrix-vector product does not), which keeps array and scalar calls equal
     c = _nodal_weights(-0.5, t, part)
-    emitted = phi @ c
+    emitted = np.einsum("ij,j->i", phi, c)
 
     src = field.src
     if src.kind == "point":
@@ -110,12 +118,8 @@ def _eval_batch(field: GreenField, xs: np.ndarray, t: float) -> np.ndarray:
     else:
         # free evolution of h in closed form over its linear pieces
         free = smeared_gaussian(xs, t, src.knots_x, src.knots_y)
-    return free - emitted
-
-
-def green_eval(field: GreenField, x: float, t: float) -> float:
-    """Green function G^X at a single point (diagnostic values >= X_t are ~0)."""
-    return float(_eval_batch(field, np.array([float(x)]), t)[0])
+    val = free - emitted
+    return val.reshape(x.shape) if x.ndim else float(val[0])
 
 
 def survival(field: GreenField, t: float) -> float:
@@ -139,7 +143,7 @@ def survival(field: GreenField, t: float) -> float:
     xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
     ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
-    total = float(_eval_batch(field, xs, t) @ ws)
+    total = float(green_eval(field, xs, t) @ ws)
     total += psi((field.src.support_lower - x_lo) / math.sqrt(t))
     return min(max(total, 0.0), 1.0)
 
@@ -156,7 +160,7 @@ def boundary_flux(field: GreenField, t: float, eps: float | None = None) -> floa
     if eps is None:
         eps = max(1e-4, math.sqrt(t) * 1e-3)
     xt = float(field.curve.value(t))
-    f = _eval_batch(field, np.array([xt, xt - eps, xt - 2.0 * eps]), t)
+    f = green_eval(field, np.array([xt, xt - eps, xt - 2.0 * eps]), t)
     deriv = (3.0 * f[0] - 4.0 * f[1] + f[2]) / (2.0 * eps)
     return -0.5 * deriv
 

@@ -13,14 +13,17 @@ C (t - tau)^(gamma - 3/2).  Both solvers below factor the kernel as
 
 with kappa bounded, and integrate the singular weight exactly against a
 piecewise-linear interpolant of kappa * p (product integration) on a
-graded time grid:
+graded time grid.  That yields one lower-triangular system (I - A) p = g,
+and both solvers take the rows of A from one block assembler,
+`_quadrature_rows`, so neither holds the dense (N+1)^2 matrix:
 
-* `solve_marching` steps forward node by node, solving the scalar
-  equation for p(t_i) in closed form (the diagonal weight multiplies the
-  unknown);
-* `solve_picard` fixed-point iterates the same discrete system on
-  successive time windows sized so the integral operator is a certified
-  contraction, freezing history integrals as windows complete.
+* `solve_marching` is blocked forward substitution, solving each node in
+  closed form (the diagonal weight multiplies the unknown); its memory
+  is O(BLOCK_ROWS N);
+* `solve_picard` fixed-point iterates the same system on successive time
+  windows sized so the integral operator is a certified contraction,
+  freezing history integrals as windows complete; it holds one window's
+  rows of A, O(window N) memory.
 
 Both return the same discrete solution (the marching recurrence is the
 exact fixed point of the Picard sweeps), which makes their nodewise
@@ -37,13 +40,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryCurve, estimate_holder
-from .kernels import SQRT_TWO_PI, _exp_clipped, gaussian_dx, segment_weight, smeared_gaussian_dx
+from .kernels import SQRT_TWO_PI, _exp_clipped, gaussian_dx, smeared_gaussian_dx
 
 #: density values may dip this far below zero before we call it an error
 TOL_NEG = 1e-8
 
 #: marching fails when the implicit diagonal coefficient drops below this
 MIN_DIAGONAL = 0.1
+
+#: rows of the quadrature matrix assembled at a time
+BLOCK_ROWS = 16
 
 
 class SolverError(RuntimeError):
@@ -211,12 +217,20 @@ class DensityEstimate:
             for t, p, f in zip(self.grid.nodes, self.p, self.F):
                 fh.write(f"{t:.17g},{p:.17g},{f:.17g}\n")
 
+    def content_sha256(self) -> str:
+        """SHA-256 of the p and F values as little-endian doubles."""
+        h = hashlib.sha256()
+        for col in (self.p, self.F):
+            h.update(np.ascontiguousarray(col, dtype="<f8").tobytes())
+        return h.hexdigest()
+
     def metadata(self) -> dict:
         return {
             "grid": {"T": self.grid.T, "N": self.grid.N, "q": self.grid.q},
             "method": self.method,
             "gamma": self.gamma,
             "fingerprint": self.fingerprint,
+            "content_sha256": self.content_sha256(),
             "residual_summary": self.residual_summary,
         }
 
@@ -227,21 +241,19 @@ class DensityEstimate:
 
     @classmethod
     def from_files(cls, csv_path, json_path) -> "DensityEstimate":
-        """Rehydrate an estimate from its CSV + JSON pair."""
+        """Rehydrate an estimate from its CSV + JSON pair, checking `content_sha256`."""
         with open(json_path) as fh:
             meta = json.load(fh)
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
         grid = TimeGrid(T=meta["grid"]["T"], N=int(meta["grid"]["N"]), q=meta["grid"]["q"])
         if not np.allclose(data[:, 0], grid.nodes, rtol=0.0, atol=1e-12):
             raise ValueError("density CSV nodes do not match the grid metadata")
-        return cls(grid=grid, p=data[:, 1], F=data[:, 2], method=meta["method"],
-                   gamma=meta["gamma"], fingerprint=meta.get("fingerprint", ""),
-                   residual_summary=meta.get("residual_summary"))
-
-
-def cdf_at(est: DensityEstimate, t):
-    """First-passage CDF F(t) = int_0^t p, interpolated on the grid."""
-    return est.cdf(t)
+        est = cls(grid=grid, p=data[:, 1], F=data[:, 2], method=meta["method"],
+                  gamma=meta["gamma"], fingerprint=meta.get("fingerprint", ""),
+                  residual_summary=meta.get("residual_summary"))
+        if meta.get("content_sha256") != est.content_sha256():
+            raise ValueError("density CSV values do not match the content_sha256 in the metadata")
+        return est
 
 
 def problem_fingerprint(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> str:
@@ -281,8 +293,8 @@ def source_term(src: SourceSpec, curve: BoundaryCurve, t):
     return -smeared_gaussian_dx(xt, t, src.knots_x, src.knots_y)
 
 
-def kernel_k(curve: BoundaryCurve, t: float, tau: float) -> float:
-    """Bounded kernel co-factor kappa(t, tau).
+def _kappa_row(t_i, x_i, ts, xs, gamma):
+    """Bounded kernel co-factor kappa(t_i, tau) at nodes tau = ts < t_i.
 
     The Volterra kernel G_x(X_t, t; X_tau, tau) equals
     kappa(t, tau) (t - tau)^(gamma - 3/2) with
@@ -291,16 +303,8 @@ def kernel_k(curve: BoundaryCurve, t: float, tau: float) -> float:
                 * exp(-(X_t - X_tau)^2 / (2 (t - tau))) / sqrt(2 pi)
 
     which stays bounded by m / sqrt(2 pi) on Hölder-(gamma, m) curves.
+    A column of (t_i, x_i) against a row of nodes gives a block.
     """
-    if not 0.0 <= tau < t:
-        raise ValueError("kernel requires 0 <= tau < t")
-    dt = t - tau
-    dx = curve.value(t) - curve.value(tau)
-    return float(-(dx / dt ** curve.gamma) * _exp_clipped(-dx * dx / (2.0 * dt)) / SQRT_TWO_PI)
-
-
-def _kappa_row(t_i, x_i, ts, xs, gamma):
-    """kappa(t_i, tau) at nodes tau = ts < t_i, vectorized."""
     dt = t_i - ts
     dx = x_i - xs
     return -(dx / dt ** gamma) * _exp_clipped(-dx * dx / (2.0 * dt)) / SQRT_TWO_PI
@@ -320,32 +324,49 @@ def _diagonal_kappa(ts, xs, gamma):
 
 
 def _nodal_weights(beta, t_end, ts):
-    """Product-integration coefficients for int (t_end - tau)^beta f(tau) dtau.
+    """Product-integration coefficients for int_0^t_end (t_end - tau)^beta f(tau) dtau.
 
-    `ts` is a strictly increasing partition ending at t_end; f is taken
-    piecewise linear with nodal values f(ts).  Returns one coefficient
-    per node, built from exact moments of the weight on each segment.
+    f is piecewise linear on the increasing partition `ts`.  `t_end` is a
+    node of `ts`, or a column of nodes (one row of coefficients each);
+    nodes past it get zero weight, as r = t_end - ts is clamped at 0.  The
+    segment moments are exact from one power r^(beta+1) per node.
     """
-    a, b = ts[:-1], ts[1:]
-    m0 = segment_weight(beta, t_end, a, b)
-    m1 = segment_weight(beta + 1.0, t_end, a, b)
-    dt = b - a
-    rem = t_end - ts
-    wl = (m1 - rem[1:] * m0) / dt
-    wr = (rem[:-1] * m0 - m1) / dt
-    c = np.zeros(len(ts))
-    c[:-1] += wl
-    c[1:] += wr
+    r = np.maximum(t_end - ts, 0.0)
+    rb1 = r ** (beta + 1.0)
+    rb2 = rb1 * r
+    m0 = (rb1[..., :-1] - rb1[..., 1:]) / (beta + 1.0)
+    m1 = (rb2[..., :-1] - rb2[..., 1:]) / (beta + 2.0)
+    dt = np.diff(ts)
+    c = np.zeros(r.shape)
+    c[..., :-1] = (m1 - r[..., 1:] * m0) / dt
+    c[..., 1:] += (r[..., :-1] * m0 - m1) / dt
     return c
 
 
-def _source_vector(src, curve, ts):
-    g = np.zeros(len(ts))
-    g[1:] = source_term(src, curve, ts[1:])
-    return g
+def _quadrature_rows(lo, hi, ts, xs, kdiag, gamma):
+    """Rows lo..hi-1, columns 0..hi-1, of A, assembled `BLOCK_ROWS` rows at a time.
+
+    Row i approximates int_0^{t_i} G_x(X_{t_i}, t_i; X_tau, tau) p(tau) dtau:
+    weights times kappa before t_i, the diagonal weight times `kdiag[i]`.
+    """
+    A = np.zeros((hi - lo, hi))
+    for b in range(lo, hi, BLOCK_ROWS):
+        e = min(b + BLOCK_ROWS, hi)
+        k = np.arange(e - b)
+        t_i = ts[b:e, None]
+        blk = _nodal_weights(gamma - 1.5, t_i, ts[:e])
+        diag = blk[k, b + k] * kdiag[b:e]
+        # kappa is undefined at tau >= t_i; those entries are replaced below
+        with np.errstate(all="ignore"):
+            blk *= _kappa_row(t_i, xs[b:e, None], ts[:e], xs[:e], gamma)
+        blk[:, b:] = np.tril(blk[:, b:], -1)
+        blk[k, b + k] = diag
+        A[b - lo:e - lo, :e] = blk
+    return A
 
 
-def _validate_problem(src, curve, grid):
+def _discrete_system(src, curve, grid):
+    """Nodes, boundary values, source vector g and diagonal kappa of (I - A) p = g."""
     if curve.gamma <= 0.5:
         raise ValueError("solver requires Hölder exponent gamma > 1/2")
     if grid.T > curve.horizon:
@@ -357,6 +378,20 @@ def _validate_problem(src, curve, grid):
     else:
         if not src.support_upper < x0:
             raise ValueError("smeared source support must lie strictly below X_0")
+    ts = grid.nodes
+    xs = np.asarray(curve.value(ts))
+    g = np.zeros(len(ts))
+    g[1:] = source_term(src, curve, ts[1:])
+    return ts, xs, g, _diagonal_kappa(ts, xs, curve.gamma)
+
+
+def _estimate(src, curve, grid, p, method, summary):
+    """Wrap a solved p with its trapezoid-rule CDF."""
+    F = np.zeros(len(p))
+    F[1:] = np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(grid.nodes))
+    return DensityEstimate(grid=grid, p=p, F=F, method=method, gamma=curve.gamma,
+                           fingerprint=problem_fingerprint(src, curve, grid),
+                           residual_summary=summary)
 
 
 # ---------------------------------------------------------------------------
@@ -367,41 +402,31 @@ def _validate_problem(src, curve, grid):
 def solve_marching(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> DensityEstimate:
     """Time-marching product-integration solve of the density equation.
 
-    Marches i = 1..N; at each node the history integral uses piecewise-
-    linear interpolation of kappa * p against exact weight moments, the
-    final (singular) subinterval couples the unknown p(t_i) through the
-    diagonal kappa limit, and the resulting scalar linear relation is
-    solved in closed form.  Fails if the diagonal coefficient
-    1 - w_ii kappa_ii drops below 0.1 (grid too coarse for the boundary).
+    Blocked forward substitution on (I - A) p = g: each block of
+    `BLOCK_ROWS` rows takes its history in one matrix-vector product,
+    then solves node by node in closed form, the final (singular)
+    subinterval coupling the unknown p(t_i) through the diagonal kappa
+    limit.  Fails if the diagonal coefficient 1 - A_ii drops below 0.1
+    (grid too coarse for the boundary).
     """
-    _validate_problem(src, curve, grid)
-    gamma = curve.gamma
-    beta = gamma - 1.5
-    ts = grid.nodes
-    xs = np.asarray(curve.value(ts))
-    g = _source_vector(src, curve, ts)
-    kdiag = _diagonal_kappa(ts, xs, gamma)
-
-    p = np.zeros(len(ts))
+    ts, xs, g, kdiag = _discrete_system(src, curve, grid)
+    n = len(ts)
+    p = np.zeros(n)
     min_diag = math.inf
-    for i in range(1, len(ts)):
-        c = _nodal_weights(beta, ts[i], ts[: i + 1])
-        kap = _kappa_row(ts[i], xs[i], ts[:i], xs[:i], gamma)
-        diag = 1.0 - c[i] * kdiag[i]
-        min_diag = min(min_diag, diag)
-        if diag < MIN_DIAGONAL:
-            raise SolverError(
-                f"diagonal coefficient {diag:.3g} below {MIN_DIAGONAL} at node {i}"
-                " (t={:.6g}); refine the grid".format(ts[i])
-            )
-        p[i] = (g[i] + (c[:i] * kap) @ p[:i]) / diag
-
-    F = _trapezoid_cdf(ts, p)
-    return DensityEstimate(
-        grid=grid, p=p, F=F, method="marching", gamma=gamma,
-        fingerprint=problem_fingerprint(src, curve, grid),
-        residual_summary={"min_diagonal": min_diag},
-    )
+    for lo in range(1, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        A = _quadrature_rows(lo, hi, ts, xs, kdiag, curve.gamma)
+        rhs = g[lo:hi] + A[:, :lo] @ p[:lo]
+        for k, i in enumerate(range(lo, hi)):
+            diag = 1.0 - A[k, i]
+            min_diag = min(min_diag, diag)
+            if diag < MIN_DIAGONAL:
+                raise SolverError(
+                    f"diagonal coefficient {diag:.3g} below {MIN_DIAGONAL} at node {i}"
+                    " (t={:.6g}); refine the grid".format(ts[i])
+                )
+            p[i] = (rhs[k] + A[k, lo:i] @ p[lo:i]) / diag
+    return _estimate(src, curve, grid, p, "marching", {"min_diagonal": min_diag})
 
 
 def solve_picard(
@@ -420,11 +445,11 @@ def solve_picard(
     Hölder constant (the exponential kernel factor is bounded by 1).
     Within a window the discrete system is fixed-point iterated until
     successive sup-norm differences fall below `tol`; history integrals
-    over completed windows are frozen.
+    over completed windows are frozen.  Only the current window's rows
+    of A are held, so memory is O(window N).
     """
-    _validate_problem(src, curve, grid)
+    ts, xs, g, kdiag = _discrete_system(src, curve, grid)
     gamma = curve.gamma
-    ts = grid.nodes
     n = len(ts)
     m = estimate_holder(curve, (0.0, grid.T)).m
     if m == 0.0:
@@ -433,24 +458,19 @@ def solve_picard(
         c1 = m / (SQRT_TWO_PI * (gamma - 0.5))
         window_len = (safety / c1) ** (1.0 / (gamma - 0.5))
 
-    A = _build_matrix(curve, grid)
-    g = _source_vector(src, curve, ts)
-
     p = np.zeros(n)
     windows = []
     lo = 0
     while lo < n - 1:
         hi = int(np.searchsorted(ts, ts[lo] + window_len, side="right")) - 1
-        hi = max(hi, lo + 1)
-        hi = min(hi, n - 1)
+        hi = min(max(hi, lo + 1), n - 1)
         sl = slice(lo + 1, hi + 1)
-        rhs = g[sl] + A[sl, : lo + 1] @ p[: lo + 1]
-        M = A[sl, sl]
+        A = _quadrature_rows(lo + 1, hi + 1, ts, xs, kdiag, gamma)
+        rhs = g[sl] + A[:, : lo + 1] @ p[: lo + 1]
+        M = A[:, sl]
         q = rhs.copy()
         prev_diff = None
         max_ratio = 0.0
-        iterations = 0
-        converged = False
         for iterations in range(1, max_iter + 1):
             q_next = rhs + M @ q
             diff = float(np.max(np.abs(q_next - q)))
@@ -458,10 +478,9 @@ def solve_picard(
                 max_ratio = max(max_ratio, diff / prev_diff)
             q = q_next
             if diff <= tol:
-                converged = True
                 break
             prev_diff = diff
-        if not converged:
+        else:
             raise SolverError(
                 f"Picard window {len(windows)} ([{ts[lo]:.6g}, {ts[hi]:.6g}]) did not"
                 f" converge in {max_iter} iterations (last contraction ratio {max_ratio:.3g})"
@@ -473,41 +492,11 @@ def solve_picard(
         })
         lo = hi
 
-    F = _trapezoid_cdf(ts, p)
-    return DensityEstimate(
-        grid=grid, p=p, F=F, method="picard", gamma=gamma,
-        fingerprint=problem_fingerprint(src, curve, grid),
-        residual_summary={
-            # None encodes an unbounded window (kernel vanishes identically)
-            "window_length": window_len if math.isfinite(window_len) else None,
-            "holder_m": m,
-            "contraction_target": safety,
-            "windows": windows,
-            "max_ratio": max((w["max_ratio"] for w in windows), default=0.0),
-        },
-    )
-
-
-def _build_matrix(curve: BoundaryCurve, grid: TimeGrid) -> np.ndarray:
-    """Dense lower-triangular quadrature matrix A with row i approximating
-
-        (A p)_i ~= int_0^{t_i} G_x(X_{t_i}, t_i; X_tau, tau) p(tau) dtau.
-    """
-    gamma = curve.gamma
-    beta = gamma - 1.5
-    ts = grid.nodes
-    xs = np.asarray(curve.value(ts))
-    kdiag = _diagonal_kappa(ts, xs, gamma)
-    n = len(ts)
-    A = np.zeros((n, n))
-    for i in range(1, n):
-        c = _nodal_weights(beta, ts[i], ts[: i + 1])
-        A[i, :i] = c[:i] * _kappa_row(ts[i], xs[i], ts[:i], xs[:i], gamma)
-        A[i, i] = c[i] * kdiag[i]
-    return A
-
-
-def _trapezoid_cdf(ts, p):
-    F = np.zeros(len(ts))
-    F[1:] = np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(ts))
-    return F
+    return _estimate(src, curve, grid, p, "picard", {
+        # None encodes an unbounded window (kernel vanishes identically)
+        "window_length": window_len if math.isfinite(window_len) else None,
+        "holder_m": m,
+        "contraction_target": safety,
+        "windows": windows,
+        "max_ratio": max((w["max_ratio"] for w in windows), default=0.0),
+    })

@@ -22,6 +22,7 @@ from fptkit import (
     delta_convergence,
     gaussian,
     gaussian_dx,
+    green_eval,
     heat_residual,
     ks_distance,
     master_residual,
@@ -31,7 +32,6 @@ from fptkit import (
     solve_picard,
     survival,
 )
-from fptkit.green import _eval_batch
 
 POINT = SourceSpec.point(0.0)
 LINEAR = BoundaryCurve.linear(1.0, 0.5)
@@ -187,7 +187,7 @@ def test_criterion_9_heat_residual_fixtures(linear_marching):
         xt = float(LINEAR.value(t))
         probes.append((xt - float(rng.uniform(0.5, 2.5)) * math.sqrt(t), t))
     rep_green = heat_residual(
-        lambda x, t: float(_eval_batch(fld, np.array([x]), t)[0]),
+        lambda x, t: green_eval(fld, x, t),
         probes, dx=0.05, dt_fd=0.02, tolerance=1e-2, name="green_interior",
     )
     ok = rep_kernel.passed and rep_dipole.passed and rep_green.passed

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fptkit.cli
+from fptkit import DensityEstimate, TimeGrid
 from fptkit.cli import main
 
 LINEAR_ARGS = [
@@ -26,6 +27,25 @@ def poison_density(path):
     t, _, F = rows[2].split(",")
     rows[2] = f"{t},nan,{F}"
     path.write_text("\n".join(rows) + "\n")
+
+
+def scale_density_cell(path, factor=1.5):
+    """Scale one interior p cell of a density.csv: finite, and passes every value check."""
+    rows = path.read_text().splitlines()
+    k = len(rows) // 2
+    t, p, F = rows[k].split(",")
+    rows[k] = f"{t},{factor * float(p):.17g},{F}"
+    path.write_text("\n".join(rows) + "\n")
+
+
+def reseal(out):
+    """Record the edited density.csv's content hash in run.json, as a consistent edit would."""
+    doc = json.loads((out / "run.json").read_text())
+    data = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+    est = DensityEstimate(grid=TimeGrid(**doc["grid"]), p=data[:, 1], F=data[:, 2],
+                          method=doc["method"], gamma=doc["gamma"])
+    doc["content_sha256"] = est.content_sha256()
+    (out / "run.json").write_text(json.dumps(doc))
 
 
 def assert_one_line(err, prefix):
@@ -171,6 +191,18 @@ class TestSimulate:
         assert_one_line(capsys.readouterr().err, "artifact mismatch:")
         assert not (tmp_path / "ks.json").exists()
 
+    def test_edited_density_rejected(self, tmp_path, capsys):
+        solve_args = ["solve", "--boundary", "constant", "--a", "1", "--r0", "0",
+                      "--T", "1", "--N", "256", "--method", "marching",
+                      "--out", str(tmp_path)]
+        assert run(solve_args) == 0
+        scale_density_cell(tmp_path / "density.csv")
+        capsys.readouterr()
+        code = run([*self.SIM, "--out", str(tmp_path)])
+        assert code == 4
+        assert_one_line(capsys.readouterr().err, "artifact mismatch:")
+        assert not (tmp_path / "ks.json").exists()
+
     def test_fpt_threads_does_not_change_results(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "w1", tmp_path / "wn"
         monkeypatch.setenv("FPT_THREADS", "1")
@@ -228,6 +260,9 @@ class TestValidate:
             t, p, F = line.split(",")
             out.append(f"{t},{1.1 * float(p):.17g},{F}")
         (tmp_path / "density.csv").write_text("\n".join(out) + "\n")
+        # with its content hash updated the edit passes the integrity check,
+        # so the master residual is what must catch it
+        reseal(tmp_path)
         code = run(["validate", *LINEAR_ARGS, "--suite", "master", "--out", str(tmp_path)])
         assert code == 5
         doc = json.loads((tmp_path / "validate.json").read_text())
@@ -237,6 +272,16 @@ class TestValidate:
         # one NaN cell fails the artifact's checks: exit 4, no validate.json
         assert run(["solve", *LINEAR_ARGS, "--method", "marching", "--out", str(tmp_path)]) == 0
         poison_density(tmp_path / "density.csv")
+        capsys.readouterr()
+        code = run(["validate", *LINEAR_ARGS, "--suite", "master", "--out", str(tmp_path)])
+        assert code == 4
+        assert_one_line(capsys.readouterr().err, "artifact mismatch:")
+        assert not (tmp_path / "validate.json").exists()
+
+    def test_edited_density_rejected(self, tmp_path, capsys):
+        # one finite cell scaled by 1.5 no longer matches run.json's content hash
+        assert run(["solve", *LINEAR_ARGS, "--method", "marching", "--out", str(tmp_path)]) == 0
+        scale_density_cell(tmp_path / "density.csv")
         capsys.readouterr()
         code = run(["validate", *LINEAR_ARGS, "--suite", "master", "--out", str(tmp_path)])
         assert code == 4

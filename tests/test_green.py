@@ -16,7 +16,6 @@ from fptkit import (
     solve_marching,
     survival,
 )
-from fptkit.green import _eval_batch
 
 POINT = SourceSpec.point(0.0)
 
@@ -52,7 +51,7 @@ class TestGreenEval:
         xs = np.linspace(-3.0, 0.999, 20)
         worst = 0.0
         for t in np.linspace(0.2, 4.0, 20):
-            vals = _eval_batch(const_field, xs, float(t))
+            vals = green_eval(const_field, xs, float(t))
             worst = max(worst, float(np.max(np.abs(vals - images(xs, t)))))
         assert worst <= 5e-4
 
@@ -66,6 +65,17 @@ class TestGreenEval:
             t = float(rng.uniform(0.2, 4.0))
             x = float(linear_field.curve.value(t)) + float(rng.uniform(0.0, 3.0))
             assert abs(green_eval(linear_field, x, t)) <= 2e-3
+
+    @pytest.mark.parametrize("t", [0.37, 1.0, 4.0])
+    def test_array_call_equals_scalar_calls(self, linear_field, t):
+        # a 2-D lattice that includes the boundary point itself and the exterior
+        xt = float(linear_field.curve.value(t))
+        xs = np.append(np.linspace(-3.0, xt + 1.0, 34), xt).reshape(5, 7)
+        vals = green_eval(linear_field, xs, t)
+        assert vals.shape == xs.shape
+        scalars = [green_eval(linear_field, float(x), t) for x in xs.ravel()]
+        assert all(type(v) is float for v in scalars)
+        assert np.array_equal(vals.ravel(), np.array(scalars))
 
     def test_domain_error(self, const_field):
         with pytest.raises(ValueError):

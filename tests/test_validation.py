@@ -13,13 +13,13 @@ from fptkit import (
     delta_convergence,
     gaussian,
     gaussian_dx,
+    green_eval,
     heat_residual,
     jump_check,
     mass_conservation,
     master_residual,
     solve_marching,
 )
-from fptkit.green import _eval_batch
 
 POINT = SourceSpec.point(0.0)
 
@@ -134,7 +134,7 @@ class TestHeatResidual:
             xt = float(curve.value(t))
             pts.append((xt - float(rng.uniform(0.5, 2.5)) * math.sqrt(t), t))
         rep = heat_residual(
-            lambda x, t: float(_eval_batch(fld, np.array([x]), t)[0]),
+            lambda x, t: green_eval(fld, x, t),
             pts, dx=0.05, dt_fd=0.02, tolerance=1e-2, name="green_interior",
         )
         assert rep.passed
@@ -145,7 +145,7 @@ class TestHeatResidual:
         fld = GreenField(curve=curve, src=POINT, density=est)
         with pytest.raises(ValueError):
             heat_residual(
-                lambda x, t: float(_eval_batch(fld, np.array([x]), t)[0]),
+                lambda x, t: green_eval(fld, x, t),
                 [(0.0, 0.005)], dx=0.05, dt_fd=0.02,
             )
 
