@@ -55,6 +55,10 @@ class BoundaryCurve:
     def __post_init__(self):
         if self.kind not in ("constant", "linear", "power", "sampled"):
             raise ValueError(f"unknown boundary kind {self.kind!r}")
+        if not all(math.isfinite(v) for v in (self.a, self.b, self.theta)):
+            raise ValueError(
+                f"boundary parameters must be finite; got a={self.a}, b={self.b}, theta={self.theta}"
+            )
         if not 0.5 < self.gamma <= 1.0:
             raise ValueError(
                 f"Hölder exponent gamma must lie in (1/2, 1]; got {self.gamma}"

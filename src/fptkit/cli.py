@@ -9,7 +9,8 @@ Exit codes are a fixed external contract:
 
     0  success
     2  configuration invalid
-    3  solver failure (diagonal dominance lost / no convergence)
+    3  solver failure (diagonal dominance lost / no convergence / the
+       solution fails the density checks), from any solve of the run
     4  horizon mismatch between artifacts
     5  validation suite failed
 """
@@ -63,7 +64,7 @@ _DEFAULTS = {
     "grid": {"T": 4.0, "N": 2048, "q": 2.0},
     "method": "marching",
     "mc": {"n_paths": 10000, "dt": 1e-3, "seed": 42, "bridge_correction": True},
-    "output": {"directory": ".", "formats": ["csv", "json"]},
+    "output": {"directory": "."},
 }
 
 
@@ -196,10 +197,8 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def _write_run_json(path: Path, cfg: dict, est: DensityEstimate, extra: dict | None = None) -> None:
+def _write_run_json(path: Path, cfg: dict, est: DensityEstimate) -> None:
     doc = {"config": cfg, **est.metadata()}
-    if extra:
-        doc.update(extra)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
@@ -226,19 +225,13 @@ def cmd_solve(cfg: dict) -> int:
     method = cfg["method"]
     if method not in ("marching", "picard", "both"):
         raise ConfigError(f"unknown method {method!r}")
-    try:
-        if method in ("marching", "both"):
-            primary = solve_marching(src, curve, grid)
-        if method in ("picard", "both"):
-            picard = solve_picard(src, curve, grid)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    if method in ("marching", "both"):
+        primary = solve_marching(src, curve, grid)
+    if method in ("picard", "both"):
+        picard = solve_picard(src, curve, grid)
     if method == "picard":
         primary = picard
-    formats = cfg["output"]["formats"]
-    if "csv" in formats:
-        primary.to_csv(out / "density.csv")
+    primary.to_csv(out / "density.csv")
     _write_run_json(out / "run.json", cfg, primary)
     if method == "both":
         diff = float(np.max(np.abs(primary.p - picard.p)))
@@ -347,11 +340,7 @@ def cmd_validate(cfg: dict, suite: str) -> int:
         if est is None:
             return EXIT_MISMATCH
     else:
-        try:
-            est = solve_marching(src, curve, grid)
-        except SolverError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+        est = solve_marching(src, curve, grid)
     try:
         fld = GreenField(curve=curve, src=src, density=est)
     except ValueError as exc:
@@ -386,11 +375,7 @@ def cmd_green(cfg: dict, x_range, t_range, resolution) -> int:
     if not (x_lo <= x_hi and nx >= 1 and nt >= 1):
         raise ConfigError("green lattice needs x_min <= x_max and nx, nt >= 1")
     out = _outdir(cfg)
-    try:
-        est = solve_marching(src, curve, grid)
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    est = solve_marching(src, curve, grid)
     fld = GreenField(curve=curve, src=src, density=est)
     xs = np.linspace(x_lo, x_hi, nx)
     ts = np.linspace(t_lo, t_hi, nt)
@@ -479,6 +464,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except SolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

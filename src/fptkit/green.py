@@ -12,8 +12,9 @@ for a distributed initial condition h, and the boundary flux
 -1/2 d/dx G^X|_{X_t^-}, which must reproduce p itself.
 
 The time integral has a (t - tau)^(-1/2) endpoint weight from the Gaussian
-prefactor; it is product-integrated on the density grid with the last
-segment refined geometrically toward tau = t so the boundary layer of the
+prefactor; it is product-integrated by `DensityEstimate.history`, the one
+rule for time integrals against p, whose partition refines the last
+segment geometrically toward tau = t so the boundary layer of the
 exponential factor is always resolved.
 """
 
@@ -26,12 +27,7 @@ import numpy as np
 
 from .boundary import BoundaryCurve
 from .kernels import SQRT_TWO_PI, gaussian, psi, smeared_gaussian
-from .solver import (
-    DensityEstimate,
-    SourceSpec,
-    _nodal_weights,
-    problem_fingerprint,
-)
+from .solver import DensityEstimate, SourceSpec, problem_fingerprint
 
 #: composite Gauss-Legendre panel count for the survival integral
 SURVIVAL_PANELS = 256
@@ -58,30 +54,6 @@ class GreenField:
         return self.density.grid.T
 
 
-#: geometric ratio of the tail refinement; four nodes per octave keeps the
-#: piecewise-linear error of exp(-c/(t-tau)) layers below ~1e-3 relative
-_TAIL_RATIO = 2.0 ** 0.25
-
-
-def _time_partition(nodes: np.ndarray, t: float) -> np.ndarray:
-    """Density-grid nodes below t plus a geometric tail refinement.
-
-    The tail nodes shrink the distance to t by `_TAIL_RATIO` per step so
-    that integrands with an exp(-c / (t - tau)) boundary layer are
-    resolved at every scale down to ~1e-14 relative.
-    """
-    base = nodes[nodes < t]
-    if len(base) == 0:
-        base = np.array([0.0])
-    w = t - base[-1]
-    floor = 1e-14 * max(t, 1.0)
-    extras = []
-    while w / _TAIL_RATIO > floor:
-        w /= _TAIL_RATIO
-        extras.append(t - w)
-    return np.concatenate([base, np.asarray(extras), [t]])
-
-
 def green_eval(field: GreenField, x, t: float):
     """Green function G^X(x, t) at one time t (diagnostic values >= X_t are ~0).
 
@@ -93,24 +65,19 @@ def green_eval(field: GreenField, x, t: float):
         raise ValueError(f"Green function defined for 0 < t <= {field.horizon}")
     x = np.asarray(x, dtype=float)
     xs = np.atleast_1d(x).ravel()
-    curve, density = field.curve, field.density
+    curve = field.curve
 
-    part = _time_partition(density.grid.nodes, t)
-    xb = np.asarray(curve.value(part))
-    pv = np.interp(part, density.grid.nodes, density.p)
-    xt = float(curve.value(t))
-
-    # bounded co-factor phi(tau) = exp(-(x - X_tau)^2 / (2 (t - tau))) p(tau) / sqrt(2 pi);
-    # the tau = t column is the limit: 0 off the boundary, 1 * p(t) on it.
-    dt = t - part[:-1]
-    expo = np.exp(-((xs[:, None] - xb[None, :-1]) ** 2) / (2.0 * dt[None, :]))
-    last = np.where(xs == xt, 1.0, 0.0)
-    phi = np.concatenate([expo, last[:, None]], axis=1) * pv[None, :] / SQRT_TWO_PI
-
-    # einsum sums each row in the same order whatever the row count (a BLAS
-    # matrix-vector product does not), which keeps array and scalar calls equal
-    c = _nodal_weights(-0.5, t, part)
-    emitted = np.einsum("ij,j->i", phi, c)
+    # exp(-(x - X_tau)^2 / (2 (t - tau))) against the p-weighted rule, built
+    # in place in one n_x x n_tau array; the tau = t limit of the factor is
+    # 1 on the boundary and 0 off it.  einsum sums each row in the same
+    # order whatever the row count (a BLAS matrix-vector product does not),
+    # which keeps array and scalar calls equal.
+    tau, w, w_t = field.density.history(t, -0.5)
+    expo = xs[:, None] - np.asarray(curve.value(tau))
+    expo *= expo
+    expo /= -2.0 * (t - tau)
+    np.exp(expo, out=expo)
+    emitted = np.einsum("ij,j->i", expo, w) + np.where(xs == float(curve.value(t)), w_t, 0.0)
 
     src = field.src
     if src.kind == "point":
@@ -118,7 +85,7 @@ def green_eval(field: GreenField, x, t: float):
     else:
         # free evolution of h in closed form over its linear pieces
         free = smeared_gaussian(xs, t, src.knots_x, src.knots_y)
-    val = free - emitted
+    val = free - emitted / SQRT_TWO_PI
     return val.reshape(x.shape) if x.ndim else float(val[0])
 
 

@@ -46,7 +46,7 @@ def _elapsed(t, s):
     return dt
 
 
-def _exp_clipped(arg):
+def exp_clipped(arg):
     """exp() that maps deep-underflow arguments to exact 0.0."""
     arg = np.asarray(arg, dtype=float)
     out = np.exp(np.maximum(arg, _EXP_UNDERFLOW))
@@ -62,7 +62,7 @@ def gaussian(x, t, r=0.0, s=0.0):
     """
     dt = _elapsed(t, s)
     dx = np.asarray(x, dtype=float) - np.asarray(r, dtype=float)
-    val = _exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
+    val = exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
     return val if val.ndim else float(val)
 
 
@@ -70,7 +70,7 @@ def gaussian_dx(x, t, r=0.0, s=0.0):
     """Spatial derivative G_x(x, t; r, s) = -((x - r)/(t - s)) G."""
     dt = _elapsed(t, s)
     dx = np.asarray(x, dtype=float) - np.asarray(r, dtype=float)
-    val = -(dx / dt) * _exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
+    val = -(dx / dt) * exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
     return val if val.ndim else float(val)
 
 
@@ -82,7 +82,7 @@ def gaussian_dxx(x, t, r=0.0, s=0.0):
     """
     dt = _elapsed(t, s)
     dx = np.asarray(x, dtype=float) - np.asarray(r, dtype=float)
-    g = _exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
+    g = exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
     val = (dx * dx / (dt * dt) - 1.0 / dt) * g
     return val if val.ndim else float(val)
 
@@ -100,14 +100,14 @@ def psi(z):
     with np.errstate(under="ignore"):
         head = 0.5 * special.erfc(arg)
         # clamp keeps the (discarded) erfcx branch finite where z <= 6
-        tail = 0.5 * special.erfcx(np.maximum(arg, 0.0)) * _exp_clipped(-z * z / 2.0)
+        tail = 0.5 * special.erfcx(np.maximum(arg, 0.0)) * exp_clipped(-z * z / 2.0)
     val = np.where(z > _PSI_TAIL_Z, tail, head)
     return val if val.ndim else float(val)
 
 
 def _phi(u):
     """Standard normal density, exactly 0.0 on deep underflow."""
-    return _exp_clipped(-u * u / 2.0) / SQRT_TWO_PI
+    return exp_clipped(-u * u / 2.0) / SQRT_TWO_PI
 
 
 def _standardised(x, t, knots_x, knots_y):

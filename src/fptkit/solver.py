@@ -28,6 +28,10 @@ and both solvers take the rows of A from one block assembler,
 Both return the same discrete solution (the marching recurrence is the
 exact fixed point of the Picard sweeps), which makes their nodewise
 agreement a useful internal consistency check.
+
+Downstream time integrals against the solved p (the Green function's
+boundary emission, the hitting identity) all use one product-integration
+rule, `DensityEstimate.history`.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryCurve, estimate_holder
-from .kernels import SQRT_TWO_PI, _exp_clipped, gaussian_dx, smeared_gaussian_dx
+from .kernels import SQRT_TWO_PI, exp_clipped, gaussian_dx, smeared_gaussian_dx
 
 #: density values may dip this far below zero before we call it an error
 TOL_NEG = 1e-8
@@ -51,9 +55,14 @@ MIN_DIAGONAL = 0.1
 #: rows of the quadrature matrix assembled at a time
 BLOCK_ROWS = 16
 
+#: geometric ratio of the tail refinement in `DensityEstimate.history`;
+#: four nodes per octave keeps the piecewise-linear error of
+#: exp(-c/(t-tau)) layers below ~1e-3 relative
+_TAIL_RATIO = 2.0 ** 0.25
+
 
 class SolverError(RuntimeError):
-    """A solve could not be completed (grid too coarse, no convergence)."""
+    """A solve could not be completed (grid too coarse, no convergence, no density)."""
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +120,8 @@ class SourceSpec:
             x, y = self.knots_x, self.knots_y
             if x is None or y is None or len(x) != len(y) or len(x) < 2:
                 raise ValueError("smeared source needs matching knot arrays, length >= 2")
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+                raise ValueError("smeared source knots must be finite")
             if np.any(np.diff(x) <= 0.0):
                 raise ValueError("smeared source knots must be strictly increasing")
             if np.any(y < 0.0):
@@ -207,6 +218,31 @@ class DensityEstimate:
             raise ValueError("CDF evaluated outside [0, T]")
         val = np.clip(np.interp(t, self.grid.nodes, self.F), 0.0, 1.0)
         return val if val.ndim else float(val)
+
+    def history(self, t: float, beta: float):
+        """Product-integration rule for int_0^t (t - tau)^beta f(tau) p(tau) dtau, beta > -1.
+
+        Returns (tau, w, w_t) such that sum(w * f(tau)) + w_t * f(t)
+        approximates the integral for a bounded f, exactly when f p is
+        piecewise linear on the partition.  The partition is the grid
+        nodes below t plus a geometric tail that shrinks the distance to
+        t by `_TAIL_RATIO` per node down to ~1e-14 relative, so an
+        exp(-c / (t - tau)) boundary layer in f is resolved at every
+        scale; p is interpolated onto it and multiplied into the weights.
+        """
+        if not 0.0 < t <= self.grid.T:
+            raise ValueError(f"history defined for 0 < t <= {self.grid.T}")
+        nodes = self.grid.nodes
+        base = nodes[nodes < t]
+        gap = t - base[-1]
+        floor = 1e-14 * max(t, 1.0)
+        tail = []
+        while gap / _TAIL_RATIO > floor:
+            gap /= _TAIL_RATIO
+            tail.append(t - gap)
+        part = np.concatenate([base, tail, [t]])
+        w = _nodal_weights(beta, t, part) * np.interp(part, nodes, self.p)
+        return part[:-1], w[:-1], float(w[-1])
 
     # -- serialization --------------------------------------------------
 
@@ -307,7 +343,7 @@ def _kappa_row(t_i, x_i, ts, xs, gamma):
     """
     dt = t_i - ts
     dx = x_i - xs
-    return -(dx / dt ** gamma) * _exp_clipped(-dx * dx / (2.0 * dt)) / SQRT_TWO_PI
+    return -(dx / dt ** gamma) * exp_clipped(-dx * dx / (2.0 * dt)) / SQRT_TWO_PI
 
 
 def _diagonal_kappa(ts, xs, gamma):
@@ -386,12 +422,15 @@ def _discrete_system(src, curve, grid):
 
 
 def _estimate(src, curve, grid, p, method, summary):
-    """Wrap a solved p with its trapezoid-rule CDF."""
+    """Wrap a solved p with its trapezoid-rule CDF; a p that is no density is a SolverError."""
     F = np.zeros(len(p))
     F[1:] = np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(grid.nodes))
-    return DensityEstimate(grid=grid, p=p, F=F, method=method, gamma=curve.gamma,
-                           fingerprint=problem_fingerprint(src, curve, grid),
-                           residual_summary=summary)
+    try:
+        return DensityEstimate(grid=grid, p=p, F=F, method=method, gamma=curve.gamma,
+                               fingerprint=problem_fingerprint(src, curve, grid),
+                               residual_summary=summary)
+    except ValueError as exc:
+        raise SolverError(f"{method} solution fails the density checks ({exc}); refine the grid") from exc
 
 
 # ---------------------------------------------------------------------------

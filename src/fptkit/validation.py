@@ -7,7 +7,9 @@ through quantities the solvers do *not* use directly:
 * `master_residual` - the hitting distribution must satisfy
   Psi((z - r0)/sqrt(t)) = int_0^t Psi((z - X_s)/sqrt(t - s)) p(s) ds
   for every level z >= X_t (for a smeared source h the left-hand side
-  is int h(xi) Psi((z - xi)/sqrt(t)) dxi);
+  is int h(xi) Psi((z - xi)/sqrt(t)) dxi), the right-hand side
+  integrated by `DensityEstimate.history`, the same rule the Green
+  function uses;
 * `heat_residual` - finite-difference heat-equation residual of any
   space-time field;
 * `mass_conservation` - survival probability and hitting CDF must sum
@@ -29,13 +31,7 @@ import numpy as np
 from .boundary import BoundaryCurve
 from .green import GreenField, boundary_flux, survival
 from .kernels import psi, smeared_psi
-from .solver import (
-    DensityEstimate,
-    SourceSpec,
-    TimeGrid,
-    _nodal_weights,
-    solve_marching,
-)
+from .solver import DensityEstimate, SourceSpec, TimeGrid, solve_marching
 
 
 @dataclass(frozen=True)
@@ -82,39 +78,31 @@ def master_residual(
     where the left-hand side is Psi((z - r0)/sqrt(t)) for a point source
     and int h(xi) Psi((z - xi)/sqrt(t)) dxi for a smeared source h, the
     latter in closed form over the linear pieces of h
-    (`kernels.smeared_psi`).  The right-hand integrand is bounded; at the
-    s -> t endpoint it tends to Psi(0) p(t) = p(t)/2 when offset = 0
-    (continuous boundaries) and to 0 otherwise, and is evaluated by that
-    limit.
+    (`kernels.smeared_psi`).  The right-hand side is integrated by
+    `DensityEstimate.history` with beta = 0; its integrand is bounded, and
+    at the s -> t endpoint it tends to Psi(0) p(t) = p(t)/2 when
+    offset = 0 (continuous boundaries) and to 0 otherwise, and is
+    evaluated by that limit.
     """
-    offsets = [float(o) for o in z_offsets]
-    if any(o < 0.0 for o in offsets):
+    offsets = np.array([float(o) for o in z_offsets])
+    if np.any(offsets < 0.0):
         raise ValueError("offsets must be >= 0 (identity holds for z >= X_t)")
-    nodes = est.grid.nodes
     pts = []
     res = []
     for t in times:
         t = float(t)
         if not 0.0 < t <= est.grid.T:
             raise ValueError("probe times must lie in (0, T]")
-        part = nodes[nodes < t]
-        part = np.concatenate([part, [t]])
-        xb = np.asarray(curve.value(part))
-        pv = np.interp(part, nodes, est.p)
-        c = _nodal_weights(0.0, t, part)
-        xt = float(curve.value(t))
-        for off in offsets:
-            z = xt + off
-            arg = (z - xb[:-1]) / np.sqrt(t - part[:-1])
-            phi = np.asarray(psi(arg)) * pv[:-1]
-            endpoint = 0.5 * pv[-1] if off == 0.0 else 0.0
-            integral = float(c[:-1] @ phi + c[-1] * endpoint)
-            if src.kind == "point":
-                lhs = psi((z - src.r0) / math.sqrt(t))
-            else:
-                lhs = smeared_psi(z, t, src.knots_x, src.knots_y)
-            pts.append((t, off))
-            res.append(abs(lhs - integral))
+        tau, w, w_t = est.history(t, 0.0)
+        z = float(curve.value(t)) + offsets
+        arg = (z[:, None] - np.asarray(curve.value(tau))) / np.sqrt(t - tau)
+        integral = np.asarray(psi(arg)) @ w + np.where(offsets == 0.0, 0.5 * w_t, 0.0)
+        if src.kind == "point":
+            lhs = psi((z - src.r0) / math.sqrt(t))
+        else:
+            lhs = smeared_psi(z, t, src.knots_x, src.knots_y)
+        pts += [(t, float(o)) for o in offsets]
+        res += [float(r) for r in np.abs(lhs - integral)]
     sup = max(res) if res else 0.0
     return ResidualReport(
         name="master_equation",
@@ -215,12 +203,11 @@ def delta_convergence(
     eta: float,
     grid: TimeGrid,
     ratio_tolerance: float = 0.5,
-    solver=solve_marching,
 ) -> ResidualReport:
     """Smeared-to-point convergence study in the weighted sup norm.
 
-    For each bump width w, solves with a unit-mass uniform bump of width
-    w centered at r0 and computes
+    For each bump width w, solves by marching with a unit-mass uniform
+    bump of width w centered at r0 and computes
 
         ||p_w - p||_eta = sup_i t_i^(1-eta) |p_w(t_i) - p(t_i)|.
 
@@ -236,7 +223,7 @@ def delta_convergence(
             raise ValueError("bump widths must be >= 0")
         if w > 0.0 and r0 + w / 2.0 >= x0:
             raise ValueError("bump support must stay strictly below X_0")
-    point_est = solver(SourceSpec.point(r0), curve, grid)
+    point_est = solve_marching(SourceSpec.point(r0), curve, grid)
     ts = grid.nodes[1:]
     weight = ts ** (1.0 - eta)
     norms = []
@@ -244,7 +231,7 @@ def delta_convergence(
         if w == 0.0:
             norms.append(0.0)
             continue
-        est = solver(SourceSpec.uniform_bump(r0, float(w)), curve, grid)
+        est = solve_marching(SourceSpec.uniform_bump(r0, float(w)), curve, grid)
         norms.append(float(np.max(weight * np.abs(est.p[1:] - point_est.p[1:]))))
     decreasing = all(b < a for a, b in zip(norms, norms[1:]))
     ratio = (norms[-1] / norms[0]) if norms and norms[0] > 0.0 else 0.0

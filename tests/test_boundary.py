@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,19 @@ class TestConstruction:
             BoundaryCurve.sampled([0.5, 1.0], [1.0, 1.0], gamma=1.0)
         with pytest.raises(ValueError, match="strictly increasing"):
             BoundaryCurve.sampled([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], gamma=1.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: BoundaryCurve.constant(math.inf),
+        lambda: BoundaryCurve.linear(math.inf, 0.5),
+        lambda: BoundaryCurve.linear(1.0, math.nan),
+        lambda: BoundaryCurve.linear(1.0, -math.inf),
+        lambda: BoundaryCurve.power(math.nan, 0.5, 0.75),
+        lambda: BoundaryCurve.power(1.0, 0.5, math.nan),
+    ], ids=["constant_a_inf", "linear_a_inf", "linear_b_nan", "linear_b_-inf",
+            "power_a_nan", "power_theta_nan"])
+    def test_non_finite_parameters_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
 
     def test_arbitrary_start_height(self):
         # X_0 need not be 0; only r0 < X_0 matters to the solvers

@@ -135,6 +135,46 @@ class TestSolve:
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", [["solve", "--method", "marching"],
+                                     ["solve", "--method", "picard"], ["validate"]],
+                             ids=["marching", "picard", "validate"])
+    def test_density_check_failure_exit_code(self, tmp_path, capsys, cmd):
+        # the solution overshoots F(T) = 1 on this coarse grid: exit 3, one line
+        code = run([*cmd, "--boundary", "power", "--a", "1", "--b", "-0.5", "--theta", "0.75",
+                    "--r0", "0.2566", "--T", "3.377", "--N", "32", "--q", "2.1637736317475875",
+                    "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and "CDF exceeds 1" in err
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
+NON_FINITE = {
+    "a_inf": ["--boundary", "linear", "--a=inf", "--r0=0"],
+    "b_nan": ["--boundary", "linear", "--b=nan"],
+    "b_inf": ["--boundary", "linear", "--b=inf"],
+    "theta_nan": ["--boundary", "power", "--theta=nan"],
+    "bump_center_-inf": ["--bump-center=-inf", "--bump-width=0.5"],
+}
+COMMANDS = {
+    "solve": ["solve"],
+    "validate": ["validate"],
+    "simulate": ["simulate", "--n-paths=64"],
+    "green": ["green", "--x-min=-1", "--x-max=0", "--t-min=0.5", "--t-max=1"],
+}
+
+
+@pytest.mark.parametrize("params", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("cmd", COMMANDS.values(), ids=COMMANDS.keys())
+def test_non_finite_parameters_rejected(tmp_path, capsys, cmd, params):
+    out = tmp_path / "out"
+    code = run([*cmd, *params, "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid configuration:") and err.count("\n") == 1
+    assert not out.exists()
+
 
 class TestSimulate:
     SIM = ["simulate", "--boundary", "constant", "--a", "1", "--r0", "0",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from fptkit import (
     solve_marching,
     survival,
 )
+from fptkit.green import SURVIVAL_PANELS
 
 POINT = SourceSpec.point(0.0)
 
@@ -115,6 +117,21 @@ class TestSurvival:
             fld = GreenField(curve=curve, src=POINT, density=est)
             for t in (1.0, 2.0, 4.0):
                 assert survival(fld, t) + est.cdf(t) == pytest.approx(1.0, abs=2e-3)
+
+    def test_peak_memory_is_one_lattice_array(self):
+        # survival evaluates 8 x-points per panel against the n_tau nodes of
+        # the history rule; the exponential factor is built in place
+        curve = BoundaryCurve.linear(1.0, 0.5)
+        est = solve_marching(POINT, curve, TimeGrid(T=4.0, N=1024, q=2.0))
+        fld = GreenField(curve=curve, src=POINT, density=est)
+        lattice_bytes = 8 * SURVIVAL_PANELS * len(est.history(4.0, -0.5)[0]) * 8
+        tracemalloc.start()
+        try:
+            survival(fld, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * lattice_bytes
 
 
 class TestBoundaryFlux:

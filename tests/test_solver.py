@@ -66,6 +66,19 @@ class TestSourceSpec:
         with pytest.raises(ValueError):
             SourceSpec.smeared([0.0, 0.5, 1.0], [2.0, -0.5, 2.0])
 
+    @pytest.mark.parametrize("make", [
+        lambda: SourceSpec.uniform_bump(-math.inf, 0.5),
+        lambda: SourceSpec.uniform_bump(0.0, math.nan),
+        lambda: SourceSpec.uniform_bump(0.0, math.inf),
+        lambda: SourceSpec.smeared([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
+        lambda: SourceSpec.smeared([0.0, 1.0], [math.nan, 1.0]),
+        lambda: SourceSpec.smeared([0.0, 1.0], [1.0, math.inf]),
+    ], ids=["center_-inf", "width_nan", "width_inf", "x_nan", "y_nan", "y_inf"])
+    def test_non_finite_knots_rejected(self, make):
+        # nan slips past `diff <= 0` and the mass check, so finiteness is explicit
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 class TestSourceTerm:
     def test_point_constant_boundary(self):
@@ -204,6 +217,14 @@ class TestMarching:
         curve = BoundaryCurve.linear(1.0, -50.0)
         with pytest.raises(SolverError, match="diagonal"):
             solve_marching(POINT, curve, TimeGrid(T=4.0, N=8, q=1.0))
+
+    @pytest.mark.parametrize("solver", [solve_marching, solve_picard])
+    def test_density_check_failure_is_solver_error(self, solver):
+        # a falling power boundary on a coarse grid overshoots F(T) = 1
+        curve = BoundaryCurve.power(1.0, -0.5, 0.75)
+        grid = TimeGrid(T=3.377, N=32, q=2.1637736317475875)
+        with pytest.raises(SolverError, match="CDF exceeds 1"):
+            solver(SourceSpec.point(0.2566), curve, grid)
 
     def test_translation_invariance(self):
         # shifting curve and source together changes nothing (only
@@ -389,6 +410,45 @@ class TestEstimateInvariants:
         arrays[column][5] = value
         with pytest.raises(ValueError, match="non-finite"):
             DensityEstimate(grid=grid, method="marching", gamma=1.0, **arrays)
+
+
+class TestHistory:
+    """`DensityEstimate.history`, the product-integration rule against p."""
+
+    @pytest.fixture(scope="class")
+    def est(self):
+        return solve_marching(POINT, BoundaryCurve.linear(1.0, 0.5), TimeGrid(T=4.0, N=64, q=2.0))
+
+    @pytest.mark.parametrize("beta", [-0.5, 0.0])
+    @pytest.mark.parametrize("where", ["node", "between", "end"])
+    def test_exact_for_piecewise_linear_p(self, est, beta, where):
+        # f = 1: the rule must give int_0^t (t - tau)^beta p(tau) dtau for the
+        # grid interpolant of p, here summed in closed form cell by cell
+        nodes = est.grid.nodes
+        t = {"node": nodes[40], "between": 0.3 * nodes[40] + 0.7 * nodes[41],
+             "end": nodes[-1]}[where]
+        tau, w, w_t = est.history(t, beta)
+        a = nodes[nodes < t]
+        b = np.append(a[1:], t)
+        pa, pb = est.density_at(a), est.density_at(b)
+        slope = (pb - pa) / (b - a)
+        u0, u1 = t - a, t - b
+        exact = np.sum((pa + slope * u0) * (u0 ** (beta + 1) - u1 ** (beta + 1)) / (beta + 1)
+                       - slope * (u0 ** (beta + 2) - u1 ** (beta + 2)) / (beta + 2))
+        assert np.sum(w) + w_t == pytest.approx(exact, rel=1e-12)
+
+    def test_partition_refines_toward_t(self, est):
+        t = 0.3 * est.grid.nodes[40] + 0.7 * est.grid.nodes[41]
+        tau, w, _ = est.history(t, -0.5)
+        assert tau[0] == 0.0 and len(w) == len(tau)
+        assert np.all(np.diff(tau) > 0.0) and tau[-1] < t
+        assert np.array_equal(tau[:41], est.grid.nodes[:41])
+        assert t - tau[-1] <= 1e-13 * max(t, 1.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, 4.5])
+    def test_domain_error(self, est, t):
+        with pytest.raises(ValueError):
+            est.history(t, 0.0)
 
 
 class TestSerialization:
