@@ -9,9 +9,8 @@ identities, and a reproducible Monte Carlo oracle.
 """
 
 from .boundary import BoundaryCurve, HolderEstimate, estimate_holder
-from .green import GreenField, boundary_flux, green_eval, smeared_solution, survival
+from .green import GreenField, boundary_flux, green_eval, survival
 from .kernels import (
-    beta_moment,
     gaussian,
     gaussian_dx,
     gaussian_dxx,
@@ -52,7 +51,6 @@ __all__ = [
     "SolverError",
     "SourceSpec",
     "TimeGrid",
-    "beta_moment",
     "boundary_flux",
     "closed_form_linear",
     "delta_convergence",
@@ -70,7 +68,6 @@ __all__ = [
     "psi",
     "segment_weight",
     "simulate",
-    "smeared_solution",
     "solve_marching",
     "solve_picard",
     "source_term",

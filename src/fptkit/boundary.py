@@ -96,7 +96,9 @@ class BoundaryCurve:
         """X_t = a + b t^theta with theta in (1/2, 1].
 
         t^theta is Hölder continuous with exponent theta on [0, inf), so
-        gamma defaults to theta.
+        gamma defaults to theta.  gamma only sizes the Picard windows: the
+        solvers' quadrature uses the fixed (t - tau)^(-1/2) weight, since
+        the curve is C^1 for t > 0.
         """
         g = theta if gamma is None else gamma
         return cls(kind="power", gamma=g, horizon=math.inf, a=a, b=b, theta=theta)
@@ -105,9 +107,9 @@ class BoundaryCurve:
     def sampled(cls, times, values, gamma: float) -> "BoundaryCurve":
         """Piecewise-linear interpolant of (times, values) knots.
 
-        The interpolant is Lipschitz between knots; `gamma` is the
-        exponent the solvers will use for window sizing and must be
-        declared by the caller.
+        The interpolant is Lipschitz between knots; `gamma` must be
+        declared by the caller and only sizes the Picard windows (the
+        solvers' quadrature weight is (t - tau)^(-1/2) for every curve).
         """
         t = np.ascontiguousarray(times, dtype=float)
         x = np.ascontiguousarray(values, dtype=float)

@@ -164,7 +164,7 @@ def build_problem(cfg: dict):
             raise ConfigError("smeared source support must lie strictly below X_0")
     except ConfigError:
         raise
-    except (ValueError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     return curve, src, grid
 
@@ -176,7 +176,7 @@ def _mc_config(cfg: dict) -> McConfig:
             n_paths=int(m["n_paths"]), dt=float(m["dt"]), T=float(cfg["grid"]["T"]),
             seed=int(m["seed"]), bridge_correction=bool(m["bridge_correction"]),
         )
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
 

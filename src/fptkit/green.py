@@ -7,8 +7,7 @@ free kernel minus the mass re-emitted from the boundary:
     G^X(r0, x, t) = G(x, t; r0, 0) - int_0^t G(x, t; X_tau, tau) p(tau) dtau
 
 Everything else here derives from that representation: the survival
-probability S(t) = int_{-inf}^{X_t} G^X dx, the smeared solution u(x, t)
-for a distributed initial condition h, and the boundary flux
+probability S(t) = int_{-inf}^{X_t} G^X dx and the boundary flux
 -1/2 d/dx G^X|_{X_t^-}, which must reproduce p itself.
 
 The time integral has a (t - tau)^(-1/2) endpoint weight from the Gaussian
@@ -131,22 +130,3 @@ def boundary_flux(field: GreenField, t: float, eps: float | None = None) -> floa
     deriv = (3.0 * f[0] - 4.0 * f[1] + f[2]) / (2.0 * eps)
     return -0.5 * deriv
 
-
-def smeared_solution(
-    curve: BoundaryCurve,
-    h: SourceSpec,
-    density_h: DensityEstimate,
-    x: float,
-    t: float,
-) -> float:
-    """Solution u(x, t) of the moving-boundary heat problem with initial datum h.
-
-    u is the h-weighted Green function; via the single-layer representation
-    it equals the free evolution of h minus the boundary emission driven by
-    the smeared density p_h.  `density_h` must have been solved for exactly
-    this source (fingerprint-checked).
-    """
-    if h.kind != "smeared":
-        raise ValueError("smeared_solution requires a smeared source")
-    field = GreenField(curve=curve, src=h, density=density_h)
-    return green_eval(field, x, t)

@@ -16,9 +16,9 @@ piecewise-linear initial density h: on each linear piece the integrals
 reduce to normal-integral identities (Owen, "A table of normal
 integrals", 1980), so no adaptive quadrature is needed.
 
-The moment integrals at the bottom (`beta_moment`, `segment_weight`) are
-what the product-integration quadrature uses to integrate weakly singular
-weights (t - tau)^beta exactly against piecewise-linear co-factors.
+The moment integral at the bottom, `segment_weight`, integrates a weakly
+singular weight (t - tau)^beta exactly over one subinterval, the building
+block of product integration against piecewise-linear co-factors.
 """
 
 from __future__ import annotations
@@ -179,25 +179,6 @@ def smeared_psi(z, t, knots_x, knots_y):
     d1 = -np.diff(((v * v - 1.0) * ps - v * ph) / 2.0, axis=-1)
     rt = rt[..., None]
     val = np.sum(rt * (h_z * d0 - slope * rt * d1), axis=-1)
-    return val if val.ndim else float(val)
-
-
-def beta_moment(a1, a2, t):
-    """Closed form of int_0^t tau^a1 (t - tau)^a2 dtau.
-
-    Equal to B(1 + a1, 1 + a2) t^(1 + a1 + a2) with the Beta function
-    evaluated through log-Gamma, so large exponents do not overflow.
-    Requires a1 > -1, a2 > -1, t > 0.
-    """
-    a1 = np.asarray(a1, dtype=float)
-    a2 = np.asarray(a2, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if np.any(a1 <= -1.0) or np.any(a2 <= -1.0):
-        raise ValueError("beta_moment requires exponents > -1")
-    if np.any(t <= 0.0):
-        raise ValueError("beta_moment requires t > 0")
-    logbeta = special.gammaln(1.0 + a1) + special.gammaln(1.0 + a2) - special.gammaln(2.0 + a1 + a2)
-    val = np.exp(logbeta) * t ** (1.0 + a1 + a2)
     return val if val.ndim else float(val)
 
 

@@ -6,24 +6,29 @@ Volterra equation
 
     p(t) = -G_x(X_t, t; r0, 0) + int_0^t G_x(X_t, t; X_tau, tau) p(tau) dtau
 
-whose kernel is weakly singular: G_x along the boundary is bounded by
-C (t - tau)^(gamma - 3/2).  Both solvers below factor the kernel as
+whose kernel is weakly singular.  Both solvers below factor it, for every
+curve, with the fixed weight of the Gaussian prefactor:
 
-    G_x(X_t, t; X_tau, tau) = kappa(t, tau) (t - tau)^(gamma - 3/2)
+    G_x(X_t, t; X_tau, tau) = kappa(t, tau) (t - tau)^(-1/2)
 
-with kappa bounded, and integrate the singular weight exactly against a
-piecewise-linear interpolant of kappa * p (product integration) on a
-graded time grid.  That yields one lower-triangular system (I - A) p = g,
-and both solvers take the rows of A from one block assembler,
-`_quadrature_rows`, so neither holds the dense (N+1)^2 matrix:
+where kappa is the boundary's difference quotient times a bounded
+exponential.  gamma > 1/2 is the existence hypothesis, not the kernel's
+singularity: every curve we ship is piecewise C^1, so kappa is piecewise
+smooth and tends to -X'(t) / sqrt(2 pi) on the diagonal, and the graded
+grid absorbs the rough t = 0 end of `power` curves.  The weight is
+integrated exactly against a piecewise-linear interpolant of kappa * p
+(product integration) on the graded grid.  That yields one
+lower-triangular system (I - A) p = g, and both solvers take the rows of
+A from one block assembler, `_quadrature_rows`, so neither holds the
+dense (N+1)^2 matrix:
 
 * `solve_marching` is blocked forward substitution, solving each node in
   closed form (the diagonal weight multiplies the unknown); its memory
   is O(BLOCK_ROWS N);
 * `solve_picard` fixed-point iterates the same system on successive time
-  windows sized so the integral operator is a certified contraction,
-  freezing history integrals as windows complete; it holds one window's
-  rows of A, O(window N) memory.
+  windows sized from gamma so the integral operator is a certified
+  contraction, freezing history integrals as windows complete; it holds
+  one window's rows of A, O(window N) memory.
 
 Both return the same discrete solution (the marching recurrence is the
 exact fixed point of the Picard sweeps), which makes their nodewise
@@ -329,33 +334,37 @@ def source_term(src: SourceSpec, curve: BoundaryCurve, t):
     return -smeared_gaussian_dx(xt, t, src.knots_x, src.knots_y)
 
 
-def _kappa_row(t_i, x_i, ts, xs, gamma):
-    """Bounded kernel co-factor kappa(t_i, tau) at nodes tau = ts < t_i.
+def _kappa_row(t_i, x_i, ts, xs):
+    """Kernel co-factor kappa(t_i, tau) at nodes tau = ts < t_i.
 
     The Volterra kernel G_x(X_t, t; X_tau, tau) equals
-    kappa(t, tau) (t - tau)^(gamma - 3/2) with
+    kappa(t, tau) (t - tau)^(-1/2) with
 
-        kappa = -(X_t - X_tau) / (t - tau)^gamma
+        kappa = -((X_t - X_tau) / (t - tau))
                 * exp(-(X_t - X_tau)^2 / (2 (t - tau))) / sqrt(2 pi)
 
-    which stays bounded by m / sqrt(2 pi) on Hölder-(gamma, m) curves.
-    A column of (t_i, x_i) against a row of nodes gives a block.
+    The weight is fixed, not (t - tau)^(gamma - 3/2): on a piecewise-C^1
+    curve the difference quotient is piecewise smooth in tau, whereas
+    dividing by (t - tau)^gamma with gamma < 1 would leave a
+    (t - tau)^(1 - gamma) cusp that piecewise-linear interpolation cannot
+    follow.  A column of (t_i, x_i) against a row of nodes gives a block.
     """
     dt = t_i - ts
     dx = x_i - xs
-    return -(dx / dt ** gamma) * exp_clipped(-dx * dx / (2.0 * dt)) / SQRT_TWO_PI
+    return -(dx / dt) * exp_clipped(-dx * dx / (2.0 * dt)) / SQRT_TWO_PI
 
 
-def _diagonal_kappa(ts, xs, gamma):
-    """Diagonal limit of kappa at each node i >= 1.
+def _diagonal_kappa(ts, xs):
+    """Diagonal limit -X'(t) / sqrt(2 pi) of kappa at each node i >= 1.
 
-    Uses the one-sided difference quotient of the boundary over the last
-    subinterval in place of the (possibly degenerate) analytic limit; the
-    exponential factor tends to 1 for gamma > 1/2.
+    Uses the difference quotient of the boundary over the last
+    subinterval in place of X'(t_i), which a `sampled` curve lacks at its
+    knots; the exponential factor tends to 1.  Under the fixed
+    (t - tau)^(-1/2) weight this limit is finite on every piecewise-C^1
+    curve, whatever its declared gamma.
     """
     out = np.zeros(len(ts))
-    d = np.diff(ts)
-    out[1:] = -(np.diff(xs) / d ** gamma) / SQRT_TWO_PI
+    out[1:] = -(np.diff(xs) / np.diff(ts)) / SQRT_TWO_PI
     return out
 
 
@@ -379,7 +388,7 @@ def _nodal_weights(beta, t_end, ts):
     return c
 
 
-def _quadrature_rows(lo, hi, ts, xs, kdiag, gamma):
+def _quadrature_rows(lo, hi, ts, xs, kdiag):
     """Rows lo..hi-1, columns 0..hi-1, of A, assembled `BLOCK_ROWS` rows at a time.
 
     Row i approximates int_0^{t_i} G_x(X_{t_i}, t_i; X_tau, tau) p(tau) dtau:
@@ -390,11 +399,11 @@ def _quadrature_rows(lo, hi, ts, xs, kdiag, gamma):
         e = min(b + BLOCK_ROWS, hi)
         k = np.arange(e - b)
         t_i = ts[b:e, None]
-        blk = _nodal_weights(gamma - 1.5, t_i, ts[:e])
+        blk = _nodal_weights(-0.5, t_i, ts[:e])
         diag = blk[k, b + k] * kdiag[b:e]
         # kappa is undefined at tau >= t_i; those entries are replaced below
         with np.errstate(all="ignore"):
-            blk *= _kappa_row(t_i, xs[b:e, None], ts[:e], xs[:e], gamma)
+            blk *= _kappa_row(t_i, xs[b:e, None], ts[:e], xs[:e])
         blk[:, b:] = np.tril(blk[:, b:], -1)
         blk[k, b + k] = diag
         A[b - lo:e - lo, :e] = blk
@@ -418,7 +427,7 @@ def _discrete_system(src, curve, grid):
     xs = np.asarray(curve.value(ts))
     g = np.zeros(len(ts))
     g[1:] = source_term(src, curve, ts[1:])
-    return ts, xs, g, _diagonal_kappa(ts, xs, curve.gamma)
+    return ts, xs, g, _diagonal_kappa(ts, xs)
 
 
 def _estimate(src, curve, grid, p, method, summary):
@@ -454,7 +463,7 @@ def solve_marching(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> Den
     min_diag = math.inf
     for lo in range(1, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        A = _quadrature_rows(lo, hi, ts, xs, kdiag, curve.gamma)
+        A = _quadrature_rows(lo, hi, ts, xs, kdiag)
         rhs = g[lo:hi] + A[:, :lo] @ p[:lo]
         for k, i in enumerate(range(lo, hi)):
             diag = 1.0 - A[k, i]
@@ -504,7 +513,7 @@ def solve_picard(
         hi = int(np.searchsorted(ts, ts[lo] + window_len, side="right")) - 1
         hi = min(max(hi, lo + 1), n - 1)
         sl = slice(lo + 1, hi + 1)
-        A = _quadrature_rows(lo + 1, hi + 1, ts, xs, kdiag, gamma)
+        A = _quadrature_rows(lo + 1, hi + 1, ts, xs, kdiag)
         rhs = g[sl] + A[:, : lo + 1] @ p[: lo + 1]
         M = A[:, sl]
         q = rhs.copy()

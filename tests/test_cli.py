@@ -139,15 +139,40 @@ class TestSolve:
                                      ["solve", "--method", "picard"], ["validate"]],
                              ids=["marching", "picard", "validate"])
     def test_density_check_failure_exit_code(self, tmp_path, capsys, cmd):
-        # the solution overshoots F(T) = 1 on this coarse grid: exit 3, one line
-        code = run([*cmd, "--boundary", "power", "--a", "1", "--b", "-0.5", "--theta", "0.75",
-                    "--r0", "0.2566", "--T", "3.377", "--N", "32", "--q", "2.1637736317475875",
-                    "--out", str(tmp_path)])
+        # p peaks inside the first cell of this coarse grid and its
+        # trapezoid CDF overshoots F(T) = 1: exit 3, one line
+        code = run([*cmd, "--boundary", "constant", "--a", "1", "--r0", "0.9",
+                    "--T", "4", "--N", "32", "--q", "2", "--out", str(tmp_path)])
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("solver failure:") and "CDF exceeds 1" in err
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    def test_picard_matches_marching_on_rough_power_boundary(self, tmp_path):
+        # a certified Picard window is far shorter than one cell here, so
+        # Picard converges only if the assembled rows stay contractive
+        code = run(["solve", "--boundary", "power", "--a", "1", "--b", "1", "--theta", "0.625",
+                    "--r0", "0", "--T", "1", "--N", "32", "--q", "1", "--method", "both",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        diff = json.loads((tmp_path / "method_diff.json").read_text())
+        assert diff["sup_nodewise_diff"] <= 1e-9
+
+    @pytest.mark.parametrize("cmd, doc", [
+        (["solve"], {"boundary": {"a": "1"}}),
+        (["solve"], {"boundary": {"a": None}}),
+        (["simulate"], {"boundary": {"a": "1"}}),
+        (["simulate"], {"mc": {"n_paths": None}}),
+    ], ids=["solve-a_str", "solve-a_null", "simulate-a_str", "simulate-n_paths_null"])
+    def test_wrongly_typed_config_value(self, tmp_path, capsys, cmd, doc):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = run([*cmd, "--config", str(cfg_path), "--out", str(out)])
+        assert code == 2
+        assert_one_line(capsys.readouterr().err, "invalid configuration:")
+        assert not out.exists()
 
 
 NON_FINITE = {

@@ -13,7 +13,6 @@ from fptkit import (
     gaussian,
     green_eval,
     psi,
-    smeared_solution,
     solve_marching,
     survival,
 )
@@ -154,36 +153,30 @@ class TestBoundaryFlux:
 
 
 @pytest.fixture(scope="module")
-def smeared_case():
+def smeared_field():
     curve = BoundaryCurve.linear(1.0, 0.5)
     h = SourceSpec.uniform_bump(0.0, 0.25)
     est = solve_marching(h, curve, TimeGrid(T=2.0, N=512, q=2.0))
-    return curve, h, est
+    return GreenField(curve=curve, src=h, density=est)
 
 
 class TestSmearedSolution:
-    def test_initial_datum(self, smeared_case):
-        curve, h, est = smeared_case
+    """u(x, t) for a smeared initial datum h is the Green function of h's field."""
+
+    def test_initial_datum(self, smeared_field):
         # at t -> 0 the solution approaches h pointwise inside the support
-        assert smeared_solution(curve, h, est, 0.0, 1e-5) == pytest.approx(h.density(0.0), abs=1e-2)
+        h0 = smeared_field.src.density(0.0)
+        assert green_eval(smeared_field, 0.0, 1e-5) == pytest.approx(h0, abs=1e-2)
 
-    def test_boundary_condition(self, smeared_case):
-        curve, h, est = smeared_case
-        xt = float(curve.value(1.0))
-        assert abs(smeared_solution(curve, h, est, xt, 1.0)) <= 2e-3
+    def test_boundary_condition(self, smeared_field):
+        xt = float(smeared_field.curve.value(1.0))
+        assert abs(green_eval(smeared_field, xt, 1.0)) <= 2e-3
 
-    def test_decay_at_minus_infinity(self, smeared_case):
-        curve, h, est = smeared_case
-        x = float(curve.value(1.0)) - 50.0
-        assert abs(smeared_solution(curve, h, est, x, 1.0)) <= 1e-12
+    def test_decay_at_minus_infinity(self, smeared_field):
+        x = float(smeared_field.curve.value(1.0)) - 50.0
+        assert abs(green_eval(smeared_field, x, 1.0)) <= 1e-12
 
-    def test_requires_smeared_source(self, smeared_case):
-        curve, _, est = smeared_case
-        with pytest.raises(ValueError, match="smeared"):
-            smeared_solution(curve, POINT, est, 0.0, 1.0)
-
-    def test_fingerprint_guard(self, smeared_case):
-        curve, _, est = smeared_case
+    def test_fingerprint_guard(self, smeared_field):
         other = SourceSpec.uniform_bump(0.0, 0.5)
         with pytest.raises(ValueError, match="fingerprint"):
-            smeared_solution(curve, other, est, 0.0, 1.0)
+            GreenField(curve=smeared_field.curve, src=other, density=smeared_field.density)

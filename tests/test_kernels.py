@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from fptkit import (
-    beta_moment,
     gaussian,
     gaussian_dx,
     gaussian_dxx,
@@ -147,37 +146,6 @@ class TestPsi:
         z = np.linspace(-8.0, 8.0, 161)
         ref = 0.5 * special.erfc(z / math.sqrt(2.0))
         assert np.max(np.abs(psi(z) / ref - 1.0)) < 1e-12
-
-
-class TestBetaMoment:
-    def test_plain_interval(self):
-        assert beta_moment(0.0, 0.0, 2.0) == pytest.approx(2.0, rel=1e-15)
-
-    def test_half_singular(self):
-        # Gamma(1) Gamma(1/2) / Gamma(3/2) = 2
-        assert beta_moment(0.0, -0.5, 1.0) == pytest.approx(2.0, rel=1e-14)
-
-    def test_symmetric_linear(self):
-        assert beta_moment(1.0, 1.0, 1.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            beta_moment(-1.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            beta_moment(0.0, -1.5, 1.0)
-        with pytest.raises(ValueError):
-            beta_moment(0.0, 0.0, 0.0)
-
-    @given(
-        st.floats(min_value=-0.9, max_value=3.0),
-        st.floats(min_value=-0.9, max_value=3.0),
-        st.floats(min_value=0.05, max_value=10.0),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_against_quadrature(self, a1, a2, t):
-        # weighted Clenshaw-Curtis handles the endpoint singularities exactly
-        ref, _ = integrate.quad(lambda _: 1.0, 0.0, t, weight="alg", wvar=(a1, a2))
-        assert beta_moment(a1, a2, t) == pytest.approx(ref, rel=1e-8)
 
 
 class TestSegmentWeight:

@@ -10,11 +10,14 @@ from hypothesis import strategies as st
 from fptkit import (
     BoundaryCurve,
     DensityEstimate,
+    GreenField,
     SolverError,
     SourceSpec,
     TimeGrid,
     closed_form_linear,
     gaussian_dx,
+    master_residual,
+    mass_conservation,
     psi,
     segment_weight,
     solve_marching,
@@ -104,17 +107,17 @@ class TestSourceTerm:
 
 def kappa_block(curve, t, taus):
     """The vectorised kernel co-factor on a column of times t against a row of taus."""
-    return _kappa_row(t, curve.value(t), taus, curve.value(taus), curve.gamma)
+    return _kappa_row(t, curve.value(t), taus, curve.value(taus))
 
 
 def assert_kernel_identity(curve):
-    """kappa (t - tau)^(gamma - 3/2) = G_x(X_t, t; X_tau, tau) on a block of (t, tau) pairs."""
+    """kappa (t - tau)^(-1/2) = G_x(X_t, t; X_tau, tau) on a block of (t, tau) pairs."""
     t = np.array([[0.3], [1.0], [2.5], [4.0]])
     taus = np.linspace(0.0, 0.299, 40)
     kap = kappa_block(curve, t, taus)
     assert kap.shape == (4, 40)
     gx = gaussian_dx(curve.value(t), t, curve.value(taus), taus)
-    np.testing.assert_allclose(kap * (t - taus) ** (curve.gamma - 1.5), gx, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(kap * (t - taus) ** -0.5, gx, rtol=1e-12, atol=0.0)
 
 
 class TestKernel:
@@ -143,11 +146,12 @@ def dense_reference(src, curve, grid):
     """p from (I - A) p = g, with A built row by row from public kernels.
 
     Independent of the solver's block assembler: the weights come from
-    `segment_weight` moments, and kappa from G_x divided by its singular factor.
+    `segment_weight` moments of (t - tau)^(-1/2), and kappa from G_x
+    divided by that factor.
     """
     ts = grid.nodes
     xs = curve.value(ts)
-    beta = curve.gamma - 1.5
+    beta = -0.5
     n = len(ts)
     A = np.zeros((n, n))
     for i in range(1, n):
@@ -159,7 +163,7 @@ def dense_reference(src, curve, grid):
         c[:-1] += (m1 - rem[1:] * m0) / (b - a)
         c[1:] += (rem[:-1] * m0 - m1) / (b - a)
         A[i, :i] = c[:i] * gaussian_dx(xs[i], ts[i], xs[:i], ts[:i]) / (ts[i] - ts[:i]) ** beta
-        A[i, i] = -c[i] * (xs[i] - xs[i - 1]) / (ts[i] - ts[i - 1]) ** curve.gamma / SQRT_2PI
+        A[i, i] = -c[i] * (xs[i] - xs[i - 1]) / (ts[i] - ts[i - 1]) / SQRT_2PI
     g = np.zeros(n)
     g[1:] = source_term(src, curve, ts[1:])
     return np.linalg.solve(np.eye(n) - A, g)
@@ -220,11 +224,23 @@ class TestMarching:
 
     @pytest.mark.parametrize("solver", [solve_marching, solve_picard])
     def test_density_check_failure_is_solver_error(self, solver):
-        # a falling power boundary on a coarse grid overshoots F(T) = 1
-        curve = BoundaryCurve.power(1.0, -0.5, 0.75)
-        grid = TimeGrid(T=3.377, N=32, q=2.1637736317475875)
+        # with r0 0.1 below the boundary p peaks at t = 0.1^2/3 inside the
+        # first grid cell, and the coarse trapezoid CDF overshoots F(T) = 1
+        grid = TimeGrid(T=4.0, N=32, q=2.0)
         with pytest.raises(SolverError, match="CDF exceeds 1"):
-            solver(SourceSpec.point(0.2566), curve, grid)
+            solver(SourceSpec.point(0.9), BoundaryCurve.constant(1.0), grid)
+
+    @pytest.mark.parametrize("theta", [0.6, 0.75])
+    def test_power_boundary_residuals(self, theta):
+        # with the curve's gamma = theta as quadrature exponent these read
+        # 2.9e-3 (theta = 0.6) and 7.0e-4 (theta = 0.75)
+        curve = BoundaryCurve.power(1.0, 0.5, theta)
+        est = solve_marching(POINT, curve, TimeGrid(T=4.0, N=4096, q=2.0))
+        fld = GreenField(curve=curve, src=POINT, density=est)
+        assert mass_conservation(fld, (1.0, 2.0, 4.0)).sup_residual <= 1e-5
+        rep = master_residual(est, curve, POINT, z_offsets=(0.0, 0.5, 1.0),
+                              times=(0.5, 1.0, 2.0, 4.0))
+        assert rep.sup_residual <= 1e-5
 
     def test_translation_invariance(self):
         # shifting curve and source together changes nothing (only
