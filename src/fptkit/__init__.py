@@ -13,7 +13,6 @@ from .green import GreenField, boundary_flux, green_eval, survival
 from .kernels import (
     gaussian,
     gaussian_dx,
-    gaussian_dxx,
     psi,
     segment_weight,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "estimate_holder",
     "gaussian",
     "gaussian_dx",
-    "gaussian_dxx",
     "green_eval",
     "heat_residual",
     "jump_check",

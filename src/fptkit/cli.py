@@ -84,9 +84,15 @@ def resolve_config(args: argparse.Namespace) -> dict:
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
-                cfg = _deep_merge(cfg, json.load(fh))
+                doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("config file must hold a JSON object")
+        cfg = _deep_merge(cfg, doc)
+        for section, default in _DEFAULTS.items():
+            if isinstance(default, dict) and not isinstance(cfg[section], dict):
+                raise ConfigError(f"config section {section!r} must be a JSON object")
 
     flag_map = {
         "boundary": ("boundary", "kind"),
@@ -153,7 +159,7 @@ def build_problem(cfg: dict):
             raise ConfigError(f"unknown source kind {s['kind']!r}")
 
         g = cfg["grid"]
-        grid = TimeGrid(T=float(g["T"]), N=int(g["N"]), q=float(g["q"]))
+        grid = TimeGrid(T=float(g["T"]), N=_integer(g["N"], "grid.N"), q=float(g["q"]))
 
         # cross-object preconditions, checked before any computation
         if grid.T > curve.horizon:
@@ -169,13 +175,23 @@ def build_problem(cfg: dict):
     return curve, src, grid
 
 
+def _integer(value, name: str) -> int:
+    """A config value that must be an integral number (64 or 64.0, not 64.5 or "64")."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _mc_config(cfg: dict) -> McConfig:
     m = cfg["mc"]
+    n_paths = _integer(m["n_paths"], "mc.n_paths")
+    seed = _integer(m["seed"], "mc.seed")
+    bridge = m["bridge_correction"]
+    if not isinstance(bridge, bool):
+        raise ConfigError(f"mc.bridge_correction must be true or false, got {bridge!r}")
     try:
-        return McConfig(
-            n_paths=int(m["n_paths"]), dt=float(m["dt"]), T=float(cfg["grid"]["T"]),
-            seed=int(m["seed"]), bridge_correction=bool(m["bridge_correction"]),
-        )
+        return McConfig(n_paths=n_paths, dt=float(m["dt"]), T=float(cfg["grid"]["T"]),
+                        seed=seed, bridge_correction=bridge)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -192,7 +208,10 @@ def _workers() -> int:
 
 
 def _outdir(cfg: dict) -> Path:
-    out = Path(cfg["output"]["directory"])
+    directory = cfg["output"]["directory"]
+    if not isinstance(directory, str):
+        raise ConfigError(f"output.directory must be a string, got {directory!r}")
+    out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     return out
 

@@ -15,6 +15,12 @@ prefactor; it is product-integrated by `DensityEstimate.history`, the one
 rule for time integrals against p, whose partition refines the last
 segment geometrically toward tau = t so the boundary layer of the
 exponential factor is always resolved.
+
+This emission sum, n_x points against the n_tau partition nodes, is one of
+the package's two O(N^2) loops (the other is the solver's kernel sum).
+`green_eval` builds it in row blocks of at most `EMISSION_BLOCK_BYTES`
+(2 MB; a block holds at least one row), so `survival`, with 2048
+x-points, peaks near 2 MB at N = 4096.
 """
 
 from __future__ import annotations
@@ -31,6 +37,10 @@ from .solver import DensityEstimate, SourceSpec, problem_fingerprint
 #: composite Gauss-Legendre panel count for the survival integral
 SURVIVAL_PANELS = 256
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+#: working set of one block of the emission sum in `green_eval` (rows of x
+#: against the n_tau partition nodes); 0.5 to 4 MB ran equally fast
+EMISSION_BLOCK_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,16 +77,25 @@ def green_eval(field: GreenField, x, t: float):
     curve = field.curve
 
     # exp(-(x - X_tau)^2 / (2 (t - tau))) against the p-weighted rule, built
-    # in place in one n_x x n_tau array; the tau = t limit of the factor is
-    # 1 on the boundary and 0 off it.  einsum sums each row in the same
-    # order whatever the row count (a BLAS matrix-vector product does not),
-    # which keeps array and scalar calls equal.
+    # in place over blocks of x rows that fill `EMISSION_BLOCK_BYTES`; the
+    # tau = t limit of the factor is 1 on the boundary and 0 off it.  einsum
+    # sums each row in the same order whatever the row count (a BLAS
+    # matrix-vector product does not), which keeps array and scalar calls
+    # equal.
     tau, w, w_t = field.density.history(t, -0.5)
-    expo = xs[:, None] - np.asarray(curve.value(tau))
-    expo *= expo
-    expo /= -2.0 * (t - tau)
-    np.exp(expo, out=expo)
-    emitted = np.einsum("ij,j->i", expo, w) + np.where(xs == float(curve.value(t)), w_t, 0.0)
+    x_tau = np.asarray(curve.value(tau))
+    den = -2.0 * (t - tau)
+    rows = max(1, EMISSION_BLOCK_BYTES // (8 * len(tau)))
+    buf = np.empty((min(rows, len(xs)), len(tau)))
+    emitted = np.where(xs == float(curve.value(t)), w_t, 0.0)
+    for lo in range(0, len(xs), rows):
+        hi = min(lo + rows, len(xs))
+        expo = buf[: hi - lo]
+        np.subtract(xs[lo:hi, None], x_tau, out=expo)
+        expo *= expo
+        expo /= den
+        np.exp(expo, out=expo)
+        emitted[lo:hi] += np.einsum("ij,j->i", expo, w)
 
     src = field.src
     if src.kind == "point":

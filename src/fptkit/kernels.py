@@ -6,7 +6,7 @@ convention Var(B_t - B_s) = t - s:
 
     G(x, t; r, s) = exp(-(x - r)^2 / (2 (t - s))) / sqrt(2 pi (t - s))
 
-together with its spatial derivatives G_x, G_xx and the upper-tail normal
+together with its spatial derivative G_x and the upper-tail normal
 probability
 
     Psi(z) = int_z^inf exp(-u^2 / 2) / sqrt(2 pi) du.
@@ -71,19 +71,6 @@ def gaussian_dx(x, t, r=0.0, s=0.0):
     dt = _elapsed(t, s)
     dx = np.asarray(x, dtype=float) - np.asarray(r, dtype=float)
     val = -(dx / dt) * exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
-    return val if val.ndim else float(val)
-
-
-def gaussian_dxx(x, t, r=0.0, s=0.0):
-    """Second spatial derivative G_xx = ((x-r)^2/(t-s)^2 - 1/(t-s)) G.
-
-    Satisfies the heat identity G_t = G_xx / 2 (checked by the test
-    suite via finite differences).
-    """
-    dt = _elapsed(t, s)
-    dx = np.asarray(x, dtype=float) - np.asarray(r, dtype=float)
-    g = exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
-    val = (dx * dx / (dt * dt) - 1.0 / dt) * g
     return val if val.ndim else float(val)
 
 

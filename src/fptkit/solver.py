@@ -34,6 +34,12 @@ Both return the same discrete solution (the marching recurrence is the
 exact fixed point of the Picard sweeps), which makes their nodewise
 agreement a useful internal consistency check.
 
+The assembler's kernel sum is one of the package's two O(N^2) loops (the
+other is the Green function's emission sum).  A block of `BLOCK_ROWS`
+rows is built in place: t_i - tau once, turned into kappa with one
+`np.exp`, and multiplied into the product weights, so at most four
+BLOCK_ROWS x (N + 1) buffers are live (2 MB at N = 4096).
+
 Downstream time integrals against the solved p (the Green function's
 boundary emission, the hitting identity) all use one product-integration
 rule, `DensityEstimate.history`.
@@ -49,7 +55,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryCurve, estimate_holder
-from .kernels import SQRT_TWO_PI, exp_clipped, gaussian_dx, smeared_gaussian_dx
+from .kernels import SQRT_TWO_PI, gaussian_dx, smeared_gaussian_dx
 
 #: density values may dip this far below zero before we call it an error
 TOL_NEG = 1e-8
@@ -246,7 +252,7 @@ class DensityEstimate:
             gap /= _TAIL_RATIO
             tail.append(t - gap)
         part = np.concatenate([base, tail, [t]])
-        w = _nodal_weights(beta, t, part) * np.interp(part, nodes, self.p)
+        w = _nodal_weights(beta, t - part, np.diff(part)) * np.interp(part, nodes, self.p)
         return part[:-1], w[:-1], float(w[-1])
 
     # -- serialization --------------------------------------------------
@@ -334,8 +340,8 @@ def source_term(src: SourceSpec, curve: BoundaryCurve, t):
     return -smeared_gaussian_dx(xt, t, src.knots_x, src.knots_y)
 
 
-def _kappa_row(t_i, x_i, ts, xs):
-    """Kernel co-factor kappa(t_i, tau) at nodes tau = ts < t_i.
+def _kappa_row(dt, dx):
+    """Kernel co-factor kappa(t, tau) from dt = t - tau > 0 and dx = X_t - X_tau.
 
     The Volterra kernel G_x(X_t, t; X_tau, tau) equals
     kappa(t, tau) (t - tau)^(-1/2) with
@@ -347,11 +353,22 @@ def _kappa_row(t_i, x_i, ts, xs):
     curve the difference quotient is piecewise smooth in tau, whereas
     dividing by (t - tau)^gamma with gamma < 1 would leave a
     (t - tau)^(1 - gamma) cusp that piecewise-linear interpolation cannot
-    follow.  A column of (t_i, x_i) against a row of nodes gives a block.
+    follow.
+
+    kappa is built in place in `dt`, which is returned; `dx` is
+    overwritten.  One plain `np.exp` serves: it returns exactly 0.0 below
+    about -745.13 and differs from `kernels.exp_clipped` only on
+    (-745.13, -745), where it gives a subnormal (at most ~5e-324) instead
+    of 0.0.
     """
-    dt = t_i - ts
-    dx = x_i - xs
-    return -(dx / dt) * exp_clipped(-dx * dx / (2.0 * dt)) / SQRT_TWO_PI
+    quotient = np.divide(dx, dt)
+    dx *= dx
+    dx /= dt
+    dx *= -0.5
+    np.exp(dx, out=dx)
+    np.multiply(quotient, dx, out=dt)
+    dt /= -SQRT_TWO_PI
+    return dt
 
 
 def _diagonal_kappa(ts, xs):
@@ -368,23 +385,33 @@ def _diagonal_kappa(ts, xs):
     return out
 
 
-def _nodal_weights(beta, t_end, ts):
+def _nodal_weights(beta, r, dt):
     """Product-integration coefficients for int_0^t_end (t_end - tau)^beta f(tau) dtau.
 
-    f is piecewise linear on the increasing partition `ts`.  `t_end` is a
-    node of `ts`, or a column of nodes (one row of coefficients each);
-    nodes past it get zero weight, as r = t_end - ts is clamped at 0.  The
-    segment moments are exact from one power r^(beta+1) per node.
+    f is piecewise linear on an increasing partition ts with steps
+    dt = diff(ts); r = t_end - ts >= 0 holds the distances to t_end (a row
+    per t_end for a block), with nodes past t_end clamped to r = 0 so
+    they get zero weight.  Segment j has moments m0_j and m1_j of
+    (t_end - tau)^beta and (t_end - tau)^(beta+1), exact from one power
+    r^(beta+1) per node, and gives weight (m1_j - r_{j+1} m0_j) / dt_j to
+    its left node and (r_j m0_j - m1_j) / dt_j to its right one.  `r` is
+    read, not written.
     """
-    r = np.maximum(t_end - ts, 0.0)
-    rb1 = r ** (beta + 1.0)
-    rb2 = rb1 * r
-    m0 = (rb1[..., :-1] - rb1[..., 1:]) / (beta + 1.0)
-    m1 = (rb2[..., :-1] - rb2[..., 1:]) / (beta + 2.0)
-    dt = np.diff(ts)
-    c = np.zeros(r.shape)
-    c[..., :-1] = (m1 - r[..., 1:] * m0) / dt
-    c[..., 1:] += (r[..., :-1] * m0 - m1) / dt
+    c = r ** (beta + 1.0)
+    m0 = c[..., :-1] - c[..., 1:]
+    m0 /= beta + 1.0
+    c *= r
+    m1 = c[..., :-1] - c[..., 1:]
+    m1 /= beta + 2.0
+    left = c[..., :-1]
+    np.multiply(r[..., 1:], m0, out=left)
+    np.subtract(m1, left, out=left)
+    left /= dt
+    c[..., -1] = 0.0
+    m0 *= r[..., :-1]
+    m0 -= m1
+    m0 /= dt
+    c[..., 1:] += m0
     return c
 
 
@@ -393,20 +420,32 @@ def _quadrature_rows(lo, hi, ts, xs, kdiag):
 
     Row i approximates int_0^{t_i} G_x(X_{t_i}, t_i; X_tau, tau) p(tau) dtau:
     weights times kappa before t_i, the diagonal weight times `kdiag[i]`.
+    Each block takes t_i - tau once: clamped at 0 it gives the product
+    weights, then kappa is built in its place and multiplied into them.
+    A request of one block returns that block.
     """
-    A = np.zeros((hi - lo, hi))
+    dts = np.diff(ts[:hi])
+    A = None
     for b in range(lo, hi, BLOCK_ROWS):
         e = min(b + BLOCK_ROWS, hi)
         k = np.arange(e - b)
-        t_i = ts[b:e, None]
-        blk = _nodal_weights(-0.5, t_i, ts[:e])
+        r = ts[b:e, None] - ts[:e]
+        # tau >= t_i only occurs in the last e - b columns
+        tail = r[:, b:]
+        np.maximum(tail, 0.0, out=tail)
+        blk = _nodal_weights(-0.5, r, dts[: e - 1])
         diag = blk[k, b + k] * kdiag[b:e]
-        # kappa is undefined at tau >= t_i; those entries are replaced below
-        with np.errstate(all="ignore"):
-            blk *= _kappa_row(t_i, xs[b:e, None], ts[:e], xs[:e])
-        blk[:, b:] = np.tril(blk[:, b:], -1)
+        # kappa needs t_i - tau > 0: a unit value on and past the diagonal
+        # keeps it finite there, where the weights are 0 (the diagonal is
+        # set from kdiag below)
+        tail[k[:, None] <= k] = 1.0
+        blk *= _kappa_row(r, xs[b:e, None] - xs[:e])
         blk[k, b + k] = diag
-        A[b - lo:e - lo, :e] = blk
+        if e - b == hi - lo:
+            return blk
+        if A is None:
+            A = np.zeros((hi - lo, hi))
+        A[b - lo : e - lo, :e] = blk
     return A
 
 

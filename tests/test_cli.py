@@ -174,6 +174,26 @@ class TestSolve:
         assert_one_line(capsys.readouterr().err, "invalid configuration:")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cmd, doc", [
+        (["solve"], [1]),
+        (["solve"], {"output": None}),
+        (["solve"], {"output": {"directory": 5}}),
+        (["solve"], {"grid": {"N": 64.5}}),
+        (["simulate", "--N", "64"], {"mc": {"n_paths": 64.5}}),
+        (["simulate", "--N", "64"], {"mc": {"seed": 64.5}}),
+        (["simulate", "--N", "64", "--n-paths", "64"], {"mc": {"bridge_correction": "no"}}),
+    ], ids=["not_an_object", "output_null", "directory_int", "N_fraction",
+            "n_paths_fraction", "seed_fraction", "bridge_correction_str"])
+    def test_malformed_config_file(self, tmp_path, monkeypatch, capsys, cmd, doc):
+        # no --out: the file's own output section is under test, so any
+        # stray write would land in the working directory
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        code = run([*cmd, "--config", "cfg.json"])
+        assert code == 2
+        assert_one_line(capsys.readouterr().err, "invalid configuration:")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
 
 NON_FINITE = {
     "a_inf": ["--boundary", "linear", "--a=inf", "--r0=0"],

@@ -16,7 +16,7 @@ from fptkit import (
     solve_marching,
     survival,
 )
-from fptkit.green import SURVIVAL_PANELS
+from fptkit.green import EMISSION_BLOCK_BYTES, SURVIVAL_PANELS
 
 POINT = SourceSpec.point(0.0)
 
@@ -78,6 +78,14 @@ class TestGreenEval:
         assert all(type(v) is float for v in scalars)
         assert np.array_equal(vals.ravel(), np.array(scalars))
 
+    def test_array_call_equals_scalar_calls_across_blocks(self, linear_field):
+        # enough x-points for three row blocks of the emission sum
+        t = 1.0
+        rows = EMISSION_BLOCK_BYTES // (8 * len(linear_field.density.history(t, -0.5)[0]))
+        xs = np.linspace(-3.0, float(linear_field.curve.value(t)), 2 * rows + 3)
+        vals = green_eval(linear_field, xs, t)
+        assert np.array_equal(vals, np.array([green_eval(linear_field, float(x), t) for x in xs]))
+
     def test_domain_error(self, const_field):
         with pytest.raises(ValueError):
             green_eval(const_field, 0.0, 0.0)
@@ -131,6 +139,20 @@ class TestSurvival:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * lattice_bytes
+
+
+    def test_peak_memory_is_one_emission_block(self):
+        # 2048 x-points against ~4300 history nodes are 67 MiB in one array
+        curve = BoundaryCurve.linear(1.0, 0.5)
+        est = solve_marching(POINT, curve, TimeGrid(T=4.0, N=4096, q=2.0))
+        fld = GreenField(curve=curve, src=POINT, density=est)
+        tracemalloc.start()
+        try:
+            survival(fld, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestBoundaryFlux:

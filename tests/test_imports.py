@@ -1,4 +1,4 @@
-"""Layout rule for the package: modules share only public names."""
+"""Layout rule for the package and its tests: they share only public names."""
 
 import ast
 from pathlib import Path
@@ -6,11 +6,12 @@ from pathlib import Path
 import fptkit
 
 PACKAGE = Path(fptkit.__file__).parent
+TESTS = Path(__file__).parent
 
 
 def test_no_module_imports_a_private_name():
     offenders = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.ImportFrom):
                 continue

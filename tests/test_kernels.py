@@ -13,7 +13,6 @@ from scipy import integrate
 from fptkit import (
     gaussian,
     gaussian_dx,
-    gaussian_dxx,
     psi,
     segment_weight,
 )
@@ -85,33 +84,6 @@ class TestGaussianDx:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             gaussian_dx(0.0, 1.0, 0.0, 1.0)
-
-
-class TestGaussianDxx:
-    def test_center(self):
-        assert gaussian_dxx(0.0, 1.0, 0.0, 0.0) == pytest.approx(-0.3989422804014327, rel=1e-14)
-
-    def test_inflection_at_one_sigma(self):
-        assert gaussian_dxx(1.0, 1.0, 0.0, 0.0) == pytest.approx(0.0, abs=1e-16)
-
-    def test_two_sigma(self):
-        assert gaussian_dxx(2.0, 1.0, 0.0, 0.0) == pytest.approx(0.16197289953956418, rel=1e-13)
-
-    def test_heat_identity(self):
-        # d/dt G = G_xx / 2 via finite differences, relative 1e-5
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            dt = rng.uniform(1e-3, 10.0)
-            x = rng.uniform(-2.0, 2.0) * math.sqrt(dt)
-            h = 1e-6 * dt
-            fd_t = (gaussian(x, dt + h) - gaussian(x, dt - h)) / (2.0 * h)
-            target = 0.5 * gaussian_dxx(x, dt)
-            if abs(target) > 1e-12:
-                assert fd_t == pytest.approx(target, rel=1e-5)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            gaussian_dxx(0.0, 0.0, 0.0, 0.0)
 
 
 class TestPsi:

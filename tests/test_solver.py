@@ -24,7 +24,6 @@ from fptkit import (
     solve_picard,
     source_term,
 )
-from fptkit.solver import _kappa_row
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -105,68 +104,75 @@ class TestSourceTerm:
         assert smeared == pytest.approx(point, rel=1e-5)
 
 
-def kappa_block(curve, t, taus):
-    """The vectorised kernel co-factor on a column of times t against a row of taus."""
-    return _kappa_row(t, curve.value(t), taus, curve.value(taus))
+def dense_reference(src, curve, grid):
+    """p from (I - A) p = g, with A built entry by entry from public kernels.
+
+    Independent of the solver's block assembler.  Row i writes
+    G_x(X_{t_i}, t_i; X_tau, tau) as kappa (t_i - tau)^(-1/2) and
+    integrates that weight exactly against the linear interpolant of
+    kappa p on each segment [t_j, t_{j+1}]: the moments come from
+    `segment_weight`, kappa at tau < t_i from `gaussian_dx`, and kappa at
+    tau = t_i is its limit -X'(t_i) / sqrt(2 pi), with X' the slope of the
+    boundary over the last segment.
+    """
+    ts = grid.nodes
+    xs = curve.value(ts)
+    n = len(ts)
+    A = np.zeros((n, n))
+    for i in range(1, n):
+        t = ts[i]
+        kappa = [gaussian_dx(xs[i], t, xs[j], ts[j]) * math.sqrt(t - ts[j]) for j in range(i)]
+        kappa.append(-(xs[i] - xs[i - 1]) / (t - ts[i - 1]) / SQRT_2PI)
+        for j in range(i):
+            a, b = ts[j], ts[j + 1]
+            m0 = segment_weight(-0.5, t, a, b)
+            m1 = segment_weight(0.5, t, a, b)
+            # the right node's hat function is (tau - a) / (b - a), and
+            # tau - a = (t - a) - (t - tau)
+            right = ((t - a) * m0 - m1) / (b - a)
+            A[i, j] += (m0 - right) * kappa[j]
+            A[i, j + 1] += right * kappa[j + 1]
+    g = np.zeros(n)
+    g[1:] = source_term(src, curve, ts[1:])
+    return np.linalg.solve(np.eye(n) - A, g)
 
 
-def assert_kernel_identity(curve):
-    """kappa (t - tau)^(-1/2) = G_x(X_t, t; X_tau, tau) on a block of (t, tau) pairs."""
-    t = np.array([[0.3], [1.0], [2.5], [4.0]])
-    taus = np.linspace(0.0, 0.299, 40)
-    kap = kappa_block(curve, t, taus)
-    assert kap.shape == (4, 40)
-    gx = gaussian_dx(curve.value(t), t, curve.value(taus), taus)
-    np.testing.assert_allclose(kap * (t - taus) ** -0.5, gx, rtol=1e-12, atol=0.0)
+REFERENCE_CURVES = {
+    "linear": BoundaryCurve.linear(1.0, 0.5),
+    "power": BoundaryCurve.power(1.0, 0.5, 0.6),
+    "sampled": BoundaryCurve.sampled([0.0, 0.5, 1.3, 2.0], [1.0, 1.2, 0.9, 1.4], 1.0),
+}
+REFERENCE_SOURCES = {"point": POINT, "bump": SourceSpec.uniform_bump(0.0, 0.25)}
 
 
 class TestKernel:
     def test_constant_boundary_kernel_vanishes(self):
+        # kappa = 0 on a constant boundary, so both solvers return g itself
         curve = BoundaryCurve.constant(2.5)
-        assert_kernel_identity(curve)
-        assert np.all(kappa_block(curve, np.array([[1.0], [3.0]]), np.array([0.0, 0.5, 0.999])) == 0.0)
-
-    def test_linear_value(self):
-        # -(dX/dtau) G stripped of its singular factor at (t, tau) = (1, 0.5)
-        curve = BoundaryCurve.linear(0.0, 1.0)
-        assert_kernel_identity(curve)
-        expected = -(0.5 / 0.5) * (1.0 / math.sqrt(2 * math.pi * 0.5)) * math.exp(-0.25) * math.sqrt(0.5)
-        assert kappa_block(curve, 1.0, 0.5) == pytest.approx(expected, rel=1e-12)
-
-    def test_power_identity(self):
-        assert_kernel_identity(BoundaryCurve.power(1.0, 0.5, 0.75))
-        assert_kernel_identity(BoundaryCurve.power(1.0, -0.8, 0.6))
+        grid = TimeGrid(T=2.0, N=64, q=2.0)
+        g = source_term(POINT, curve, grid.nodes[1:])
+        for solve in (solve_marching, solve_picard):
+            assert np.array_equal(solve(POINT, curve, grid).p[1:], g)
 
     def test_linear_diagonal_limit(self):
-        curve = BoundaryCurve.linear(0.0, 1.0)
-        assert kappa_block(curve, 1.0, 1.0 - 1e-9) == pytest.approx(-1.0 / SQRT_2PI, rel=1e-6)
+        # A_ii = (4/3) sqrt(dt_i) kappa_ii with the limit kappa_ii = -X' / sqrt(2 pi);
+        # on a falling boundary 1 - A_ii is smallest on the widest cell
+        grid = TimeGrid(T=2.0, N=64, q=2.0)
+        est = solve_marching(POINT, BoundaryCurve.linear(1.0, -0.5), grid)
+        widest = grid.nodes[-1] - grid.nodes[-2]
+        expected = 1.0 - (4.0 / 3.0) * math.sqrt(widest) * 0.5 / SQRT_2PI
+        assert est.residual_summary["min_diagonal"] == pytest.approx(expected, rel=1e-12)
 
-
-def dense_reference(src, curve, grid):
-    """p from (I - A) p = g, with A built row by row from public kernels.
-
-    Independent of the solver's block assembler: the weights come from
-    `segment_weight` moments of (t - tau)^(-1/2), and kappa from G_x
-    divided by that factor.
-    """
-    ts = grid.nodes
-    xs = curve.value(ts)
-    beta = -0.5
-    n = len(ts)
-    A = np.zeros((n, n))
-    for i in range(1, n):
-        a, b = ts[:i], ts[1 : i + 1]
-        m0 = segment_weight(beta, ts[i], a, b)
-        m1 = segment_weight(beta + 1.0, ts[i], a, b)
-        rem = ts[i] - ts[: i + 1]
-        c = np.zeros(i + 1)
-        c[:-1] += (m1 - rem[1:] * m0) / (b - a)
-        c[1:] += (rem[:-1] * m0 - m1) / (b - a)
-        A[i, :i] = c[:i] * gaussian_dx(xs[i], ts[i], xs[:i], ts[:i]) / (ts[i] - ts[:i]) ** beta
-        A[i, i] = -c[i] * (xs[i] - xs[i - 1]) / (ts[i] - ts[i - 1]) / SQRT_2PI
-    g = np.zeros(n)
-    g[1:] = source_term(src, curve, ts[1:])
-    return np.linalg.solve(np.eye(n) - A, g)
+    @pytest.mark.parametrize("N", [16, 32])
+    @pytest.mark.parametrize("src_name", REFERENCE_SOURCES)
+    @pytest.mark.parametrize("curve_name", REFERENCE_CURVES)
+    def test_matches_double_loop_reference(self, curve_name, src_name, N):
+        src, curve = REFERENCE_SOURCES[src_name], REFERENCE_CURVES[curve_name]
+        grid = TimeGrid(T=2.0, N=N, q=2.0)
+        ref = dense_reference(src, curve, grid)
+        assert np.max(np.abs(solve_marching(src, curve, grid).p - ref)) <= 1e-12
+        # Picard stops within its iteration tolerance of the same solution
+        assert np.max(np.abs(solve_picard(src, curve, grid, tol=1e-14).p - ref)) <= 1e-12
 
 
 class TestMarching:
@@ -179,8 +185,8 @@ class TestMarching:
         ],
     )
     def test_matches_dense_reference(self, curve):
-        # N = 100 spans several assembler blocks and a ragged last one
-        grid = TimeGrid(T=2.0, N=100, q=2.0)
+        # N = 40 spans three assembler blocks, the last one ragged
+        grid = TimeGrid(T=2.0, N=40, q=2.0)
         # Picard stops within its iteration tolerance of the same solution
         for src in (POINT, SourceSpec.uniform_bump(0.0, 0.25)):
             ref = dense_reference(src, curve, grid)
