@@ -130,7 +130,11 @@ class BoundaryCurve:
             header = next(reader, None)
             if header is None or [c.strip().lower() for c in header] != ["t", "x"]:
                 raise ValueError(f"{path}: expected header row 't,x'")
-            rows = [(float(r[0]), float(r[1])) for r in reader if r]
+            rows = []
+            for r in filter(None, reader):
+                if len(r) != 2:
+                    raise ValueError(f"{path}: line {reader.line_num}: expected 2 fields, got {len(r)}")
+                rows.append((float(r[0]), float(r[1])))
         if len(rows) < 2:
             raise ValueError(f"{path}: need at least two knot rows")
         t, x = zip(*rows)

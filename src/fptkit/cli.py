@@ -57,73 +57,88 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-_DEFAULTS = {
-    "boundary": {"kind": "linear", "a": 1.0, "b": 0.5, "theta": 0.75, "gamma": None,
-                 "csv_path": None},
-    "source": {"kind": "point", "r0": 0.0, "center": None, "width": None},
-    "grid": {"T": 4.0, "N": 2048, "q": 2.0},
-    "method": "marching",
-    "mc": {"n_paths": 10000, "dt": 1e-3, "seed": 42, "bridge_correction": True},
-    "output": {"directory": "."},
+#: Every config key: its path in the config document, its type, its default
+#: and the flag that overrides it (None: file only).  A bool key's flag sets
+#: the opposite of its default.
+CONFIG = {
+    ("boundary", "kind"): (str, "linear", "--boundary"),
+    ("boundary", "a"): (float, 1.0, "--a"),
+    ("boundary", "b"): (float, 0.5, "--b"),
+    ("boundary", "theta"): (float, 0.75, "--theta"),
+    ("boundary", "gamma"): (float, None, "--gamma"),
+    ("boundary", "csv_path"): (str, None, "--boundary-csv"),
+    ("source", "kind"): (str, "point", None),
+    ("source", "r0"): (float, 0.0, "--r0"),
+    ("source", "center"): (float, None, "--bump-center"),
+    ("source", "width"): (float, None, "--bump-width"),
+    ("grid", "T"): (float, 4.0, "--T"),
+    ("grid", "N"): (int, 2048, "--N"),
+    ("grid", "q"): (float, 2.0, "--q"),
+    ("method",): (str, "marching", "--method"),
+    ("mc", "n_paths"): (int, 10000, "--n-paths"),
+    ("mc", "dt"): (float, 1e-3, "--dt"),
+    ("mc", "seed"): (int, 42, "--seed"),
+    ("mc", "bridge_correction"): (bool, True, "--no-bridge"),
+    ("output", "directory"): (str, ".", "--out"),
 }
+_SECTIONS = {path[0] for path in CONFIG if len(path) == 2}
+_COMMANDS = {
+    "solve": "solve the density equation",
+    "simulate": "Monte Carlo first-passage sampling",
+    "validate": "run a validation suite",
+    "green": "emit the Green function on a lattice",
+}
+#: the subcommands that carry the flags of a config section; other sections' flags go to all
+_FLAG_COMMANDS = {"method": ("solve",), "mc": ("simulate",)}
 
 
-def _deep_merge(base: dict, extra: dict) -> dict:
-    out = {k: (dict(v) if isinstance(v, dict) else v) for k, v in base.items()}
-    for k, v in extra.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _deep_merge(out[k], v)
-        else:
-            out[k] = v
-    return out
+def _checked(path: tuple, value):
+    """A config-file value as its key's type: integral numbers pass for either
+    numeric type, null only where the default is null; nothing else is coerced."""
+    kind, default, _ = CONFIG[path]
+    if value is None and default is None:
+        return value
+    if kind is float and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind is int and (type(value) is int or type(value) is float and value.is_integer()):
+        return int(value)
+    if type(value) is kind:
+        return value
+    raise ConfigError(f"{'.'.join(path)} must be a JSON {kind.__name__}, got {value!r}")
+
+
+def _read_config(filename: str) -> dict:
+    """The checked values of a JSON config file, by key path."""
+    try:
+        with open(filename) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config file must hold a JSON object")
+    values = {}
+    for name, entry in doc.items():
+        if name in _SECTIONS and not isinstance(entry, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
+        keys = {(name, k): v for k, v in entry.items()} if name in _SECTIONS else {(name,): entry}
+        for path, value in keys.items():
+            if path not in CONFIG:
+                raise ConfigError(f"unknown config key {'.'.join(path)!r}")
+            values[path] = _checked(path, value)
+    return values
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
     """Defaults <- config file <- command-line flags."""
-    cfg = _deep_merge(_DEFAULTS, {})
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("config file must hold a JSON object")
-        cfg = _deep_merge(cfg, doc)
-        for section, default in _DEFAULTS.items():
-            if isinstance(default, dict) and not isinstance(cfg[section], dict):
-                raise ConfigError(f"config section {section!r} must be a JSON object")
-
-    flag_map = {
-        "boundary": ("boundary", "kind"),
-        "a": ("boundary", "a"),
-        "b": ("boundary", "b"),
-        "theta": ("boundary", "theta"),
-        "gamma": ("boundary", "gamma"),
-        "boundary_csv": ("boundary", "csv_path"),
-        "r0": ("source", "r0"),
-        "bump_center": ("source", "center"),
-        "bump_width": ("source", "width"),
-        "T": ("grid", "T"),
-        "N": ("grid", "N"),
-        "q": ("grid", "q"),
-        "method": ("method",),
-        "n_paths": ("mc", "n_paths"),
-        "dt": ("mc", "dt"),
-        "seed": ("mc", "seed"),
-        "out": ("output", "directory"),
-    }
-    for flag, path in flag_map.items():
-        val = getattr(args, flag, None)
-        if val is None:
-            continue
-        node = cfg
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = val
-    if getattr(args, "no_bridge", False):
-        cfg["mc"]["bridge_correction"] = False
-    if getattr(args, "bump_center", None) is not None or getattr(args, "bump_width", None) is not None:
+    values = _read_config(args.config) if args.config else {}
+    cfg = {}
+    for path, (_, default, _) in CONFIG.items():
+        value = getattr(args, ".".join(path), None)
+        if value is None:
+            value = values.get(path, default)
+        *section, key = path
+        (cfg.setdefault(section[0], {}) if section else cfg)[key] = value
+    if getattr(args, "source.center") is not None or getattr(args, "source.width") is not None:
         cfg["source"]["kind"] = "smeared"
     return cfg
 
@@ -158,8 +173,7 @@ def build_problem(cfg: dict):
         else:
             raise ConfigError(f"unknown source kind {s['kind']!r}")
 
-        g = cfg["grid"]
-        grid = TimeGrid(T=float(g["T"]), N=_integer(g["N"], "grid.N"), q=float(g["q"]))
+        grid = TimeGrid(**cfg["grid"])
 
         # cross-object preconditions, checked before any computation
         if grid.T > curve.horizon:
@@ -168,32 +182,9 @@ def build_problem(cfg: dict):
             raise ConfigError(f"r0={src.r0} must lie strictly below X_0={curve.x0}")
         if src.kind == "smeared" and not src.support_upper < curve.x0:
             raise ConfigError("smeared source support must lie strictly below X_0")
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     return curve, src, grid
-
-
-def _integer(value, name: str) -> int:
-    """A config value that must be an integral number (64 or 64.0, not 64.5 or "64")."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not float(value).is_integer():
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _mc_config(cfg: dict) -> McConfig:
-    m = cfg["mc"]
-    n_paths = _integer(m["n_paths"], "mc.n_paths")
-    seed = _integer(m["seed"], "mc.seed")
-    bridge = m["bridge_correction"]
-    if not isinstance(bridge, bool):
-        raise ConfigError(f"mc.bridge_correction must be true or false, got {bridge!r}")
-    try:
-        return McConfig(n_paths=n_paths, dt=float(m["dt"]), T=float(cfg["grid"]["T"]),
-                        seed=seed, bridge_correction=bridge)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _workers() -> int:
@@ -208,11 +199,11 @@ def _workers() -> int:
 
 
 def _outdir(cfg: dict) -> Path:
-    directory = cfg["output"]["directory"]
-    if not isinstance(directory, str):
-        raise ConfigError(f"output.directory must be a string, got {directory!r}")
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(cfg["output"]["directory"])
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     return out
 
 
@@ -240,10 +231,10 @@ def _read_density(density_csv: Path, run_json: Path) -> DensityEstimate | None:
 
 def cmd_solve(cfg: dict) -> int:
     curve, src, grid = build_problem(cfg)
-    out = _outdir(cfg)
     method = cfg["method"]
     if method not in ("marching", "picard", "both"):
         raise ConfigError(f"unknown method {method!r}")
+    out = _outdir(cfg)
     if method in ("marching", "both"):
         primary = solve_marching(src, curve, grid)
     if method in ("picard", "both"):
@@ -265,7 +256,10 @@ def cmd_simulate(cfg: dict) -> int:
     curve, src, grid = build_problem(cfg)
     if src.kind != "point":
         raise ConfigError("simulate requires a point source")
-    mc_cfg = _mc_config(cfg)
+    try:
+        mc_cfg = McConfig(T=grid.T, **cfg["mc"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     out = _outdir(cfg)
     run = simulate(src, curve, mc_cfg, workers=_workers())
     run.hits_to_csv(out / "hits.csv")
@@ -391,8 +385,8 @@ def cmd_green(cfg: dict, x_range, t_range, resolution) -> int:
         raise ConfigError(
             f"green lattice times must satisfy 0 < t_min <= t_max <= T={grid.T}"
         )
-    if not (x_lo <= x_hi and nx >= 1 and nt >= 1):
-        raise ConfigError("green lattice needs x_min <= x_max and nx, nt >= 1")
+    if not (-np.inf < x_lo <= x_hi < np.inf and nx >= 1 and nt >= 1):
+        raise ConfigError("green lattice needs finite x_min <= x_max and nx, nt >= 1")
     out = _outdir(cfg)
     est = solve_marching(src, curve, grid)
     fld = GreenField(curve=curve, src=src, density=est)
@@ -412,63 +406,45 @@ def cmd_green(cfg: dict, x_range, t_range, resolution) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--boundary", choices=["constant", "linear", "power", "sampled"],
-                   dest="boundary")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--boundary-csv", dest="boundary_csv")
-    p.add_argument("--r0", type=float)
-    p.add_argument("--bump-center", type=float, dest="bump_center")
-    p.add_argument("--bump-width", type=float, dest="bump_width")
-    p.add_argument("--T", type=float, dest="T")
-    p.add_argument("--N", type=int, dest="N")
-    p.add_argument("--q", type=float, dest="q")
-    p.add_argument("--out", help="output directory")
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line like any other invalid configuration."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fpt",
         description="First-passage densities of Brownian motion through moving boundaries",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_solve = sub.add_parser("solve", help="solve the density equation")
-    _add_common(p_solve)
-    p_solve.add_argument("--method", choices=["marching", "picard", "both"])
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo first-passage sampling")
-    _add_common(p_sim)
-    p_sim.add_argument("--n-paths", type=int, dest="n_paths")
-    p_sim.add_argument("--dt", type=float)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--no-bridge", action="store_true", dest="no_bridge",
-                       help="disable the Brownian-bridge crossing correction")
-
-    p_val = sub.add_parser("validate", help="run a validation suite")
-    _add_common(p_val)
-    p_val.add_argument("--suite", default="all",
-                       help=f"one of {', '.join(SUITES)}")
-
-    p_green = sub.add_parser("green", help="emit the Green function on a lattice")
-    _add_common(p_green)
-    p_green.add_argument("--x-min", type=float, required=True)
-    p_green.add_argument("--x-max", type=float, required=True)
-    p_green.add_argument("--t-min", type=float, required=True)
-    p_green.add_argument("--t-max", type=float, required=True)
-    p_green.add_argument("--nx", type=int, default=50)
-    p_green.add_argument("--nt", type=int, default=50)
+    for command, text in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        p.add_argument("--config", help="JSON config file; flags override its keys")
+        for path, (kind, default, flag) in CONFIG.items():
+            if flag is None or command not in _FLAG_COMMANDS.get(path[0], _COMMANDS):
+                continue
+            name = ".".join(path)
+            if kind is bool:
+                p.add_argument(flag, dest=name, action="store_const", const=not default,
+                               help=f"set {name} to {json.dumps(not default)}")
+            else:
+                p.add_argument(flag, dest=name, type=kind,
+                               help=f"{kind.__name__}, default {json.dumps(default)}")
+    sub.choices["validate"].add_argument("--suite", default="all",
+                                         help=f"one of {', '.join(SUITES)}")
+    green = sub.choices["green"]
+    for bound in ("--x-min", "--x-max", "--t-min", "--t-max"):
+        green.add_argument(bound, type=float, required=True)
+    green.add_argument("--nx", type=int, default=50)
+    green.add_argument("--nt", type=int, default=50)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         cfg = resolve_config(args)
         if args.command == "solve":
             return cmd_solve(cfg)
@@ -476,16 +452,16 @@ def main(argv=None) -> int:
             return cmd_simulate(cfg)
         if args.command == "validate":
             return cmd_validate(cfg, args.suite)
-        if args.command == "green":
-            return cmd_green(cfg, (args.x_min, args.x_max), (args.t_min, args.t_max),
-                             (args.nx, args.nt))
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_green(cfg, (args.x_min, args.x_max), (args.t_min, args.t_max),
+                         (args.nx, args.nt))
     except ConfigError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        reason, code = f"invalid configuration: {exc}", EXIT_CONFIG
+    except MemoryError as exc:
+        reason, code = f"invalid configuration: the run does not fit in memory: {exc}", EXIT_CONFIG
     except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        reason, code = f"solver failure: {exc}", EXIT_SOLVER
+    print(" ".join(reason.split()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

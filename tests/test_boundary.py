@@ -99,6 +99,13 @@ class TestCsv(object):
         with pytest.raises(ValueError):
             BoundaryCurve.from_csv(path, gamma=1.0)
 
+    @pytest.mark.parametrize("row", ["1", "1,1.1,2"], ids=["one_field", "three_fields"])
+    def test_row_needs_two_fields(self, tmp_path, row):
+        path = tmp_path / "curve.csv"
+        path.write_text(f"t,x\n0,1\n{row}\n")
+        with pytest.raises(ValueError, match="line 3: expected 2 fields"):
+            BoundaryCurve.from_csv(path, gamma=1.0)
+
 
 class TestHolderEstimate:
     def test_constant_curve(self):

@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fptkit.cli
 from fptkit import DensityEstimate, TimeGrid
@@ -405,3 +414,149 @@ class TestGreen:
         assert code == 0
         data = np.loadtxt(tmp_path / "green.csv", delimiter=",", skiprows=1)
         assert np.max(np.abs(data[:, 2])) <= 2e-3
+
+
+DEFECTS = {
+    "T_str": (["solve"], {"grid": {"T": "4"}}),
+    "q_str": (["solve"], {"grid": {"q": "2"}}),
+    "dt_str": (["simulate", "--n-paths", "64"], {"mc": {"dt": "0.01"}}),
+    "r0_str": (["solve"], {"source": {"r0": "0"}}),
+    "a_bool": (["solve"], {"boundary": {"a": True}}),
+    "unknown_key": (["solve"], {"grid": {"n": 8}}),
+    "unknown_section": (["solve"], {"grd": {}}),
+    "csv_path_int": (["solve"], {"boundary": {"kind": "sampled", "csv_path": 5, "gamma": 1}}),
+    "out_below_file": (["solve", "--out", "afile/sub"], {}),
+    "csv_short_row": (["solve", "--boundary", "sampled", "--boundary-csv", "short.csv",
+                       "--gamma", "1"], {}),
+    "green_x_min_-inf": (["green", "--x-min=-inf", "--x-max", "0", "--t-min", "0.5",
+                          "--t-max", "1", "--nx", "3", "--nt", "1"], {}),
+    "green_x_max_inf": (["green", "--x-min", "0", "--x-max=inf", "--t-min", "0.5",
+                         "--t-max", "1", "--nx", "3", "--nt", "1"], {}),
+    "N_abc": (["solve", "--N", "abc"], {}),
+    "boundary_unknown": (["solve", "--boundary", "bogus"], {}),
+    "method_unknown": (["solve", "--method", "bogus"], {}),
+}
+
+
+@pytest.mark.parametrize("cmd, doc", DEFECTS.values(), ids=DEFECTS.keys())
+def test_bad_input_exits_2_without_artifacts(tmp_path, monkeypatch, capsys, cmd, doc):
+    monkeypatch.chdir(tmp_path)
+    files = {"cfg.json": json.dumps(doc), "afile": "", "short.csv": "t,x\n0,1\n1\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = run([cmd[0], "--config", "cfg.json", "--N", "64", "--out", "out", *cmd[1:]])
+    assert code == 2
+    assert_one_line(capsys.readouterr().err, "invalid configuration:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_out_of_memory_exits_2(tmp_path):
+    resource = pytest.importorskip("resource")
+    limit = 2 * 1024 ** 3
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src_dir = str(Path(fptkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]),
+           # one BLAS thread keeps the child's own buffers far below the limit
+           "OPENBLAS_NUM_THREADS": "1"}
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fptkit.cli", "solve", "--N", "300000000", "--out", str(out)],
+        preexec_fn=cap_address_space, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert_one_line(proc.stderr, "invalid configuration: the run does not fit in memory")
+    assert not out.exists()
+
+
+def test_run_json_config_round_trips(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert run(["solve", *LINEAR_ARGS, "--method", "both", "--out", str(first)]) == 0
+    doc = json.loads((first / "run.json").read_text())
+    (tmp_path / "cfg.json").write_text(json.dumps(doc["config"]))
+    assert run(["solve", "--config", str(tmp_path / "cfg.json"), "--out", str(second)]) == 0
+    assert (first / "density.csv").read_bytes() == (second / "density.csv").read_bytes()
+    again = json.loads((second / "run.json").read_text())
+    assert again["content_sha256"] == doc["content_sha256"]
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+NUMBER = st.integers(-8, 8) | st.floats(-4.0, 4.0)
+#: a value of each key's own type, mostly in its working range; numbers that
+#: would make a run slow or large stay bounded (the Volterra solve costs N^2,
+#: the MC oracle n_paths * T/dt substeps)
+TYPED = {
+    ("boundary", "kind"): st.sampled_from(["constant", "linear", "power", "sampled"]),
+    ("boundary", "gamma"): st.none() | st.floats(0.4, 1.0),
+    ("boundary", "theta"): st.floats(0.4, 1.0),
+    ("boundary", "csv_path"): st.none() | st.just("curve.csv") | st.text(max_size=8),
+    ("source", "kind"): st.sampled_from(["point", "smeared"]),
+    ("source", "center"): st.none() | NUMBER,
+    ("source", "width"): st.none() | st.floats(-0.5, 2.0),
+    ("grid", "T"): st.floats(-1.0, 4.0),
+    ("grid", "N"): st.integers(8, 64) | st.integers(8, 64).map(float),
+    ("grid", "q"): st.floats(0.5, 4.0),
+    ("method",): st.sampled_from(["marching", "picard", "both"]),
+    ("mc", "n_paths"): st.integers(-2, 256),
+    ("mc", "dt"): st.floats(1e-3, 1.0),
+    ("mc", "seed"): st.integers(-1, 2 ** 64),
+    ("mc", "bridge_correction"): st.booleans(),
+    ("output", "directory"): st.text(max_size=8),
+}
+BOUNDED = {("grid", "N"), ("grid", "T"), ("mc", "n_paths"), ("mc", "dt")}
+
+
+def _not_a_number(value):
+    return isinstance(value, bool) or not isinstance(value, (int, float))
+
+
+@st.composite
+def config_documents(draw):
+    """A config document over the table's keys: typed values, except that at
+    most one key holds a JSON value of any type or one key is not in the table."""
+    flaw = draw(st.sampled_from(["none", "none", "any_type", "unknown_key"]))
+    paths = draw(st.lists(st.sampled_from(list(fptkit.cli.CONFIG)), unique=True))
+    junk = draw(st.sampled_from(paths)) if paths and flaw == "any_type" else None
+    doc = {}
+    for path in paths:
+        if path == junk:
+            value = draw(JSON.filter(_not_a_number) if path in BOUNDED else JSON)
+        else:
+            value = draw(TYPED.get(path, NUMBER))
+        *section, key = path
+        (doc.setdefault(section[0], {}) if section else doc)[key] = value
+    if flaw == "unknown_key":
+        node = draw(st.sampled_from([doc, *(v for v in doc.values() if isinstance(v, dict))]))
+        node[draw(st.text(max_size=6))] = draw(JSON)
+    return doc
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(["solve", "simulate"]), doc=config_documents())
+def test_fuzzed_config_ends_in_an_exit_code(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "cfg.json").write_text(json.dumps(doc))
+        (tmp / "curve.csv").write_text("t,x\n0,1\n2,1.5\n4,1.25\n")
+        err = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(tmp)  # a fuzzed csv_path resolves in the scratch directory
+        try:
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", "cfg.json", "--out", "out"])
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 2, 3, 4, 5)
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            for csv in (tmp / "out").glob("*.csv"):
+                rows = csv.read_text().splitlines()[1:]
+                assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
