@@ -1,14 +1,15 @@
 """Moving boundaries X_t and estimation of their local Hölder constants.
 
 A boundary is a deterministic curve t -> X_t that the Brownian path must
-stay below.  The density solvers require Hölder regularity with exponent
-gamma in (1/2, 1]; every curve therefore carries a declared `gamma`, and
-`estimate_holder` produces a conservative local constant m with
+stay below.  The existence theory requires Hölder regularity with
+exponent gamma in (1/2, 1]; every curve therefore carries a declared
+`gamma`, which the solvers check but use in no computed number.
+`estimate_holder` is a diagnostic, used by no solver: a conservative
+local constant m with
 
     |X_t2 - X_t1| <= m |t2 - t1|^gamma
 
-on a stated interval, which the windowed Picard solver uses to size its
-contraction windows.
+on a stated interval.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 #: multiplier applied to the scanned difference-quotient supremum; the
-#: dyadic scan can undershoot the true constant, inflation keeps window
-#: sizing conservative.
+#: dyadic scan can undershoot the true constant, inflation keeps the
+#: estimate conservative.
 HOLDER_SAFETY = 1.25
 
 
@@ -96,7 +97,7 @@ class BoundaryCurve:
         """X_t = a + b t^theta with theta in (1/2, 1].
 
         t^theta is Hölder continuous with exponent theta on [0, inf), so
-        gamma defaults to theta.  gamma only sizes the Picard windows: the
+        gamma defaults to theta.  gamma enters no computed number: the
         solvers' quadrature uses the fixed (t - tau)^(-1/2) weight, since
         the curve is C^1 for t > 0.
         """
@@ -108,7 +109,7 @@ class BoundaryCurve:
         """Piecewise-linear interpolant of (times, values) knots.
 
         The interpolant is Lipschitz between knots; `gamma` must be
-        declared by the caller and only sizes the Picard windows (the
+        declared by the caller and enters no computed number (the
         solvers' quadrature weight is (t - tau)^(-1/2) for every curve).
         """
         t = np.ascontiguousarray(times, dtype=float)
@@ -164,11 +165,12 @@ class BoundaryCurve:
 
 
 def estimate_holder(curve: BoundaryCurve, interval, levels: int = 12) -> HolderEstimate:
-    """Conservative scan of the Hölder-gamma difference quotient.
+    """Conservative scan of the Hölder-gamma difference quotient, a diagnostic.
 
     Evaluates |X_{t+dt} - X_t| / dt^gamma over all aligned pairs at the
     dyadic spacings dt = |interval| / 2^k, k = 0..levels, and returns the
-    maximum inflated by `HOLDER_SAFETY`.
+    maximum inflated by `HOLDER_SAFETY`.  No solver uses it: Picard
+    iterates lower-triangular blocks, which need no window sized from m.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not (0.0 <= lo < hi <= curve.horizon):

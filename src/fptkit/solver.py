@@ -18,17 +18,20 @@ smooth and tends to -X'(t) / sqrt(2 pi) on the diagonal, and the graded
 grid absorbs the rough t = 0 end of `power` curves.  The weight is
 integrated exactly against a piecewise-linear interpolant of kappa * p
 (product integration) on the graded grid.  That yields one
-lower-triangular system (I - A) p = g, and both solvers take the rows of
-A from one block assembler, `_quadrature_rows`, so neither holds the
-dense (N+1)^2 matrix:
+lower-triangular system (I - A) p = g.  Both solvers run one block sweep,
+`_block_sweep`: blocks of `BLOCK_ROWS` rows of A come from one assembler,
+`_quadrature_rows`, in time order, each block's history over the solved
+nodes is one matrix-vector product, and only the per-block step differs,
+so neither holds the dense (N+1)^2 matrix and both need O(BLOCK_ROWS N)
+memory:
 
-* `solve_marching` is blocked forward substitution, solving each node in
-  closed form (the diagonal weight multiplies the unknown); its memory
-  is O(BLOCK_ROWS N);
-* `solve_picard` fixed-point iterates the same system on successive time
-  windows sized from gamma so the integral operator is a certified
-  contraction, freezing history integrals as windows complete; it holds
-  one window's rows of A, O(window N) memory.
+* `solve_marching` solves each node of the block in closed form (the
+  diagonal weight multiplies the unknown);
+* `solve_picard` fixed-point iterates the block.  The block is lower
+  triangular, so the iteration converges whenever every |A_ii| < 1, with
+  no window certificate: A_ii is O(sqrt(t_i - t_{i-1})), and the
+  nilpotent strictly lower part delays convergence by at most
+  `BLOCK_ROWS` sweeps.
 
 Both return the same discrete solution (the marching recurrence is the
 exact fixed point of the Picard sweeps), which makes their nodewise
@@ -50,11 +53,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import BoundaryCurve, estimate_holder
+from .boundary import BoundaryCurve
 from .kernels import SQRT_TWO_PI, gaussian_dx, smeared_gaussian_dx
 
 #: density values may dip this far below zero before we call it an error
@@ -291,8 +295,16 @@ class DensityEstimate:
         """Rehydrate an estimate from its CSV + JSON pair, checking `content_sha256`."""
         with open(json_path) as fh:
             meta = json.load(fh)
+        g = meta.get("grid") if isinstance(meta, dict) else None
+        if not (isinstance(g, dict) and type(g.get("N")) is int and all(
+                type(g.get(k)) in (int, float) and abs(g[k]) <= sys.float_info.max
+                for k in ("T", "q"))):
+            raise ValueError("metadata needs a JSON object with finite numeric grid.T and"
+                             " grid.q and an integer grid.N")
         data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-        grid = TimeGrid(T=meta["grid"]["T"], N=int(meta["grid"]["N"]), q=meta["grid"]["q"])
+        if len(data) != g["N"] + 1:
+            raise ValueError(f"density CSV has {len(data)} rows, grid.N needs {g['N'] + 1}")
+        grid = TimeGrid(T=g["T"], N=g["N"], q=g["q"])
         if not np.allclose(data[:, 0], grid.nodes, rtol=0.0, atol=1e-12):
             raise ValueError("density CSV nodes do not match the grid metadata")
         est = cls(grid=grid, p=data[:, 1], F=data[:, 2], method=meta["method"],
@@ -416,36 +428,26 @@ def _nodal_weights(beta, r, dt):
 
 
 def _quadrature_rows(lo, hi, ts, xs, kdiag):
-    """Rows lo..hi-1, columns 0..hi-1, of A, assembled `BLOCK_ROWS` rows at a time.
+    """Rows lo..hi-1, columns 0..hi-1, of A, for one block of at most `BLOCK_ROWS` rows.
 
     Row i approximates int_0^{t_i} G_x(X_{t_i}, t_i; X_tau, tau) p(tau) dtau:
     weights times kappa before t_i, the diagonal weight times `kdiag[i]`.
-    Each block takes t_i - tau once: clamped at 0 it gives the product
+    The block takes t_i - tau once: clamped at 0 it gives the product
     weights, then kappa is built in its place and multiplied into them.
-    A request of one block returns that block.
     """
-    dts = np.diff(ts[:hi])
-    A = None
-    for b in range(lo, hi, BLOCK_ROWS):
-        e = min(b + BLOCK_ROWS, hi)
-        k = np.arange(e - b)
-        r = ts[b:e, None] - ts[:e]
-        # tau >= t_i only occurs in the last e - b columns
-        tail = r[:, b:]
-        np.maximum(tail, 0.0, out=tail)
-        blk = _nodal_weights(-0.5, r, dts[: e - 1])
-        diag = blk[k, b + k] * kdiag[b:e]
-        # kappa needs t_i - tau > 0: a unit value on and past the diagonal
-        # keeps it finite there, where the weights are 0 (the diagonal is
-        # set from kdiag below)
-        tail[k[:, None] <= k] = 1.0
-        blk *= _kappa_row(r, xs[b:e, None] - xs[:e])
-        blk[k, b + k] = diag
-        if e - b == hi - lo:
-            return blk
-        if A is None:
-            A = np.zeros((hi - lo, hi))
-        A[b - lo : e - lo, :e] = blk
+    k = np.arange(hi - lo)
+    r = ts[lo:hi, None] - ts[:hi]
+    # tau >= t_i only occurs in the last hi - lo columns
+    tail = r[:, lo:]
+    np.maximum(tail, 0.0, out=tail)
+    A = _nodal_weights(-0.5, r, np.diff(ts[:hi]))
+    diag = A[k, lo + k] * kdiag[lo:hi]
+    # kappa needs t_i - tau > 0: a unit value on and past the diagonal
+    # keeps it finite there, where the weights are 0 (the diagonal is
+    # set from kdiag below)
+    tail[k[:, None] <= k] = 1.0
+    A *= _kappa_row(r, xs[lo:hi, None] - xs[:hi])
+    A[k, lo + k] = diag
     return A
 
 
@@ -486,33 +488,50 @@ def _estimate(src, curve, grid, p, method, summary):
 # ---------------------------------------------------------------------------
 
 
-def solve_marching(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> DensityEstimate:
-    """Time-marching product-integration solve of the density equation.
+def _block_sweep(src, curve, grid, solve_block):
+    """Solve (I - A) p = g block by block, `BLOCK_ROWS` rows at a time, in time order.
 
-    Blocked forward substitution on (I - A) p = g: each block of
-    `BLOCK_ROWS` rows takes its history in one matrix-vector product,
-    then solves node by node in closed form, the final (singular)
-    subinterval coupling the unknown p(t_i) through the diagonal kappa
-    limit.  Fails if the diagonal coefficient 1 - A_ii drops below 0.1
-    (grid too coarse for the boundary).
+    Each block of rows lo..hi-1 is assembled once, its history
+    A[lo:hi, :lo] @ p[:lo] taken in one matrix-vector product, and
+    `solve_block(ts, lo, M, rhs)` returns p[lo:hi] from
+    (I - M) p[lo:hi] = rhs, with M = A[lo:hi, lo:hi] lower triangular.
     """
     ts, xs, g, kdiag = _discrete_system(src, curve, grid)
     n = len(ts)
     p = np.zeros(n)
-    min_diag = math.inf
     for lo in range(1, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
         A = _quadrature_rows(lo, hi, ts, xs, kdiag)
-        rhs = g[lo:hi] + A[:, :lo] @ p[:lo]
-        for k, i in enumerate(range(lo, hi)):
-            diag = 1.0 - A[k, i]
+        p[lo:hi] = solve_block(ts, lo, A[:, lo:], g[lo:hi] + A[:, :lo] @ p[:lo])
+    return p
+
+
+def solve_marching(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> DensityEstimate:
+    """Time-marching product-integration solve of the density equation.
+
+    Blocked forward substitution on (I - A) p = g: each block is solved
+    node by node in closed form, the final (singular) subinterval
+    coupling the unknown p(t_i) through the diagonal kappa limit.  Fails
+    if the diagonal coefficient 1 - A_ii drops below 0.1 (grid too
+    coarse for the boundary).
+    """
+    min_diag = math.inf
+
+    def substitute(ts, lo, M, rhs):
+        nonlocal min_diag
+        q = np.empty(len(rhs))
+        for k in range(len(rhs)):
+            diag = 1.0 - M[k, k]
             min_diag = min(min_diag, diag)
             if diag < MIN_DIAGONAL:
                 raise SolverError(
-                    f"diagonal coefficient {diag:.3g} below {MIN_DIAGONAL} at node {i}"
-                    " (t={:.6g}); refine the grid".format(ts[i])
+                    f"diagonal coefficient {diag:.3g} below {MIN_DIAGONAL} at node {lo + k}"
+                    " (t={:.6g}); refine the grid".format(ts[lo + k])
                 )
-            p[i] = (rhs[k] + A[k, lo:i] @ p[lo:i]) / diag
+            q[k] = (rhs[k] + M[k, :k] @ q[:k]) / diag
+        return q
+
+    p = _block_sweep(src, curve, grid, substitute)
     return _estimate(src, curve, grid, p, "marching", {"min_diagonal": min_diag})
 
 
@@ -520,41 +539,21 @@ def solve_picard(
     src: SourceSpec,
     curve: BoundaryCurve,
     grid: TimeGrid,
-    safety: float = 0.5,
     max_iter: int = 200,
     tol: float = 1e-10,
 ) -> DensityEstimate:
-    """Windowed Picard iteration for the density equation.
+    """Picard iteration for the density equation, one window per block of rows.
 
-    [0, T] is split into windows of length L such that the a-priori
-    contraction estimate C1 L^(gamma - 1/2) <= safety, where
-    C1 = m / (sqrt(2 pi) (gamma - 1/2)) and m is the scanned local
-    Hölder constant (the exponential kernel factor is bounded by 1).
-    Within a window the discrete system is fixed-point iterated until
-    successive sup-norm differences fall below `tol`; history integrals
-    over completed windows are frozen.  Only the current window's rows
-    of A are held, so memory is O(window N).
+    Each block of `BLOCK_ROWS` rows is fixed-point iterated,
+    q <- rhs + M q, with the history over earlier blocks frozen, until
+    successive sup-norm differences fall below `tol`.  M is lower
+    triangular, so this converges whenever every |A_ii| < 1 (see the
+    module docstring); memory is O(BLOCK_ROWS N), as for marching.
     """
-    ts, xs, g, kdiag = _discrete_system(src, curve, grid)
-    gamma = curve.gamma
-    n = len(ts)
-    m = estimate_holder(curve, (0.0, grid.T)).m
-    if m == 0.0:
-        window_len = math.inf
-    else:
-        c1 = m / (SQRT_TWO_PI * (gamma - 0.5))
-        window_len = (safety / c1) ** (1.0 / (gamma - 0.5))
-
-    p = np.zeros(n)
     windows = []
-    lo = 0
-    while lo < n - 1:
-        hi = int(np.searchsorted(ts, ts[lo] + window_len, side="right")) - 1
-        hi = min(max(hi, lo + 1), n - 1)
-        sl = slice(lo + 1, hi + 1)
-        A = _quadrature_rows(lo + 1, hi + 1, ts, xs, kdiag)
-        rhs = g[sl] + A[:, : lo + 1] @ p[: lo + 1]
-        M = A[:, sl]
+
+    def iterate(ts, lo, M, rhs):
+        t_start, t_end = float(ts[lo - 1]), float(ts[lo + len(rhs) - 1])
         q = rhs.copy()
         prev_diff = None
         max_ratio = 0.0
@@ -569,21 +568,17 @@ def solve_picard(
             prev_diff = diff
         else:
             raise SolverError(
-                f"Picard window {len(windows)} ([{ts[lo]:.6g}, {ts[hi]:.6g}]) did not"
+                f"Picard window {len(windows)} ([{t_start:.6g}, {t_end:.6g}]) did not"
                 f" converge in {max_iter} iterations (last contraction ratio {max_ratio:.3g})"
             )
-        p[sl] = q
         windows.append({
-            "t_start": float(ts[lo]), "t_end": float(ts[hi]),
+            "t_start": t_start, "t_end": t_end,
             "iterations": iterations, "max_ratio": max_ratio,
         })
-        lo = hi
+        return q
 
+    p = _block_sweep(src, curve, grid, iterate)
     return _estimate(src, curve, grid, p, "picard", {
-        # None encodes an unbounded window (kernel vanishes identically)
-        "window_length": window_len if math.isfinite(window_len) else None,
-        "holder_m": m,
-        "contraction_target": safety,
         "windows": windows,
         "max_ratio": max((w["max_ratio"] for w in windows), default=0.0),
     })

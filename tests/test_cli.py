@@ -450,6 +450,31 @@ def test_bad_input_exits_2_without_artifacts(tmp_path, monkeypatch, capsys, cmd,
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
 
 
+MALFORMED_RUN_JSON = {
+    "list": lambda doc: [],
+    "T_str": lambda doc: {**doc, "grid": {**doc["grid"], "T": str(doc["grid"]["T"])}},
+    "N_null": lambda doc: {**doc, "grid": {**doc["grid"], "N": None}},
+    "T_overlong": lambda doc: {**doc, "grid": {**doc["grid"], "T": 10 ** 400}},
+    "N_huge": lambda doc: {**doc, "grid": {**doc["grid"], "N": 10 ** 12}},
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_RUN_JSON.values(), ids=MALFORMED_RUN_JSON.keys())
+@pytest.mark.parametrize("cmd, written", [
+    (["validate", "--suite", "mass"], "validate.json"),
+    (["simulate", "--n-paths", "2000", "--dt", "0.01", "--seed", "42"], "ks.json"),
+], ids=["validate", "simulate"])
+def test_malformed_run_json_exits_4_without_artifacts(tmp_path, capsys, cmd, written, edit):
+    problem = ["--boundary", "constant", "--a", "1", "--r0", "0", "--T", "1", "--N", "256"]
+    assert run(["solve", *problem, "--method", "marching", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "run.json").read_text())
+    (tmp_path / "run.json").write_text(json.dumps(edit(doc)))
+    capsys.readouterr()
+    assert run([*cmd, *problem, "--out", str(tmp_path)]) == 4
+    assert_one_line(capsys.readouterr().err, "artifact mismatch:")
+    assert not (tmp_path / written).exists()
+
+
 def test_out_of_memory_exits_2(tmp_path):
     resource = pytest.importorskip("resource")
     limit = 2 * 1024 ** 3
