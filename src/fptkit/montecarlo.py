@@ -36,6 +36,19 @@ so the hits equal those of the full fine path built by Lévy construction
 at every node.  A path far from the boundary costs about K draws instead
 of 2n.
 
+Schedule.  Each worker takes one contiguous range of paths, so the plan is
+sent once per worker.  Within a range one loop refines a frontier: every
+step takes each pending interval of every admitted path one tree level
+down, with one Philox call for all of them.  Paths are walked on the coarse
+grid `BLOCK_PATHS` at a time, which bounds the walk's working set, and a
+walked block joins the frontier while its busy intervals fit under
+`FRONTIER_INTERVALS` pending intervals in all, or when the frontier is
+empty.  That keeps each Philox call a few thousand words long, where
+numpy's per-call cost no longer dominates.  A path's pending intervals
+always share one tree level, its drop rule reads only its own earliest
+crossing, and paths never interact, so the schedule cannot change the hits
+or `n_draws`.
+
 Reproducibility is a hard contract.  Every number path i uses is a fixed
 word of numpy's own `Philox(key=[seed, i]).random_raw()` stream, computed
 here by a vectorized Philox4x64-10 (word j is lane j % 4 at counter
@@ -48,13 +61,14 @@ random numbers: as easy as 1, 2, 3", SC'11):
 
 A normal is ndtri(((w >> 12) + 0.5) 2^-52), one word each; a uniform is
 (w >> 11) 2^-53.  A path is thus a pure function of (seed, i), whatever the
-refinement order, block partition or worker count.
+refinement order, block size, frontier size or worker count.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -65,8 +79,14 @@ from scipy.special import ndtri
 from .boundary import BoundaryCurve
 from .solver import SourceSpec
 
-#: paths per work block; bounds the working set (results do not depend on it)
+#: paths per coarse walk: bounds the walk's working set and is the step in
+#: which paths join the refinement frontier (results do not depend on it)
 BLOCK_PATHS = 256
+
+#: pending intervals the refinement frontier is kept under, so that each
+#: step's Philox call is long enough to amortize numpy's per-call cost
+#: (results do not depend on it)
+FRONTIER_INTERVALS = 4096
 
 #: an interval is refined while exp(-2 e0 e1 / Δ) > 2^-53, i.e. while
 #: e0 e1 < _HALF_LOG_INV_EPS * Δ
@@ -89,6 +109,11 @@ class McConfig:
     bridge_correction: bool = True
 
     def __post_init__(self):
+        for name in ("n_paths", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not hasattr(value, "__index__"):
+                raise TypeError(f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.n_paths < 1:
             raise ValueError("n_paths must be >= 1")
         if not math.isfinite(self.dt) or self.dt <= 0.0:
@@ -236,7 +261,12 @@ def _leading_words(seed: int, paths: np.ndarray, n: int) -> np.ndarray:
 
 
 def _normals(words: np.ndarray) -> np.ndarray:
-    return ndtri(((words >> _U64(12)).astype(float) + 0.5) * 2.0 ** -52)
+    """The normals of `words`, computed in place: a float64 view of their buffer."""
+    z = words.view(np.float64)
+    words >>= _U64(12)
+    np.add(words, 0.5, out=z)
+    z *= 2.0 ** -52
+    return ndtri(z, out=z)
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -299,75 +329,123 @@ def _sag(tgrid, xgrid, lo, hi) -> np.ndarray:
     return sag
 
 
-def _must_split(d0, d1, sag, span):
-    """Whether the bound exp(-2 (d0 - δ)(d1 - δ)/Δ) on a fine crossing inside exceeds 2^-53."""
-    e0, e1 = d0 - sag, d1 - sag
-    return (e0 <= 0.0) | (e1 <= 0.0) | (e0 * e1 < _HALF_LOG_INV_EPS * span)
+def _must_split(e0, e1, span):
+    """Whether the bound exp(-2 e0 e1/Δ) on a fine crossing inside exceeds 2^-53.
+
+    e0 = d0 - δ and e1 = d1 - δ are the end gaps less the sag; e0 is
+    overwritten.
+    """
+    split = e0 <= 0.0
+    split |= e1 <= 0.0
+    e0 *= e1
+    split |= e0 < _HALF_LOG_INV_EPS * span
+    return split
 
 
 def _coarse_level(plan: _Plan, seed: int, paths: np.ndarray, r0: float):
     """First crossed coarse node of every path (n + 1 if none), and its busy intervals.
 
     Busy intervals are those that may hold the first crossing, returned as
-    (path row, fine nodes lo < hi, B at both ends).
+    (path row, fine nodes lo < hi, B at both ends).  The walk works in the
+    buffers it allocates: the words become the normals, then the scaled
+    increments, and the gap to the boundary becomes e1 of `_must_split`.
     """
-    tg, xg = plan.tgrid, plan.xgrid
-    z = _normals(_leading_words(seed, paths, len(plan.coarse) - 1))
-    b = np.empty((len(paths), len(plan.coarse)))
+    tg, xg, coarse = plan.tgrid, plan.xgrid, plan.coarse
+    z = _normals(_leading_words(seed, paths, len(coarse) - 1))
+    z *= np.sqrt(np.diff(tg[coarse]))
+    b = np.empty((len(paths), len(coarse)))
     b[:, 0] = r0
-    b[:, 1:] = r0 + np.cumsum(np.sqrt(np.diff(tg[plan.coarse])) * z, axis=1)
-    gap = xg[plan.coarse] - b
+    np.cumsum(z, axis=1, out=b[:, 1:])
+    b[:, 1:] += r0
+    del z
+    gap = np.subtract(xg[coarse], b)
     crossed = gap <= 0.0
-    first = np.where(crossed.any(axis=1), plan.coarse[np.argmax(crossed, axis=1)],
+    first = np.where(crossed.any(axis=1), coarse[np.argmax(crossed, axis=1)],
                      plan.n_steps + 1)
-    lo, hi = plan.coarse[:-1], plan.coarse[1:]
-    busy = (lo < first[:, None]) & ((hi - lo == 1) | _must_split(
-        gap[:, :-1], gap[:, 1:], plan.sag[(lo + hi) // 2], tg[hi] - tg[lo]))
+    lo, hi = coarse[:-1], coarse[1:]
+    sag = plan.sag[(lo + hi) // 2]
+    e0 = gap[:, :-1] - sag
+    gap[:, 1:] -= sag
+    busy = _must_split(e0, gap[:, 1:], tg[hi] - tg[lo])
+    del e0, gap
+    busy |= hi - lo == 1
+    busy &= lo < first[:, None]
     p, c = np.nonzero(busy)
     return first, (p, lo[c], hi[c], b[p, c], b[p, c + 1])
 
 
-def _simulate_block(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge: bool):
-    """First fine crossing index (n + 1 if none) of paths i0..i1-1, and words drawn."""
-    tg, xg, n = plan.tgrid, plan.xgrid, plan.n_steps
-    paths = np.arange(i0, i1, dtype=_U64)
+def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge: bool,
+                    block_paths: int, frontier: int):
+    """First fine crossing index (n + 1 if none) of paths i0..i1-1, and words drawn.
+
+    Paths join the frontier `block_paths` at a time, after their coarse
+    walk, while it stays under `frontier` intervals (see the module
+    docstring); each step refines the whole frontier one level.
+    """
     n_coarse = len(plan.coarse) - 1
-    first, (p, lo, hi, blo, bhi) = _coarse_level(plan, seed, paths, r0)
-    n_draws = len(paths) * n_coarse
+    first = np.empty(i1 - i0, dtype=np.intp)
+    front = (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 2  # p, lo, hi, blo, bhi
+    walked, row, n_draws = None, 0, 0
     while True:
-        keep = lo < first[p]
-        p, lo, hi, blo, bhi = p[keep], lo[keep], hi[keep], blo[keep], bhi[keep]
-        if not len(p):
-            break
-        d0, d1 = xg[lo] - blo, xg[hi] - bhi
-        m = (lo + hi) // 2
-        leaf = hi - lo == 1
-        split = ~leaf & _must_split(d0, d1, plan.sag[m], tg[hi] - tg[lo])
-        test = leaf & (d1 > 0.0) & bridge
-        m = m[split]
-        words = _philox_words(seed, paths[np.concatenate((p[test], p[split]))],
-                              np.concatenate((n_coarse + n + 1 + lo[test], n_coarse + m)))
-        n_draws += len(words)
-        n_test = np.count_nonzero(test)
+        while walked is not None or row < len(first):
+            if len(front[0]) and len(front[0]) >= frontier:
+                break  # no block can fit: walk none yet
+            if walked is None:
+                rows = np.arange(i0 + row, min(i0 + row + block_paths, i1), dtype=_U64)
+                first[row:row + len(rows)], (p, *ends) = _coarse_level(plan, seed, rows, r0)
+                walked = (p + row, *ends)
+                n_draws += len(rows) * n_coarse
+                row += len(rows)
+            if len(front[0]) and len(front[0]) + len(walked[0]) > frontier:
+                break
+            front = tuple(np.concatenate(pair) for pair in zip(front, walked))
+            walked = None
 
-        # leaves: the fine scheme's substep test
-        hit = leaf & (d1 <= 0.0)
-        k = lo[test]
-        hit[test] = (_uniforms(words[:n_test])
-                     < np.exp(-2.0 * d0[test] * d1[test] / (tg[k + 1] - tg[k])))
-        np.minimum.at(first, p[hit], hi[hit])
+        keep = front[1] < first[front[0]]
+        front = tuple(a[keep] for a in front)
+        if len(front[0]):
+            front, n_words = _refine_level(plan, seed, i0, bridge, first, front)
+            n_draws += n_words
+        elif walked is None and row == len(first):
+            return first, n_draws
 
-        # split intervals: Lévy midpoints
-        p, lo, hi, blo, bhi = p[split], lo[split], hi[split], blo[split], bhi[split]
-        t0, t1, tm = tg[lo], tg[hi], tg[m]
-        span = t1 - t0
-        bm = (blo + (tm - t0) / span * (bhi - blo)
-              + np.sqrt((tm - t0) * (t1 - tm) / span) * _normals(words[n_test:]))
-        hit = xg[m] - bm <= 0.0
-        np.minimum.at(first, p[hit], m[hit])
-        p, lo, hi = np.concatenate((p, p)), np.concatenate((lo, m)), np.concatenate((m, hi))
-        blo, bhi = np.concatenate((blo, bm)), np.concatenate((bm, bhi))
-    return first, n_draws
+
+def _refine_level(plan: _Plan, seed: int, i0: int, bridge: bool, first: np.ndarray, front):
+    """Split or test every interval of `front` once, lowering `first` at each hit.
+
+    Returns the halves that still need refining and the number of words drawn.
+    """
+    tg, xg, n = plan.tgrid, plan.xgrid, plan.n_steps
+    n_coarse = len(plan.coarse) - 1
+    p, lo, hi, blo, bhi = front
+    d0, d1 = xg[lo] - blo, xg[hi] - bhi
+    m = (lo + hi) // 2
+    leaf = hi - lo == 1
+    sag = plan.sag[m]
+    split = ~leaf & _must_split(d0 - sag, d1 - sag, tg[hi] - tg[lo])
+    test = leaf & (d1 > 0.0) & bridge
+    m = m[split]
+    words = _philox_words(seed, i0 + np.concatenate((p[test], p[split])),
+                          np.concatenate((n_coarse + n + 1 + lo[test], n_coarse + m)))
+    n_test = np.count_nonzero(test)
+
+    # leaves: the fine scheme's substep test
+    hit = leaf & (d1 <= 0.0)
+    k = lo[test]
+    hit[test] = (_uniforms(words[:n_test])
+                 < np.exp(-2.0 * d0[test] * d1[test] / (tg[k + 1] - tg[k])))
+    np.minimum.at(first, p[hit], hi[hit])
+
+    # split intervals: Lévy midpoints
+    p, lo, hi, blo, bhi = p[split], lo[split], hi[split], blo[split], bhi[split]
+    t0, t1, tm = tg[lo], tg[hi], tg[m]
+    span = t1 - t0
+    bm = (blo + (tm - t0) / span * (bhi - blo)
+          + np.sqrt((tm - t0) * (t1 - tm) / span) * _normals(words[n_test:]))
+    hit = xg[m] - bm <= 0.0
+    np.minimum.at(first, p[hit], m[hit])
+    return (np.concatenate((p, p)), np.concatenate((lo, m)), np.concatenate((m, hi)),
+            np.concatenate((blo, bm)), np.concatenate((bm, bhi))), len(words)
 
 
 def simulate(
@@ -380,7 +458,8 @@ def simulate(
 
     Deterministic given (seed, n_paths, dt): path i is a pure function of
     its Philox words, and the merged hit times are sorted, so the output is
-    byte-identical for any `workers`.
+    byte-identical for any `workers`.  Each worker refines one contiguous
+    range of whole `BLOCK_PATHS` blocks, so the plan is sent once per worker.
     """
     if src.kind != "point":
         raise ValueError("Monte Carlo oracle simulates point sources only")
@@ -392,14 +471,17 @@ def simulate(
 
     tgrid = _time_axis(cfg)
     plan = _Plan.build(tgrid, np.asarray(curve.value(tgrid), dtype=float))
-    starts = range(0, cfg.n_paths, BLOCK_PATHS)
-    ends = [min(i + BLOCK_PATHS, cfg.n_paths) for i in starts]
-    run_block = partial(_simulate_block, plan, cfg.seed, r0=src.r0, bridge=cfg.bridge_correction)
-    if workers > 1 and len(starts) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_block, starts, ends))
+    n_blocks = -(-cfg.n_paths // BLOCK_PATHS)
+    n_ranges = max(1, min(workers, n_blocks))
+    cuts = [min(cfg.n_paths, BLOCK_PATHS * (n_blocks * k // n_ranges))
+            for k in range(n_ranges + 1)]
+    run_range = partial(_simulate_range, plan, cfg.seed, r0=src.r0, bridge=cfg.bridge_correction,
+                        block_paths=BLOCK_PATHS, frontier=FRONTIER_INTERVALS)
+    if n_ranges > 1:
+        with ProcessPoolExecutor(max_workers=n_ranges) as ex:
+            results = list(ex.map(run_range, cuts[:-1], cuts[1:]))
     else:
-        results = list(map(run_block, starts, ends))
+        results = [run_range(0, cfg.n_paths)]
 
     first = np.concatenate([f for f, _ in results])
     hits = np.sort(tgrid[first[first <= plan.n_steps]])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from fptkit import (
     simulate,
     solve_marching,
 )
+from fptkit import montecarlo
 
 POINT = SourceSpec.point(0.0)
 CONST = BoundaryCurve.constant(1.0)
@@ -54,6 +56,26 @@ class TestConfig:
         with pytest.raises(ValueError):
             McConfig(n_paths=10, dt=1e-3, T=1.0, seed=-1)
         McConfig(n_paths=10, dt=1e-3, T=1.0, seed=2 ** 64 - 1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("n_paths", 10.5), ("seed", True), ("n_paths", np.True_), ("seed", "3"),
+    ])
+    def test_rejects_non_integers(self, field, value):
+        kwargs = {"n_paths": 10, "dt": 1e-3, "T": 1.0, "seed": 0, field: value}
+        with pytest.raises(TypeError, match=field):
+            McConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", np.int64(3)), ("seed", np.uint64(3)), ("n_paths", np.int32(10)),
+    ])
+    def test_stores_numpy_integers_as_int(self, field, value):
+        kwargs = {"n_paths": 10, "dt": 1e-3, "T": 1.0, "seed": 3, field: value}
+        cfg = McConfig(**kwargs)
+        assert type(getattr(cfg, field)) is int
+        run = simulate(POINT, CONST, cfg)
+        plain = simulate(POINT, CONST, McConfig(n_paths=10, dt=1e-3, T=1.0, seed=3))
+        assert run.hit_times.tobytes() == plain.hit_times.tobytes()
+        assert run.summary() == plain.summary()
 
     @pytest.mark.parametrize("field", ["dt", "T"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -212,6 +234,41 @@ class TestRefinement:
         assert run.n_censored > cfg.n_paths / 2
         assert cfg.n_paths * 64 <= run.n_draws < 0.01 * full
         assert run.summary()["n_draws"] == run.n_draws
+
+
+class TestSchedule:
+    """How paths are spread over blocks, frontier and workers cannot change results."""
+
+    @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "no-bridge"])
+    def test_hits_and_draws_do_not_depend_on_schedule(self, monkeypatch, bridge):
+        curve = BoundaryCurve.linear(1.0, 0.5)
+        cfg = McConfig(n_paths=1000, dt=1e-3, T=1.0, seed=13, bridge_correction=bridge)
+        ref = simulate(POINT, curve, cfg)
+        assert 100 < len(ref.hit_times) < 900
+        for block in (7, montecarlo.BLOCK_PATHS):
+            for frontier in (1, 10 ** 6):
+                monkeypatch.setattr(montecarlo, "BLOCK_PATHS", block)
+                monkeypatch.setattr(montecarlo, "FRONTIER_INTERVALS", frontier)
+                for workers in (1, 3):
+                    run = simulate(POINT, curve, cfg, workers=workers)
+                    assert run.hit_times.tobytes() == ref.hit_times.tobytes()
+                    assert run.n_draws == ref.n_draws
+
+    @pytest.mark.parametrize("curve, r0", [
+        (BoundaryCurve.linear(1.0, 0.5), 0.0),
+        (CONST, 0.9),
+    ], ids=["far", "near"])
+    def test_peak_memory_is_one_frontier(self, curve, r0):
+        # the plan tables are 0.25 MB; the rest is one frontier of a few
+        # thousand intervals and its Philox call, whatever the number of paths
+        cfg = McConfig(n_paths=8192, dt=1e-4, T=1.0, seed=5)
+        tracemalloc.start()
+        try:
+            simulate(SourceSpec.point(r0), curve, cfg, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
 
 
 class TestKsDistance:
