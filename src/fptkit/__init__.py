@@ -23,6 +23,7 @@ from .solver import (
     SourceSpec,
     TimeGrid,
     problem_fingerprint,
+    solve_many,
     solve_marching,
     solve_picard,
     source_term,
@@ -66,6 +67,7 @@ __all__ = [
     "psi",
     "segment_weight",
     "simulate",
+    "solve_many",
     "solve_marching",
     "solve_picard",
     "source_term",

@@ -34,8 +34,8 @@ from .solver import (
     SolverError,
     SourceSpec,
     TimeGrid,
+    solve_many,
     solve_marching,
-    solve_picard,
 )
 from . import validation
 
@@ -46,6 +46,8 @@ EXIT_MISMATCH = 4
 EXIT_VALIDATION = 5
 
 SUITES = ("master", "heat", "mass", "jump", "delta", "all")
+#: bump widths of the `delta` suite; the widest must fit below the boundary start
+DELTA_WIDTHS = (0.25, 0.125, 0.0625, 0.03125)
 
 
 class ConfigError(ValueError):
@@ -188,8 +190,13 @@ def build_problem(cfg: dict):
 
 
 def _workers() -> int:
+    """MC worker processes: at most 4, the CPUs this process may run on, and FPT_THREADS."""
     cap = os.environ.get("FPT_THREADS")
-    default = min(4, os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    default = min(4, cpus or 1)
     if cap is None:
         return default
     try:
@@ -235,15 +242,13 @@ def cmd_solve(cfg: dict) -> int:
     if method not in ("marching", "picard", "both"):
         raise ConfigError(f"unknown method {method!r}")
     out = _outdir(cfg)
-    if method in ("marching", "both"):
-        primary = solve_marching(src, curve, grid)
-    if method in ("picard", "both"):
-        picard = solve_picard(src, curve, grid)
-    if method == "picard":
-        primary = picard
+    methods = ("marching", "picard") if method == "both" else (method,)
+    ests = solve_many(curve, grid, [(src, m) for m in methods])
+    primary = ests[0]
     primary.to_csv(out / "density.csv")
     _write_run_json(out / "run.json", cfg, primary)
     if method == "both":
+        picard = ests[1]
         diff = float(np.max(np.abs(primary.p - picard.p)))
         with open(out / "method_diff.json", "w") as fh:
             json.dump({"sup_nodewise_diff": diff,
@@ -290,7 +295,8 @@ def run_validation_suite(suite: str, curve, src, grid, est: DensityEstimate,
     """Run one named suite against a solved case; returns ResidualReports.
 
     `all` runs every suite that applies to the source, so it omits `delta`
-    (a point-source study) for smeared sources.
+    (a point-source study) for smeared sources and for point sources whose
+    widest bump would reach the boundary start.
     """
     T = grid.T
     reports = []
@@ -329,21 +335,27 @@ def run_validation_suite(suite: str, curve, src, grid, est: DensityEstimate,
         reports.append(validation.jump_check(
             fld, times=(T / 8.0, T / 4.0, T / 2.0), tolerance=2e-2,
         ))
-    if suite == "delta" or (suite == "all" and src.kind == "point"):
+    if suite == "delta" or (suite == "all" and _delta_applies(curve, src)):
         delta_grid = TimeGrid(T=T, N=min(grid.N, 1024), q=grid.q)
         reports.append(validation.delta_convergence(
-            curve, src.r0, widths=(0.25, 0.125, 0.0625, 0.03125),
+            curve, src.r0, widths=DELTA_WIDTHS,
             eta=0.25, grid=delta_grid, ratio_tolerance=0.5,
         ))
     return reports
+
+
+def _delta_applies(curve, src) -> bool:
+    """Whether the `delta` study fits: a point source with every bump below X_0."""
+    return src.kind == "point" and src.r0 + max(DELTA_WIDTHS) / 2.0 < curve.x0
 
 
 def cmd_validate(cfg: dict, suite: str) -> int:
     if suite not in SUITES:
         raise ConfigError(f"unknown validation suite {suite!r}; choose from {SUITES}")
     curve, src, grid = build_problem(cfg)
-    if suite == "delta" and src.kind != "point":
-        raise ConfigError("delta suite requires a point source")
+    if suite == "delta" and not _delta_applies(curve, src):
+        raise ConfigError(f"delta suite requires a point source at least"
+                          f" {max(DELTA_WIDTHS) / 2} below the boundary start X_0")
     out = _outdir(cfg)
     density_csv = out / "density.csv"
     run_json = out / "run.json"

@@ -316,17 +316,23 @@ class _Plan:
 def _sag(tgrid, xgrid, lo, hi) -> np.ndarray:
     """max over fine nodes i in [lo, hi] of (chord - X_i)+, per interval.
 
-    The intervals must be sorted and disjoint.
+    The intervals must be sorted and disjoint, each at least one step
+    long.  Their nodes lo..hi-1 are laid out as consecutive runs, so each
+    interval's end values are repeated along its run instead of gathered
+    per node, and a run's maximum is one `reduceat` segment; node lo
+    contributes chord - X = 0, so no sag is negative.
     """
-    node = np.arange(lo[0], hi[-1])
-    own = np.searchsorted(lo, node, side="right") - 1
-    inside = node < hi[own]
-    node, own = node[inside], own[inside]
-    a, b = lo[own], hi[own]
-    chord = xgrid[a] + (tgrid[node] - tgrid[a]) / (tgrid[b] - tgrid[a]) * (xgrid[b] - xgrid[a])
-    sag = np.zeros(len(lo))
-    np.maximum.at(sag, own, chord - xgrid[node])
-    return sag
+    size = hi - lo
+    start = np.cumsum(size) - size
+    node = np.arange(start[-1] + size[-1]) + np.repeat(lo - start, size)
+    t0, x0 = tgrid[lo], xgrid[lo]
+    chord = tgrid[node]
+    chord -= np.repeat(t0, size)
+    chord /= np.repeat(tgrid[hi] - t0, size)
+    chord *= np.repeat(xgrid[hi] - x0, size)
+    chord += np.repeat(x0, size)
+    chord -= xgrid[node]
+    return np.maximum.reduceat(chord, start)
 
 
 def _must_split(e0, e1, span):

@@ -18,12 +18,17 @@ smooth and tends to -X'(t) / sqrt(2 pi) on the diagonal, and the graded
 grid absorbs the rough t = 0 end of `power` curves.  The weight is
 integrated exactly against a piecewise-linear interpolant of kappa * p
 (product integration) on the graded grid.  That yields one
-lower-triangular system (I - A) p = g.  Both solvers run one block sweep,
-`_block_sweep`: blocks of `BLOCK_ROWS` rows of A come from one assembler,
-`_quadrature_rows`, in time order, each block's history over the solved
-nodes is one matrix-vector product, and only the per-block step differs,
-so neither holds the dense (N+1)^2 matrix and both need O(BLOCK_ROWS N)
-memory:
+lower-triangular system (I - A) p = g, in which A depends only on the
+curve and the grid and the source enters only g.  Every solve runs one
+block sweep, `_block_sweep`: blocks of `BLOCK_ROWS` rows of A come from
+one assembler, `_quadrature_rows`, in time order, and each block is
+assembled once for every job on that (curve, grid) - `solve_many` runs
+several sources and methods in one sweep, `solve_marching` and
+`solve_picard` are its one-job calls.  Each job takes its block's history
+over its solved nodes in one matrix-vector product, and only the
+per-block step differs, so no solve holds the dense (N+1)^2 matrix and a
+sweep needs O(BLOCK_ROWS N) memory plus two length-N vectors (g, p) per
+job:
 
 * `solve_marching` solves each node of the block in closed form (the
   diagonal weight multiplies the unknown);
@@ -35,7 +40,9 @@ memory:
 
 Both return the same discrete solution (the marching recurrence is the
 exact fixed point of the Picard sweeps), which makes their nodewise
-agreement a useful internal consistency check.
+agreement a useful internal consistency check.  A job's arithmetic does
+not depend on the other jobs of its sweep, so its p is bit-identical to
+a solve of that job alone.
 
 The assembler's kernel sum is one of the package's two O(N^2) loops (the
 other is the Green function's emission sum).  A block of `BLOCK_ROWS`
@@ -451,12 +458,19 @@ def _quadrature_rows(lo, hi, ts, xs, kdiag):
     return A
 
 
-def _discrete_system(src, curve, grid):
-    """Nodes, boundary values, source vector g and diagonal kappa of (I - A) p = g."""
+def _discrete_system(curve, grid):
+    """Nodes, boundary values and diagonal kappa of A in (I - A) p = g, shared by every source."""
     if curve.gamma <= 0.5:
         raise ValueError("solver requires Hölder exponent gamma > 1/2")
     if grid.T > curve.horizon:
         raise ValueError("grid horizon exceeds the boundary's domain")
+    ts = grid.nodes
+    xs = np.asarray(curve.value(ts))
+    return ts, xs, _diagonal_kappa(ts, xs)
+
+
+def _source_vector(src, curve, ts):
+    """Right-hand side g of (I - A) p = g for one source."""
     x0 = curve.x0
     if src.kind == "point":
         if not src.r0 < x0:
@@ -464,11 +478,9 @@ def _discrete_system(src, curve, grid):
     else:
         if not src.support_upper < x0:
             raise ValueError("smeared source support must lie strictly below X_0")
-    ts = grid.nodes
-    xs = np.asarray(curve.value(ts))
     g = np.zeros(len(ts))
     g[1:] = source_term(src, curve, ts[1:])
-    return ts, xs, g, _diagonal_kappa(ts, xs)
+    return g
 
 
 def _estimate(src, curve, grid, p, method, summary):
@@ -488,33 +500,31 @@ def _estimate(src, curve, grid, p, method, summary):
 # ---------------------------------------------------------------------------
 
 
-def _block_sweep(src, curve, grid, solve_block):
-    """Solve (I - A) p = g block by block, `BLOCK_ROWS` rows at a time, in time order.
+def _block_sweep(curve, grid, jobs):
+    """Solve (I - A) p = g for every job, `BLOCK_ROWS` rows at a time, in time order.
 
-    Each block of rows lo..hi-1 is assembled once, its history
-    A[lo:hi, :lo] @ p[:lo] taken in one matrix-vector product, and
-    `solve_block(ts, lo, M, rhs)` returns p[lo:hi] from
-    (I - M) p[lo:hi] = rhs, with M = A[lo:hi, lo:hi] lower triangular.
+    A depends only on (curve, grid), so each block of rows lo..hi-1 is
+    assembled once and shared by every job `(src, solve_block)`.  Each job
+    takes its own history A[lo:hi, :lo] @ p[:lo] in one matrix-vector
+    product, and `solve_block(ts, lo, M, rhs)` returns its p[lo:hi] from
+    (I - M) p[lo:hi] = rhs, with M = A[lo:hi, lo:hi] lower triangular and
+    read only.  Returns one p per job, each bit-identical to a sweep of
+    that job alone.
     """
-    ts, xs, g, kdiag = _discrete_system(src, curve, grid)
+    ts, xs, kdiag = _discrete_system(curve, grid)
+    gs = [_source_vector(src, curve, ts) for src, _ in jobs]
     n = len(ts)
-    p = np.zeros(n)
+    ps = [np.zeros(n) for _ in jobs]
     for lo in range(1, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
         A = _quadrature_rows(lo, hi, ts, xs, kdiag)
-        p[lo:hi] = solve_block(ts, lo, A[:, lo:], g[lo:hi] + A[:, :lo] @ p[:lo])
-    return p
+        for (_, solve_block), g, p in zip(jobs, gs, ps):
+            p[lo:hi] = solve_block(ts, lo, A[:, lo:], g[lo:hi] + A[:, :lo] @ p[:lo])
+    return ps
 
 
-def solve_marching(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> DensityEstimate:
-    """Time-marching product-integration solve of the density equation.
-
-    Blocked forward substitution on (I - A) p = g: each block is solved
-    node by node in closed form, the final (singular) subinterval
-    coupling the unknown p(t_i) through the diagonal kappa limit.  Fails
-    if the diagonal coefficient 1 - A_ii drops below 0.1 (grid too
-    coarse for the boundary).
-    """
+def _marching_step():
+    """Block step of `solve_marching` and a function returning its residual summary."""
     min_diag = math.inf
 
     def substitute(ts, lo, M, rhs):
@@ -531,25 +541,11 @@ def solve_marching(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> Den
             q[k] = (rhs[k] + M[k, :k] @ q[:k]) / diag
         return q
 
-    p = _block_sweep(src, curve, grid, substitute)
-    return _estimate(src, curve, grid, p, "marching", {"min_diagonal": min_diag})
+    return substitute, lambda: {"min_diagonal": min_diag}
 
 
-def solve_picard(
-    src: SourceSpec,
-    curve: BoundaryCurve,
-    grid: TimeGrid,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-) -> DensityEstimate:
-    """Picard iteration for the density equation, one window per block of rows.
-
-    Each block of `BLOCK_ROWS` rows is fixed-point iterated,
-    q <- rhs + M q, with the history over earlier blocks frozen, until
-    successive sup-norm differences fall below `tol`.  M is lower
-    triangular, so this converges whenever every |A_ii| < 1 (see the
-    module docstring); memory is O(BLOCK_ROWS N), as for marching.
-    """
+def _picard_step(max_iter, tol):
+    """Block step of `solve_picard` and a function returning its residual summary."""
     windows = []
 
     def iterate(ts, lo, M, rhs):
@@ -577,8 +573,67 @@ def solve_picard(
         })
         return q
 
-    p = _block_sweep(src, curve, grid, iterate)
-    return _estimate(src, curve, grid, p, "picard", {
+    return iterate, lambda: {
         "windows": windows,
         "max_ratio": max((w["max_ratio"] for w in windows), default=0.0),
-    })
+    }
+
+
+def solve_many(
+    curve: BoundaryCurve,
+    grid: TimeGrid,
+    requests: list[tuple[SourceSpec, str]],
+    max_iter: int = 200,
+    tol: float = 1e-10,
+) -> list[DensityEstimate]:
+    """Solve several requests `(src, method)` on one (curve, grid) in one block sweep.
+
+    `method` is "marching" or "picard" (`max_iter` and `tol` are Picard's,
+    as in `solve_picard`).  Every block of the quadrature matrix is
+    assembled once for all requests, and each returned estimate, one per
+    request and in order, is bit-identical to the separate `solve_*` call.
+    A failure in any request raises for the whole call.
+    """
+    jobs, summaries = [], []
+    for src, method in requests:
+        if method == "marching":
+            step, summary = _marching_step()
+        elif method == "picard":
+            step, summary = _picard_step(max_iter, tol)
+        else:
+            raise ValueError(f"unknown solve method {method!r}")
+        jobs.append((src, step))
+        summaries.append(summary)
+    ps = _block_sweep(curve, grid, jobs)
+    return [_estimate(src, curve, grid, p, method, summary())
+            for (src, method), p, summary in zip(requests, ps, summaries)]
+
+
+def solve_marching(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> DensityEstimate:
+    """Time-marching product-integration solve of the density equation.
+
+    Blocked forward substitution on (I - A) p = g: each block is solved
+    node by node in closed form, the final (singular) subinterval
+    coupling the unknown p(t_i) through the diagonal kappa limit.  Fails
+    if the diagonal coefficient 1 - A_ii drops below 0.1 (grid too
+    coarse for the boundary).
+    """
+    return solve_many(curve, grid, [(src, "marching")])[0]
+
+
+def solve_picard(
+    src: SourceSpec,
+    curve: BoundaryCurve,
+    grid: TimeGrid,
+    max_iter: int = 200,
+    tol: float = 1e-10,
+) -> DensityEstimate:
+    """Picard iteration for the density equation, one window per block of rows.
+
+    Each block of `BLOCK_ROWS` rows is fixed-point iterated,
+    q <- rhs + M q, with the history over earlier blocks frozen, until
+    successive sup-norm differences fall below `tol`.  M is lower
+    triangular, so this converges whenever every |A_ii| < 1 (see the
+    module docstring); memory is O(BLOCK_ROWS N), as for marching.
+    """
+    return solve_many(curve, grid, [(src, "picard")], max_iter=max_iter, tol=tol)[0]

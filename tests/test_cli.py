@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fptkit.cli
+import fptkit.solver
 from fptkit import DensityEstimate, TimeGrid
 from fptkit.cli import main
 
@@ -143,6 +144,32 @@ class TestSolve:
                     "--method", "marching", "--out", str(tmp_path)])
         assert code == 3
         assert "solver failure" in capsys.readouterr().err
+
+    def test_solver_failure_in_joint_solve_is_one_line(self, tmp_path, capsys):
+        # the marching job of a joint solve loses diagonal dominance mid-sweep
+        code = run(["solve", "--boundary", "linear", "--a", "1", "--b", "-50",
+                    "--r0", "0", "--T", "4", "--N", "8", "--q", "1",
+                    "--method", "both", "--out", str(tmp_path)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert_one_line(err, "solver failure:")
+        assert "diagonal coefficient" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("N", [256, 250])
+    def test_both_methods_assemble_each_block_once(self, tmp_path, monkeypatch, N):
+        calls = []
+        assemble = fptkit.solver._quadrature_rows
+
+        def counted(*args):
+            calls.append(args[:2])
+            return assemble(*args)
+
+        monkeypatch.setattr(fptkit.solver, "_quadrature_rows", counted)
+        args = [*LINEAR_ARGS, "--N", str(N), "--method", "both", "--out", str(tmp_path)]
+        assert run(["solve", *args]) == 0
+        assert len(calls) == math.ceil(N / fptkit.solver.BLOCK_ROWS)
+        assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("cmd", [["solve", "--method", "marching"],
                                      ["solve", "--method", "picard"], ["validate"]],
@@ -297,6 +324,30 @@ class TestSimulate:
         assert_one_line(capsys.readouterr().err, "artifact mismatch:")
         assert not (tmp_path / "ks.json").exists()
 
+    @pytest.mark.parametrize("affinity, cpu_count, cap, expected", [
+        ({0}, 8, None, 1),
+        ({0, 1, 2}, 64, None, 3),
+        (set(range(16)), 16, None, 4),
+        ({0, 1}, 8, "3", 2),
+        ({0, 1, 2}, 8, "1", 1),
+        (None, 2, None, 2),
+        (None, None, None, 1),
+    ])
+    def test_workers_follow_cpu_affinity(self, monkeypatch, affinity, cpu_count, cap,
+                                         expected):
+        # a cpuset or taskset mask, not the machine's CPU count, caps the MC pool
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if cap is None:
+            monkeypatch.delenv("FPT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FPT_THREADS", cap)
+        assert fptkit.cli._workers() == expected
+
     def test_fpt_threads_does_not_change_results(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "w1", tmp_path / "wn"
         monkeypatch.setenv("FPT_THREADS", "1")
@@ -344,6 +395,18 @@ class TestValidate:
         assert code == 2
         assert "point source" in capsys.readouterr().err
         assert not (tmp_path / "validate.json").exists()
+
+    def test_delta_suite_needs_room_below_the_boundary(self, tmp_path, capsys):
+        # the widest bump (0.25) around r0 = 0.9 reaches X_0 = 1
+        near = ["--boundary", "constant", "--a", "1", "--r0", "0.9", "--T", "1",
+                "--N", "256"]
+        code = run(["validate", *near, "--suite", "delta", "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert_one_line(capsys.readouterr().err, "invalid configuration: delta suite")
+        assert not (tmp_path / "d").exists()
+        assert run(["validate", *near, "--suite", "all", "--out", str(tmp_path / "a")]) == 0
+        doc = json.loads((tmp_path / "a" / "validate.json").read_text())
+        assert "delta_convergence" not in [r["name"] for r in doc["reports"]]
 
     def test_corrupted_density_detected(self, tmp_path):
         # solve, scale the stored p column by 1.1, then validate: exit 5
@@ -563,8 +626,19 @@ def config_documents(draw):
     return doc
 
 
+#: the flags each command needs besides the config: a small green lattice,
+#: early enough to fit some fuzzed horizons and not others
+COMMAND_ARGS = {
+    "solve": [],
+    "simulate": [],
+    "validate": [],
+    "green": ["--x-min", "-1", "--x-max", "1", "--t-min", "0.05", "--t-max", "0.25",
+              "--nx", "3", "--nt", "2"],
+}
+
+
 @settings(max_examples=120, deadline=None)
-@given(command=st.sampled_from(["solve", "simulate"]), doc=config_documents())
+@given(command=st.sampled_from(list(COMMAND_ARGS)), doc=config_documents())
 def test_fuzzed_config_ends_in_an_exit_code(command, doc):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -575,7 +649,8 @@ def test_fuzzed_config_ends_in_an_exit_code(command, doc):
         os.chdir(tmp)  # a fuzzed csv_path resolves in the scratch directory
         try:
             with contextlib.redirect_stderr(err):
-                code = main([command, "--config", "cfg.json", "--out", "out"])
+                code = main([command, "--config", "cfg.json", "--out", "out",
+                             *COMMAND_ARGS[command]])
         finally:
             os.chdir(cwd)
         assert code in (0, 2, 3, 4, 5)

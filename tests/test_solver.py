@@ -20,6 +20,7 @@ from fptkit import (
     mass_conservation,
     psi,
     segment_weight,
+    solve_many,
     solve_marching,
     solve_picard,
     source_term,
@@ -377,6 +378,43 @@ class TestPicard:
                 POINT, BoundaryCurve.linear(1.0, 0.5), TimeGrid(T=4.0, N=64, q=2.0),
                 max_iter=1,
             )
+
+
+class TestSolveMany:
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            BoundaryCurve.linear(1.0, 0.5),
+            BoundaryCurve.power(1.0, 0.5, 0.6),
+            BoundaryCurve.sampled([0.0, 0.5, 1.3, 2.0], [1.0, 1.2, 0.9, 1.4], 1.0),
+        ],
+        ids=["linear", "power", "sampled"],
+    )
+    def test_one_sweep_is_bit_identical_to_separate_solves(self, curve):
+        # N = 200 ends on a ragged block; one sweep serves two sources and
+        # both methods, and no job's arithmetic sees another job
+        grid = TimeGrid(T=2.0, N=200, q=2.0)
+        bump = SourceSpec.uniform_bump(-0.25, 0.5)
+        requests = [(POINT, "marching"), (bump, "picard"), (POINT, "picard"),
+                    (bump, "marching")]
+        solve = {"marching": solve_marching, "picard": solve_picard}
+        for (src, method), est in zip(requests, solve_many(curve, grid, requests)):
+            alone = solve[method](src, curve, grid)
+            assert est.method == method
+            assert np.array_equal(est.p, alone.p) and np.array_equal(est.F, alone.F)
+            assert est.residual_summary == alone.residual_summary
+            assert est.fingerprint == alone.fingerprint
+
+    def test_picard_settings_reach_every_picard_job(self):
+        grid = TimeGrid(T=4.0, N=64, q=2.0)
+        with pytest.raises(SolverError, match="window 0"):
+            solve_many(BoundaryCurve.linear(1.0, 0.5), grid,
+                       [(POINT, "marching"), (POINT, "picard")], max_iter=1)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown solve method"):
+            solve_many(BoundaryCurve.constant(1.0), TimeGrid(T=1.0, N=16),
+                       [(POINT, "newton")])
 
 
 class TestCdf:

@@ -209,6 +209,22 @@ class TestDeltaConvergence:
         assert rep.details["ratio_last_to_first"] <= 0.5
         assert rep.passed
 
+    def test_one_joint_solve_matches_separate_solves(self):
+        # the joint solve changes no bit of any norm; a zero width reads 0
+        curve = BoundaryCurve.power(1.0, 0.5, 0.75)
+        grid = TimeGrid(T=2.0, N=96, q=2.0)
+        widths = (0.5, 0.25, 0.0, 0.125)
+        rep = delta_convergence(curve, 0.0, widths=widths, eta=0.25, grid=grid)
+        point = solve_marching(SourceSpec.point(0.0), curve, grid).p[1:]
+        weight = grid.nodes[1:] ** 0.75
+        expected = []
+        for w in widths:
+            p = point if w == 0.0 else solve_marching(
+                SourceSpec.uniform_bump(0.0, w), curve, grid).p[1:]
+            expected.append(float(np.max(weight * np.abs(p - point))))
+        assert rep.residuals == tuple(expected)
+        assert rep.residuals[2] == 0.0
+
     def test_zero_width_short_circuits(self):
         curve = BoundaryCurve.linear(1.0, 0.5)
         grid = TimeGrid(T=1.0, N=64, q=2.0)
