@@ -22,6 +22,7 @@ from .solver import (
     SolverError,
     SourceSpec,
     TimeGrid,
+    check_problem,
     problem_fingerprint,
     solve_many,
     solve_marching,
@@ -52,6 +53,7 @@ __all__ = [
     "SourceSpec",
     "TimeGrid",
     "boundary_flux",
+    "check_problem",
     "closed_form_linear",
     "delta_convergence",
     "estimate_holder",

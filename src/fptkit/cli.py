@@ -34,6 +34,7 @@ from .solver import (
     SolverError,
     SourceSpec,
     TimeGrid,
+    check_problem,
     solve_many,
     solve_marching,
 )
@@ -176,14 +177,7 @@ def build_problem(cfg: dict):
             raise ConfigError(f"unknown source kind {s['kind']!r}")
 
         grid = TimeGrid(**cfg["grid"])
-
-        # cross-object preconditions, checked before any computation
-        if grid.T > curve.horizon:
-            raise ConfigError(f"grid horizon T={grid.T} exceeds boundary horizon {curve.horizon}")
-        if src.kind == "point" and not src.r0 < curve.x0:
-            raise ConfigError(f"r0={src.r0} must lie strictly below X_0={curve.x0}")
-        if src.kind == "smeared" and not src.support_upper < curve.x0:
-            raise ConfigError("smeared source support must lie strictly below X_0")
+        check_problem(src, curve, grid.T)
     except (ValueError, OSError) as exc:
         raise ConfigError(str(exc)) from exc
     return curve, src, grid

@@ -12,9 +12,10 @@ probability S(t) = int_{-inf}^{X_t} G^X dx and the boundary flux
 
 The time integral has a (t - tau)^(-1/2) endpoint weight from the Gaussian
 prefactor; it is product-integrated by `DensityEstimate.history`, the one
-rule for time integrals against p, whose partition refines the last
-segment geometrically toward tau = t so the boundary layer of the
-exponential factor is always resolved.
+rule for time integrals against p, whose partition adds one geometric
+sequence toward tau = t to the grid nodes, so the boundary layer of the
+exponential factor is resolved at every scale, also where it spans
+several grid segments.
 
 This emission sum, n_x points against the n_tau partition nodes, is one of
 the package's two O(N^2) loops (the other is the solver's kernel sum).
@@ -76,33 +77,36 @@ def green_eval(field: GreenField, x, t: float):
     xs = np.atleast_1d(x).ravel()
     curve = field.curve
 
-    # exp(-(x - X_tau)^2 / (2 (t - tau))) against the p-weighted rule, built
-    # in place over blocks of x rows that fill `EMISSION_BLOCK_BYTES`; the
-    # tau = t limit of the factor is 1 on the boundary and 0 off it.  einsum
-    # sums each row in the same order whatever the row count (a BLAS
-    # matrix-vector product does not), which keeps array and scalar calls
-    # equal.
-    tau, w, w_t = field.density.history(t, -0.5)
-    x_tau = np.asarray(curve.value(tau))
-    den = -2.0 * (t - tau)
-    rows = max(1, EMISSION_BLOCK_BYTES // (8 * len(tau)))
-    buf = np.empty((min(rows, len(xs)), len(tau)))
-    emitted = np.where(xs == float(curve.value(t)), w_t, 0.0)
-    for lo in range(0, len(xs), rows):
-        hi = min(lo + rows, len(xs))
-        expo = buf[: hi - lo]
-        np.subtract(xs[lo:hi, None], x_tau, out=expo)
-        expo *= expo
-        expo /= den
-        np.exp(expo, out=expo)
-        emitted[lo:hi] += np.einsum("ij,j->i", expo, w)
+    # at tiny t - tau an exponent -(x - y)^2 / (2 (t - tau)) may overflow to
+    # -inf, which is a factor of exactly 0, here and in the free kernel
+    with np.errstate(over="ignore"):
+        # exp(-(x - X_tau)^2 / (2 (t - tau))) against the p-weighted rule,
+        # built in place over blocks of x rows that fill
+        # `EMISSION_BLOCK_BYTES`; the tau = t limit of the factor is 1 on the
+        # boundary and 0 off it.  einsum sums each row in the same order
+        # whatever the row count (a BLAS matrix-vector product does not),
+        # which keeps array and scalar calls equal.
+        tau, w, w_t = field.density.history(t, -0.5)
+        x_tau = np.asarray(curve.value(tau))
+        den = -2.0 * (t - tau)
+        rows = max(1, EMISSION_BLOCK_BYTES // (8 * len(tau)))
+        buf = np.empty((min(rows, len(xs)), len(tau)))
+        emitted = np.where(xs == float(curve.value(t)), w_t, 0.0)
+        for lo in range(0, len(xs), rows):
+            hi = min(lo + rows, len(xs))
+            expo = buf[: hi - lo]
+            np.subtract(xs[lo:hi, None], x_tau, out=expo)
+            expo *= expo
+            expo /= den
+            np.exp(expo, out=expo)
+            emitted[lo:hi] += np.einsum("ij,j->i", expo, w)
 
-    src = field.src
-    if src.kind == "point":
-        free = np.asarray(gaussian(xs, t, src.r0, 0.0))
-    else:
-        # free evolution of h in closed form over its linear pieces
-        free = smeared_gaussian(xs, t, src.knots_x, src.knots_y)
+        src = field.src
+        if src.kind == "point":
+            free = np.asarray(gaussian(xs, t, src.r0, 0.0))
+        else:
+            # free evolution of h in closed form over its linear pieces
+            free = smeared_gaussian(xs, t, src.knots_x, src.knots_y)
     val = free - emitted / SQRT_TWO_PI
     return val.reshape(x.shape) if x.ndim else float(val[0])
 

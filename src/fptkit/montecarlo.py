@@ -77,7 +77,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .boundary import BoundaryCurve
-from .solver import SourceSpec
+from .solver import SourceSpec, check_problem
 
 #: paths per coarse walk: bounds the walk's working set and is the step in
 #: which paths join the refinement frontier (results do not depend on it)
@@ -469,11 +469,7 @@ def simulate(
     """
     if src.kind != "point":
         raise ValueError("Monte Carlo oracle simulates point sources only")
-    x0 = curve.x0
-    if not src.r0 < x0:
-        raise ValueError(f"source r0={src.r0} must lie strictly below X_0={x0}")
-    if cfg.T > curve.horizon:
-        raise ValueError("simulation horizon exceeds the boundary's domain")
+    check_problem(src, curve, cfg.T)
 
     tgrid = _time_axis(cfg)
     plan = _Plan.build(tgrid, np.asarray(curve.value(tgrid), dtype=float))

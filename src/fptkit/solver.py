@@ -77,9 +77,9 @@ MIN_DIAGONAL = 0.1
 #: rows of the quadrature matrix assembled at a time
 BLOCK_ROWS = 16
 
-#: geometric ratio of the tail refinement in `DensityEstimate.history`;
-#: four nodes per octave keeps the piecewise-linear error of
-#: exp(-c/(t-tau)) layers below ~1e-3 relative
+#: ratio of the geometric sequence toward t in `DensityEstimate.history`'s
+#: partition; four nodes per octave of t - tau keeps the piecewise-linear
+#: error of exp(-c/(t-tau)) layers below ~1e-3 relative
 _TAIL_RATIO = 2.0 ** 0.25
 
 
@@ -125,8 +125,8 @@ class SourceSpec:
 
     Smeared sources are non-negative piecewise-linear densities on a
     compact support [knots_x[0], knots_x[-1]] with unit mass; the support
-    must lie strictly below the boundary start X_0 (checked at solve
-    time, when the curve is known).
+    must lie strictly below the boundary start X_0 (`check_problem`, run
+    by every solve once the curve is known).
     """
 
     kind: str
@@ -246,23 +246,18 @@ class DensityEstimate:
 
         Returns (tau, w, w_t) such that sum(w * f(tau)) + w_t * f(t)
         approximates the integral for a bounded f, exactly when f p is
-        piecewise linear on the partition.  The partition is the grid
-        nodes below t plus a geometric tail that shrinks the distance to
-        t by `_TAIL_RATIO` per node down to ~1e-14 relative, so an
-        exp(-c / (t - tau)) boundary layer in f is resolved at every
-        scale; p is interpolated onto it and multiplied into the weights.
+        piecewise linear on the partition.  The partition is the union of
+        the grid nodes below t and one geometric sequence t - t r^-k,
+        k = 0, 1, ..., with r = `_TAIL_RATIO`, from 0 up to ~1e-14 t below
+        t, so an exp(-c / (t - tau)) boundary layer in f is resolved at
+        every scale c, however many grid segments it spans; p is
+        interpolated onto it and multiplied into the weights.
         """
         if not 0.0 < t <= self.grid.T:
             raise ValueError(f"history defined for 0 < t <= {self.grid.T}")
         nodes = self.grid.nodes
-        base = nodes[nodes < t]
-        gap = t - base[-1]
-        floor = 1e-14 * max(t, 1.0)
-        tail = []
-        while gap / _TAIL_RATIO > floor:
-            gap /= _TAIL_RATIO
-            tail.append(t - gap)
-        part = np.concatenate([base, tail, [t]])
+        tail = t - t * _TAIL_RATIO ** -np.arange(math.ceil(math.log(1e14, _TAIL_RATIO)))
+        part = np.union1d(nodes[nodes < t], np.append(tail, t))
         w = _nodal_weights(beta, t - part, np.diff(part)) * np.interp(part, nodes, self.p)
         return part[:-1], w[:-1], float(w[-1])
 
@@ -458,12 +453,19 @@ def _quadrature_rows(lo, hi, ts, xs, kdiag):
     return A
 
 
+def check_problem(src: SourceSpec, curve: BoundaryCurve, T: float) -> None:
+    """Raise ValueError unless the source is strictly below X_0 and [0, T] in the curve's domain."""
+    if not src.support_upper < curve.x0:
+        raise ValueError(f"source (highest point {src.support_upper}) must lie strictly"
+                         f" below X_0={curve.x0}")
+    if T > curve.horizon:
+        raise ValueError(f"horizon T={T} exceeds the boundary's domain [0, {curve.horizon}]")
+
+
 def _discrete_system(curve, grid):
     """Nodes, boundary values and diagonal kappa of A in (I - A) p = g, shared by every source."""
     if curve.gamma <= 0.5:
         raise ValueError("solver requires Hölder exponent gamma > 1/2")
-    if grid.T > curve.horizon:
-        raise ValueError("grid horizon exceeds the boundary's domain")
     ts = grid.nodes
     xs = np.asarray(curve.value(ts))
     return ts, xs, _diagonal_kappa(ts, xs)
@@ -471,13 +473,7 @@ def _discrete_system(curve, grid):
 
 def _source_vector(src, curve, ts):
     """Right-hand side g of (I - A) p = g for one source."""
-    x0 = curve.x0
-    if src.kind == "point":
-        if not src.r0 < x0:
-            raise ValueError(f"source r0={src.r0} must lie strictly below X_0={x0}")
-    else:
-        if not src.support_upper < x0:
-            raise ValueError("smeared source support must lie strictly below X_0")
+    check_problem(src, curve, ts[-1])
     g = np.zeros(len(ts))
     g[1:] = source_term(src, curve, ts[1:])
     return g
@@ -511,8 +507,8 @@ def _block_sweep(curve, grid, jobs):
     read only.  Returns one p per job, each bit-identical to a sweep of
     that job alone.
     """
+    gs = [_source_vector(src, curve, grid.nodes) for src, _ in jobs]
     ts, xs, kdiag = _discrete_system(curve, grid)
-    gs = [_source_vector(src, curve, ts) for src, _ in jobs]
     n = len(ts)
     ps = [np.zeros(n) for _ in jobs]
     for lo in range(1, n, BLOCK_ROWS):

@@ -217,16 +217,13 @@ def delta_convergence(
     `solve_marching`.  Passes when the norm sequence is strictly
     decreasing along shrinking widths and the last/first ratio is within
     `ratio_tolerance`.  A width of exactly 0 short-circuits to the point
-    solve (norm 0).
+    solve (norm 0); a bump reaching X_0 fails that call's `check_problem`
+    before anything is assembled.
     """
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
-    x0 = curve.x0
-    for w in widths:
-        if w < 0.0:
-            raise ValueError("bump widths must be >= 0")
-        if w > 0.0 and r0 + w / 2.0 >= x0:
-            raise ValueError("bump support must stay strictly below X_0")
+    if any(w < 0.0 for w in widths):
+        raise ValueError("bump widths must be >= 0")
     sources = [SourceSpec.point(r0)]
     sources += [SourceSpec.uniform_bump(r0, float(w)) for w in widths if w > 0.0]
     ests = iter(solve_many(curve, grid, [(s, "marching") for s in sources]))

@@ -120,12 +120,12 @@ def test_criterion_5_master_equation_residual(linear_marching):
     injected = DensityEstimate(grid=GRID_4096, p=exact_p, F=F, method="marching", gamma=1.0)
     rep_exact = master_residual(
         injected, LINEAR, POINT,
-        z_offsets=(0.0, 0.5, 1.0), times=(0.5, 1.0, 2.0, 4.0), tolerance=1e-5,
+        z_offsets=(0.0, 0.5, 1.0), times=(0.5, 1.0, 2.0, 4.0), tolerance=1e-8,
     )
     ok = rep.passed and rep_exact.passed
     report(5, ok, "master-equation residual",
            f"solver sup {rep.sup_residual:.2e} <= 2e-3,"
-           f" injected-exact sup {rep_exact.sup_residual:.2e} <= 1e-5")
+           f" injected-exact sup {rep_exact.sup_residual:.2e} <= 1e-8")
 
 
 def test_criterion_6_flux_identity(linear_marching):

@@ -637,20 +637,23 @@ COMMAND_ARGS = {
 }
 
 
-@settings(max_examples=120, deadline=None)
-@given(command=st.sampled_from(list(COMMAND_ARGS)), doc=config_documents())
-def test_fuzzed_config_ends_in_an_exit_code(command, doc):
+def _ends_in_an_exit_code(argv, doc=None):
+    """Run `fpt` in a scratch directory holding curve.csv (and `doc` as cfg.json).
+
+    It must return a documented exit code, with exactly one stderr line on
+    failure and only finite values in the CSVs it writes under out/ on success.
+    """
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        (tmp / "cfg.json").write_text(json.dumps(doc))
+        if doc is not None:
+            (tmp / "cfg.json").write_text(json.dumps(doc))
         (tmp / "curve.csv").write_text("t,x\n0,1\n2,1.5\n4,1.25\n")
         err = io.StringIO()
         cwd = os.getcwd()
         os.chdir(tmp)  # a fuzzed csv_path resolves in the scratch directory
         try:
             with contextlib.redirect_stderr(err):
-                code = main([command, "--config", "cfg.json", "--out", "out",
-                             *COMMAND_ARGS[command]])
+                code = main(argv)
         finally:
             os.chdir(cwd)
         assert code in (0, 2, 3, 4, 5)
@@ -660,3 +663,76 @@ def test_fuzzed_config_ends_in_an_exit_code(command, doc):
             for csv in (tmp / "out").glob("*.csv"):
                 rows = csv.read_text().splitlines()[1:]
                 assert all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(list(COMMAND_ARGS)), doc=config_documents())
+def test_fuzzed_config_ends_in_an_exit_code(command, doc):
+    _ends_in_an_exit_code([command, "--config", "cfg.json", "--out", "out",
+                           *COMMAND_ARGS[command]], doc)
+
+
+#: the config sections whose flags only one command takes
+SECTION_COMMANDS = {"method": "solve", "mc": "simulate"}
+#: flags of one command beyond the config table; green's lattice flags are
+#: always given, and --nx and --nt bound the lattice
+COMMAND_FLAGS = {
+    "validate": {"--suite": st.none() | st.sampled_from(fptkit.cli.SUITES)},
+    "green": {"--x-min": NUMBER, "--x-max": NUMBER, "--t-min": st.floats(-0.5, 2.0),
+              "--t-max": st.floats(0.0, 4.0), "--nx": st.integers(-1, 4),
+              "--nt": st.integers(-1, 4)},
+}
+LATTICE = {"--x-min", "--x-max", "--t-min", "--t-max", "--nx", "--nt"}
+
+
+def _parses_as_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def command_lines(draw):
+    """`fpt` argv as --flag=value over some of a command's flags, and always
+    over the bounded and lattice ones: typed values, a None value omits its
+    flag, and at most one flag holds an arbitrary short string (never a
+    number for a bounded flag).  --out stays out/, since a fuzzed one could
+    write outside the scratch directory."""
+    command = draw(st.sampled_from(list(COMMAND_ARGS)))
+    flags, always, bounded = {}, set(LATTICE), {"--nx", "--nt"}
+    for path, (kind, default, flag) in fptkit.cli.CONFIG.items():
+        if flag is None or flag == "--out" or SECTION_COMMANDS.get(path[0], command) != command:
+            continue
+        flags[flag] = TYPED.get(path, NUMBER)
+        if kind is bool:
+            # a bool key's bare flag sets the opposite of its default
+            flags[flag] = flags[flag].map(lambda v, flip=not default: True if v == flip else None)
+        if path in BOUNDED:
+            always.add(flag)
+            bounded.add(flag)
+    flags.update(COMMAND_FLAGS.get(command, {}))
+    chosen = draw(st.lists(st.sampled_from(sorted(flags.keys() - always)), unique=True))
+    chosen += sorted(always & flags.keys())
+    junk = draw(st.sampled_from(chosen)) if draw(st.integers(0, 2)) == 2 else None
+    argv = [command, "--out=out"]
+    for flag in chosen:
+        if flag == junk:
+            text = st.text(max_size=6)
+            if flag in bounded:
+                text = text.filter(lambda v: not _parses_as_number(v))
+            value = draw(text)
+        else:
+            value = draw(flags[flag])
+        if value is True:
+            argv.append(flag)
+        elif value is not None:
+            argv.append(f"{flag}={value}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=command_lines())
+def test_fuzzed_flags_end_in_an_exit_code(argv):
+    _ends_in_an_exit_code(argv)

@@ -86,6 +86,13 @@ class TestGreenEval:
         vals = green_eval(linear_field, xs, t)
         assert np.array_equal(vals, np.array([green_eval(linear_field, float(x), t) for x in xs]))
 
+    @pytest.mark.parametrize("t", [1e-300, 1e-310, 5e-324])
+    def test_tiny_times_stay_finite(self, linear_field, t):
+        # the exponents overflow to -inf, factors of exactly 0, with no
+        # RuntimeWarning: G^X is the free kernel at x = r0 and 0 elsewhere
+        vals = green_eval(linear_field, np.array([0.0, 0.5, 1.0]), t)
+        assert np.all(np.isfinite(vals)) and vals[0] > 0.0 and np.all(vals[1:] == 0.0)
+
     def test_domain_error(self, const_field):
         with pytest.raises(ValueError):
             green_eval(const_field, 0.0, 0.0)

@@ -502,12 +502,14 @@ class TestHistory:
         assert np.sum(w) + w_t == pytest.approx(exact, rel=1e-12)
 
     def test_partition_refines_toward_t(self, est):
-        t = 0.3 * est.grid.nodes[40] + 0.7 * est.grid.nodes[41]
-        tau, w, _ = est.history(t, -0.5)
-        assert tau[0] == 0.0 and len(w) == len(tau)
-        assert np.all(np.diff(tau) > 0.0) and tau[-1] < t
-        assert np.array_equal(tau[:41], est.grid.nodes[:41])
-        assert t - tau[-1] <= 1e-13 * max(t, 1.0)
+        # every grid node below t, then geometric refinement down to ~1e-14 t
+        nodes = est.grid.nodes
+        for t in (nodes[1], nodes[40], 0.3 * nodes[40] + 0.7 * nodes[41], nodes[-1]):
+            tau, w, _ = est.history(t, -0.5)
+            assert tau[0] == 0.0 and len(w) == len(tau)
+            assert np.all(np.diff(tau) > 0.0) and tau[-1] < t
+            assert np.all(np.isin(nodes[nodes < t], tau))
+            assert t - tau[-1] <= 1e-13 * t
 
     @pytest.mark.parametrize("t", [0.0, -1.0, 4.5])
     def test_domain_error(self, est, t):

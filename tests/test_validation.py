@@ -18,6 +18,7 @@ from fptkit import (
     jump_check,
     mass_conservation,
     master_residual,
+    problem_fingerprint,
     solve_marching,
 )
 
@@ -30,7 +31,9 @@ def inject_exact_density(a, b, grid):
     p[1:] = closed_form_linear(a, b, 0.0, grid.nodes[1:])
     F = np.zeros(len(grid.nodes))
     F[1:] = np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(grid.nodes))
-    return DensityEstimate(grid=grid, p=p, F=F, method="marching", gamma=1.0)
+    fingerprint = problem_fingerprint(POINT, BoundaryCurve.linear(a, b), grid)
+    return DensityEstimate(grid=grid, p=p, F=F, method="marching", gamma=1.0,
+                           fingerprint=fingerprint)
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +175,17 @@ class TestMassConservation:
         fld = GreenField(curve=curve, src=POINT, density=est)
         rep = mass_conservation(fld, times=(1.0, 2.0, 4.0), tolerance=2e-3)
         assert rep.passed
+
+    def test_exact_density_floor(self):
+        # with the closed-form p injected the residual is the Green
+        # quadrature's own floor, set by how the partition resolves the
+        # emission factor's Gaussian layer, which spans several grid segments
+        # near tau = t
+        grid = TimeGrid(T=4.0, N=4096, q=2.0)
+        fld = GreenField(curve=BoundaryCurve.linear(1.0, 0.5), src=POINT,
+                         density=inject_exact_density(1.0, 0.5, grid))
+        rep = mass_conservation(fld, times=(0.5, 1.0, 2.0, 4.0), tolerance=1e-6)
+        assert rep.passed, rep.residuals
 
 
 class TestJumpCheck:
