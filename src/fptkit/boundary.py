@@ -2,8 +2,10 @@
 
 A boundary is a deterministic curve t -> X_t that the Brownian path must
 stay below.  The existence theory requires Hölder regularity with
-exponent gamma in (1/2, 1]; every curve therefore carries a declared
-`gamma`, which the solvers check but use in no computed number.
+exponent gamma > 1/2.  Every family fixes its own exponent, so `gamma` is
+derived, not declared: theta for `power`, whose theta is checked to lie
+in (1/2, 1], and 1 for the Lipschitz `constant`, `linear` and
+piecewise-linear `sampled` curves.  It enters no computed number.
 `estimate_holder` is a diagnostic, used by no solver: a conservative
 local constant m with
 
@@ -37,7 +39,7 @@ class HolderEstimate:
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCurve:
-    """Evaluable moving boundary with declared Hölder exponent.
+    """Evaluable moving boundary, Hölder continuous with exponent `gamma` > 1/2.
 
     Construct through the classmethods: `constant`, `linear`, `power`,
     `sampled`, or `from_csv`.  Instances are immutable and safe to share
@@ -45,7 +47,6 @@ class BoundaryCurve:
     """
 
     kind: str
-    gamma: float
     horizon: float
     a: float = 0.0
     b: float = 0.0
@@ -59,10 +60,6 @@ class BoundaryCurve:
         if not all(math.isfinite(v) for v in (self.a, self.b, self.theta)):
             raise ValueError(
                 f"boundary parameters must be finite; got a={self.a}, b={self.b}, theta={self.theta}"
-            )
-        if not 0.5 < self.gamma <= 1.0:
-            raise ValueError(
-                f"Hölder exponent gamma must lie in (1/2, 1]; got {self.gamma}"
             )
         if self.kind == "power" and not 0.5 < self.theta <= 1.0:
             raise ValueError(
@@ -83,44 +80,32 @@ class BoundaryCurve:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def constant(cls, a: float, gamma: float = 1.0) -> "BoundaryCurve":
+    def constant(cls, a: float) -> "BoundaryCurve":
         """X_t = a."""
-        return cls(kind="constant", gamma=gamma, horizon=math.inf, a=a)
+        return cls(kind="constant", horizon=math.inf, a=a)
 
     @classmethod
-    def linear(cls, a: float, b: float, gamma: float = 1.0) -> "BoundaryCurve":
+    def linear(cls, a: float, b: float) -> "BoundaryCurve":
         """X_t = a + b t."""
-        return cls(kind="linear", gamma=gamma, horizon=math.inf, a=a, b=b)
+        return cls(kind="linear", horizon=math.inf, a=a, b=b)
 
     @classmethod
-    def power(cls, a: float, b: float, theta: float, gamma: float | None = None) -> "BoundaryCurve":
-        """X_t = a + b t^theta with theta in (1/2, 1].
-
-        t^theta is Hölder continuous with exponent theta on [0, inf), so
-        gamma defaults to theta.  gamma enters no computed number: the
-        solvers' quadrature uses the fixed (t - tau)^(-1/2) weight, since
-        the curve is C^1 for t > 0.
-        """
-        g = theta if gamma is None else gamma
-        return cls(kind="power", gamma=g, horizon=math.inf, a=a, b=b, theta=theta)
+    def power(cls, a: float, b: float, theta: float) -> "BoundaryCurve":
+        """X_t = a + b t^theta with theta in (1/2, 1], Hölder-theta on [0, inf)."""
+        return cls(kind="power", horizon=math.inf, a=a, b=b, theta=theta)
 
     @classmethod
-    def sampled(cls, times, values, gamma: float) -> "BoundaryCurve":
-        """Piecewise-linear interpolant of (times, values) knots.
-
-        The interpolant is Lipschitz between knots; `gamma` must be
-        declared by the caller and enters no computed number (the
-        solvers' quadrature weight is (t - tau)^(-1/2) for every curve).
-        """
+    def sampled(cls, times, values) -> "BoundaryCurve":
+        """Piecewise-linear interpolant of (times, values) knots."""
         t = np.ascontiguousarray(times, dtype=float)
         x = np.ascontiguousarray(values, dtype=float)
         t.flags.writeable = False
         x.flags.writeable = False
-        return cls(kind="sampled", gamma=gamma, horizon=float(t[-1]) if len(t) else 0.0,
+        return cls(kind="sampled", horizon=float(t[-1]) if len(t) else 0.0,
                    knots_t=t, knots_x=x)
 
     @classmethod
-    def from_csv(cls, path, gamma: float) -> "BoundaryCurve":
+    def from_csv(cls, path) -> "BoundaryCurve":
         """Load a sampled boundary from a two-column CSV file.
 
         The file must have a header row `t,x` followed by rows of
@@ -139,9 +124,14 @@ class BoundaryCurve:
         if len(rows) < 2:
             raise ValueError(f"{path}: need at least two knot rows")
         t, x = zip(*rows)
-        return cls.sampled(t, x, gamma=gamma)
+        return cls.sampled(t, x)
 
     # -- evaluation ----------------------------------------------------
+
+    @property
+    def gamma(self) -> float:
+        """Hölder exponent of the curve: theta for `power`, 1 for the Lipschitz families."""
+        return self.theta if self.kind == "power" else 1.0
 
     @property
     def x0(self) -> float:
@@ -161,6 +151,26 @@ class BoundaryCurve:
             out = self.a + self.b * ts ** self.theta
         else:
             out = np.interp(ts, self.knots_t, self.knots_x)
+        return out if out.ndim else float(out)
+
+    def slope(self, t):
+        """Left derivative of X at t in (0, horizon]; scalars or arrays.
+
+        A `sampled` curve takes the slope of the piece that ends at t, so
+        at a knot it is the slope of the piece to its left.
+        """
+        ts = np.asarray(t, dtype=float)
+        if np.any(ts <= 0.0) or np.any(ts > self.horizon):
+            raise ValueError(f"boundary slope taken outside (0, {self.horizon}]")
+        if self.kind == "constant":
+            out = np.zeros_like(ts)
+        elif self.kind == "linear":
+            out = np.full_like(ts, self.b)
+        elif self.kind == "power":
+            out = self.b * self.theta * ts ** (self.theta - 1.0)
+        else:
+            pieces = np.diff(self.knots_x) / np.diff(self.knots_t)
+            out = pieces[np.searchsorted(self.knots_t, ts) - 1]
         return out if out.ndim else float(out)
 
 

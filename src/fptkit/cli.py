@@ -68,9 +68,7 @@ CONFIG = {
     ("boundary", "a"): (float, 1.0, "--a"),
     ("boundary", "b"): (float, 0.5, "--b"),
     ("boundary", "theta"): (float, 0.75, "--theta"),
-    ("boundary", "gamma"): (float, None, "--gamma"),
     ("boundary", "csv_path"): (str, None, "--boundary-csv"),
-    ("source", "kind"): (str, "point", None),
     ("source", "r0"): (float, 0.0, "--r0"),
     ("source", "center"): (float, None, "--bump-center"),
     ("source", "width"): (float, None, "--bump-width"),
@@ -141,8 +139,6 @@ def resolve_config(args: argparse.Namespace) -> dict:
             value = values.get(path, default)
         *section, key = path
         (cfg.setdefault(section[0], {}) if section else cfg)[key] = value
-    if getattr(args, "source.center") is not None or getattr(args, "source.width") is not None:
-        cfg["source"]["kind"] = "smeared"
     return cfg
 
 
@@ -152,29 +148,26 @@ def build_problem(cfg: dict):
     try:
         kind = b["kind"]
         if kind == "constant":
-            curve = BoundaryCurve.constant(b["a"], gamma=b["gamma"] if b["gamma"] is not None else 1.0)
+            curve = BoundaryCurve.constant(b["a"])
         elif kind == "linear":
-            curve = BoundaryCurve.linear(b["a"], b["b"], gamma=b["gamma"] if b["gamma"] is not None else 1.0)
+            curve = BoundaryCurve.linear(b["a"], b["b"])
         elif kind == "power":
-            curve = BoundaryCurve.power(b["a"], b["b"], b["theta"], gamma=b["gamma"])
+            curve = BoundaryCurve.power(b["a"], b["b"], b["theta"])
         elif kind == "sampled":
             if not b.get("csv_path"):
                 raise ConfigError("sampled boundary requires csv_path")
-            if b["gamma"] is None:
-                raise ConfigError("sampled boundary requires a declared gamma")
-            curve = BoundaryCurve.from_csv(b["csv_path"], gamma=b["gamma"])
+            curve = BoundaryCurve.from_csv(b["csv_path"])
         else:
             raise ConfigError(f"unknown boundary kind {kind!r}")
 
+        # a bump center or width, from the file or a flag, smears the source
         s = cfg["source"]
-        if s["kind"] == "point":
+        if s["center"] is None and s["width"] is None:
             src = SourceSpec.point(s["r0"])
-        elif s["kind"] == "smeared":
-            if s.get("center") is None or s.get("width") is None:
-                raise ConfigError("smeared source requires center and width")
-            src = SourceSpec.uniform_bump(s["center"], s["width"])
+        elif s["center"] is None or s["width"] is None:
+            raise ConfigError("smeared source requires center and width")
         else:
-            raise ConfigError(f"unknown source kind {s['kind']!r}")
+            src = SourceSpec.uniform_bump(s["center"], s["width"])
 
         grid = TimeGrid(**cfg["grid"])
         check_problem(src, curve, grid.T)

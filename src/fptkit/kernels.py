@@ -16,6 +16,12 @@ piecewise-linear initial density h: on each linear piece the integrals
 reduce to normal-integral identities (Owen, "A table of normal
 integrals", 1980), so no adaptive quadrature is needed.
 
+Every Gaussian factor is a plain `np.exp` of -(square) / (2 variance),
+exactly 0.0 from an argument of about -745.13 down.  At a tiny (say
+subnormal) time that argument overflows to -inf, a factor of exactly 0,
+so each evaluation runs under `np.errstate(over="ignore")`, as the
+solver's assembler and `green.green_eval` do.
+
 The moment integral at the bottom, `segment_weight`, integrates a weakly
 singular weight (t - tau)^beta exactly over one subinterval, the building
 block of product integration against piecewise-linear co-factors.
@@ -24,15 +30,12 @@ block of product integration against piecewise-linear co-factors.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy import special
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-
-# exp() underflows to subnormals below roughly -745; treat anything past it
-# as an exact zero so far-field kernel tails drop out of quadratures cleanly.
-_EXP_UNDERFLOW = -745.0
 
 # switch point between plain erfc and the scaled-erfcx evaluation of Psi
 _PSI_TAIL_Z = 6.0
@@ -46,14 +49,6 @@ def _elapsed(t, s):
     return dt
 
 
-def exp_clipped(arg):
-    """exp() that maps deep-underflow arguments to exact 0.0."""
-    arg = np.asarray(arg, dtype=float)
-    out = np.exp(np.maximum(arg, _EXP_UNDERFLOW))
-    out = np.where(arg < _EXP_UNDERFLOW, 0.0, out)
-    return out
-
-
 def gaussian(x, t, r=0.0, s=0.0):
     """Heat kernel G(x, t; r, s) of standard Brownian motion.
 
@@ -62,7 +57,8 @@ def gaussian(x, t, r=0.0, s=0.0):
     """
     dt = _elapsed(t, s)
     dx = np.asarray(x, dtype=float) - np.asarray(r, dtype=float)
-    val = exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
+    with np.errstate(over="ignore"):
+        val = np.exp(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
     return val if val.ndim else float(val)
 
 
@@ -70,7 +66,11 @@ def gaussian_dx(x, t, r=0.0, s=0.0):
     """Spatial derivative G_x(x, t; r, s) = -((x - r)/(t - s)) G."""
     dt = _elapsed(t, s)
     dx = np.asarray(x, dtype=float) - np.asarray(r, dtype=float)
-    val = -(dx / dt) * exp_clipped(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
+    with np.errstate(over="ignore"):
+        # a quotient past the float range meets a factor of exactly 0;
+        # clipped, it keeps the product a signed 0 instead of inf * 0
+        quotient = np.clip(dx / dt, -sys.float_info.max, sys.float_info.max)
+        val = -quotient * np.exp(-dx * dx / (2.0 * dt)) / np.sqrt(2.0 * math.pi * dt)
     return val if val.ndim else float(val)
 
 
@@ -84,17 +84,18 @@ def psi(z):
     """
     z = np.asarray(z, dtype=float)
     arg = z / math.sqrt(2.0)
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):
         head = 0.5 * special.erfc(arg)
         # clamp keeps the (discarded) erfcx branch finite where z <= 6
-        tail = 0.5 * special.erfcx(np.maximum(arg, 0.0)) * exp_clipped(-z * z / 2.0)
+        tail = 0.5 * special.erfcx(np.maximum(arg, 0.0)) * np.exp(-z * z / 2.0)
     val = np.where(z > _PSI_TAIL_Z, tail, head)
     return val if val.ndim else float(val)
 
 
 def _phi(u):
     """Standard normal density, exactly 0.0 on deep underflow."""
-    return exp_clipped(-u * u / 2.0) / SQRT_TWO_PI
+    with np.errstate(over="ignore"):
+        return np.exp(-u * u / 2.0) / SQRT_TWO_PI
 
 
 def _standardised(x, t, knots_x, knots_y):
@@ -163,7 +164,11 @@ def smeared_psi(z, t, knots_x, knots_y):
     v = -u
     ps, ph = psi(v), _phi(v)
     d0 = -np.diff(v * ps - ph, axis=-1)
-    d1 = -np.diff(((v * v - 1.0) * ps - v * ph) / 2.0, axis=-1)
+    with np.errstate(over="ignore"):
+        # Psi(v) is exactly 0 wherever v^2 may overflow (v > ~38), and so is
+        # the product, which inf * 0 would make nan
+        v2ps = np.multiply(v * v - 1.0, ps, out=np.zeros_like(ps), where=ps != 0.0)
+    d1 = -np.diff((v2ps - v * ph) / 2.0, axis=-1)
     rt = rt[..., None]
     val = np.sum(rt * (h_z * d0 - slope * rt * d1), axis=-1)
     return val if val.ndim else float(val)

@@ -14,8 +14,9 @@ curve, with the fixed weight of the Gaussian prefactor:
 where kappa is the boundary's difference quotient times a bounded
 exponential.  gamma > 1/2 is the existence hypothesis, not the kernel's
 singularity: every curve we ship is piecewise C^1, so kappa is piecewise
-smooth and tends to -X'(t) / sqrt(2 pi) on the diagonal, and the graded
-grid absorbs the rough t = 0 end of `power` curves.  The weight is
+smooth and tends to -X'(t) / sqrt(2 pi) on the diagonal, which takes the
+curve's exact left derivative `BoundaryCurve.slope`; the graded grid
+absorbs the rough t = 0 end of `power` curves.  The weight is
 integrated exactly against a piecewise-linear interpolant of kappa * p
 (product integration) on the graded grid.  That yields one
 lower-triangular system (I - A) p = g, in which A depends only on the
@@ -206,7 +207,6 @@ class DensityEstimate:
     p: np.ndarray
     F: np.ndarray
     method: str
-    gamma: float
     fingerprint: str = ""
     residual_summary: dict | None = None
 
@@ -281,7 +281,6 @@ class DensityEstimate:
         return {
             "grid": {"T": self.grid.T, "N": self.grid.N, "q": self.grid.q},
             "method": self.method,
-            "gamma": self.gamma,
             "fingerprint": self.fingerprint,
             "content_sha256": self.content_sha256(),
             "residual_summary": self.residual_summary,
@@ -310,7 +309,7 @@ class DensityEstimate:
         if not np.allclose(data[:, 0], grid.nodes, rtol=0.0, atol=1e-12):
             raise ValueError("density CSV nodes do not match the grid metadata")
         est = cls(grid=grid, p=data[:, 1], F=data[:, 2], method=meta["method"],
-                  gamma=meta["gamma"], fingerprint=meta.get("fingerprint", ""),
+                  fingerprint=meta.get("fingerprint", ""),
                   residual_summary=meta.get("residual_summary"))
         if meta.get("content_sha256") != est.content_sha256():
             raise ValueError("density CSV values do not match the content_sha256 in the metadata")
@@ -370,10 +369,7 @@ def _kappa_row(dt, dx):
     follow.
 
     kappa is built in place in `dt`, which is returned; `dx` is
-    overwritten.  One plain `np.exp` serves: it returns exactly 0.0 below
-    about -745.13 and differs from `kernels.exp_clipped` only on
-    (-745.13, -745), where it gives a subnormal (at most ~5e-324) instead
-    of 0.0.
+    overwritten.
     """
     quotient = np.divide(dx, dt)
     dx *= dx
@@ -383,20 +379,6 @@ def _kappa_row(dt, dx):
     np.multiply(quotient, dx, out=dt)
     dt /= -SQRT_TWO_PI
     return dt
-
-
-def _diagonal_kappa(ts, xs):
-    """Diagonal limit -X'(t) / sqrt(2 pi) of kappa at each node i >= 1.
-
-    Uses the difference quotient of the boundary over the last
-    subinterval in place of X'(t_i), which a `sampled` curve lacks at its
-    knots; the exponential factor tends to 1.  Under the fixed
-    (t - tau)^(-1/2) weight this limit is finite on every piecewise-C^1
-    curve, whatever its declared gamma.
-    """
-    out = np.zeros(len(ts))
-    out[1:] = -(np.diff(xs) / np.diff(ts)) / SQRT_TWO_PI
-    return out
 
 
 def _nodal_weights(beta, r, dt):
@@ -463,12 +445,15 @@ def check_problem(src: SourceSpec, curve: BoundaryCurve, T: float) -> None:
 
 
 def _discrete_system(curve, grid):
-    """Nodes, boundary values and diagonal kappa of A in (I - A) p = g, shared by every source."""
-    if curve.gamma <= 0.5:
-        raise ValueError("solver requires Hölder exponent gamma > 1/2")
+    """Nodes, boundary values and diagonal kappa of A in (I - A) p = g, shared by every source.
+
+    The diagonal is the limit -X'(t_i) / sqrt(2 pi) from the curve's exact
+    left derivative; a difference quotient would cost every row O(h^(3/2)).
+    """
     ts = grid.nodes
-    xs = np.asarray(curve.value(ts))
-    return ts, xs, _diagonal_kappa(ts, xs)
+    kdiag = np.zeros(len(ts))
+    kdiag[1:] = -curve.slope(ts[1:]) / SQRT_TWO_PI
+    return ts, np.asarray(curve.value(ts)), kdiag
 
 
 def _source_vector(src, curve, ts):
@@ -484,7 +469,7 @@ def _estimate(src, curve, grid, p, method, summary):
     F = np.zeros(len(p))
     F[1:] = np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(grid.nodes))
     try:
-        return DensityEstimate(grid=grid, p=p, F=F, method=method, gamma=curve.gamma,
+        return DensityEstimate(grid=grid, p=p, F=F, method=method,
                                fingerprint=problem_fingerprint(src, curve, grid),
                                residual_summary=summary)
     except ValueError as exc:

@@ -24,7 +24,7 @@ class TestEval:
         assert np.array_equal(curve.value(ts), ts)
 
     def test_domain_errors(self):
-        curve = BoundaryCurve.sampled([0.0, 1.0, 2.0], [1.0, 1.5, 1.2], gamma=1.0)
+        curve = BoundaryCurve.sampled([0.0, 1.0, 2.0], [1.0, 1.5, 1.2])
         with pytest.raises(ValueError):
             curve.value(2.5)
         with pytest.raises(ValueError):
@@ -33,32 +33,62 @@ class TestEval:
     def test_sampled_reproduces_knots(self):
         t = [0.0, 0.3, 1.1, 2.0]
         x = [1.0, 1.4, 0.9, 1.7]
-        curve = BoundaryCurve.sampled(t, x, gamma=1.0)
+        curve = BoundaryCurve.sampled(t, x)
         for ti, xi in zip(t, x):
             assert curve.value(ti) == xi
 
 
-class TestConstruction:
-    def test_gamma_must_exceed_half(self):
-        with pytest.raises(ValueError, match=r"\(1/2, 1\]"):
-            BoundaryCurve.linear(1.0, 0.0, gamma=0.5)
-        with pytest.raises(ValueError):
-            BoundaryCurve.linear(1.0, 0.0, gamma=1.2)
+class TestSlope:
+    def test_closed_form_families(self):
+        ts = np.array([0.25, 1.0, 3.0])
+        assert np.array_equal(BoundaryCurve.constant(1.0).slope(ts), np.zeros(3))
+        assert np.array_equal(BoundaryCurve.linear(1.0, -0.5).slope(ts), np.full(3, -0.5))
+        power = BoundaryCurve.power(1.0, 0.5, 0.6)
+        assert np.allclose(power.slope(ts), 0.5 * 0.6 * ts ** -0.4, rtol=1e-15, atol=0.0)
+        assert power.slope(1.0) == pytest.approx(0.3, rel=1e-15)
 
+    def test_power_matches_difference_quotient(self):
+        curve = BoundaryCurve.power(1.0, 0.5, 0.75)
+        for t in (0.01, 0.5, 2.0):
+            h = 1e-6 * t
+            quotient = (curve.value(t) - curve.value(t - h)) / h
+            assert curve.slope(t) == pytest.approx(quotient, rel=1e-6)
+
+    def test_sampled_takes_the_piece_ending_at_t(self):
+        curve = BoundaryCurve.sampled([0.0, 1.0, 2.5, 4.0], [1.0, 1.4, 1.2, 1.6])
+        left = [0.4, 0.4, -0.2 / 1.5, -0.2 / 1.5, 0.4 / 1.5]
+        got = curve.slope([0.5, 1.0, 1.0 + 1e-12, 2.5, 4.0])
+        assert np.allclose(got, left, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, 2.5])
+    def test_domain(self, t):
+        with pytest.raises(ValueError, match="slope"):
+            BoundaryCurve.sampled([0.0, 1.0, 2.0], [1.0, 1.5, 1.2]).slope(t)
+
+
+class TestConstruction:
     def test_power_theta_must_exceed_half(self):
         with pytest.raises(ValueError):
             BoundaryCurve.power(1.0, 1.0, theta=0.5)
         with pytest.raises(ValueError):
             BoundaryCurve.power(1.0, 1.0, theta=0.3)
 
-    def test_power_default_gamma_is_theta(self):
+    def test_gamma_is_derived(self):
+        # the Hölder exponent is theta for a power curve and 1 for the
+        # Lipschitz families; the theta check is the only hypothesis check
         assert BoundaryCurve.power(1.0, 1.0, 0.8).gamma == 0.8
+        assert BoundaryCurve.power(1.0, -0.5, 1.0).gamma == 1.0
+        for curve in (BoundaryCurve.constant(1.0), BoundaryCurve.linear(1.0, 0.5),
+                      BoundaryCurve.sampled([0.0, 1.0], [1.0, 1.5])):
+            assert curve.gamma == 1.0
+        with pytest.raises(AttributeError):
+            BoundaryCurve.linear(1.0, 0.5).gamma = 0.75
 
     def test_sampled_knot_validation(self):
         with pytest.raises(ValueError, match="start at t = 0"):
-            BoundaryCurve.sampled([0.5, 1.0], [1.0, 1.0], gamma=1.0)
+            BoundaryCurve.sampled([0.5, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="strictly increasing"):
-            BoundaryCurve.sampled([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], gamma=1.0)
+            BoundaryCurve.sampled([0.0, 1.0, 1.0], [1.0, 1.0, 1.0])
 
     @pytest.mark.parametrize("make", [
         lambda: BoundaryCurve.constant(math.inf),
@@ -82,29 +112,29 @@ class TestCsv(object):
     def test_round_trip(self, tmp_path):
         path = tmp_path / "curve.csv"
         path.write_text("t,x\n0.0,1.0\n0.5,1.2\n1.0,1.1\n")
-        curve = BoundaryCurve.from_csv(path, gamma=0.9)
+        curve = BoundaryCurve.from_csv(path)
         assert curve.value(0.5) == 1.2
         assert curve.horizon == 1.0
-        assert curve.gamma == 0.9
+        assert curve.gamma == 1.0
 
     def test_header_required(self, tmp_path):
         path = tmp_path / "curve.csv"
         path.write_text("0.0,1.0\n1.0,1.1\n")
         with pytest.raises(ValueError, match="header"):
-            BoundaryCurve.from_csv(path, gamma=1.0)
+            BoundaryCurve.from_csv(path)
 
     def test_times_must_increase_from_zero(self, tmp_path):
         path = tmp_path / "curve.csv"
         path.write_text("t,x\n0.0,1.0\n0.5,1.2\n0.4,1.1\n")
         with pytest.raises(ValueError):
-            BoundaryCurve.from_csv(path, gamma=1.0)
+            BoundaryCurve.from_csv(path)
 
     @pytest.mark.parametrize("row", ["1", "1,1.1,2"], ids=["one_field", "three_fields"])
     def test_row_needs_two_fields(self, tmp_path, row):
         path = tmp_path / "curve.csv"
         path.write_text(f"t,x\n0,1\n{row}\n")
         with pytest.raises(ValueError, match="line 3: expected 2 fields"):
-            BoundaryCurve.from_csv(path, gamma=1.0)
+            BoundaryCurve.from_csv(path)
 
 
 class TestHolderEstimate:

@@ -18,11 +18,11 @@ from fptkit import DensityEstimate, TimeGrid
 from fptkit.cli import main
 
 LINEAR_ARGS = [
-    "--boundary", "linear", "--a", "1", "--b", "0.5", "--gamma", "1",
+    "--boundary", "linear", "--a", "1", "--b", "0.5",
     "--r0", "0", "--T", "4", "--N", "256", "--q", "2",
 ]
 SMEARED_ARGS = [
-    "--boundary", "linear", "--a", "1", "--b", "0.5", "--gamma", "1",
+    "--boundary", "linear", "--a", "1", "--b", "0.5",
     "--bump-center", "0", "--bump-width", "0.25", "--T", "4", "--N", "512", "--q", "2",
 ]
 
@@ -53,7 +53,7 @@ def reseal(out):
     doc = json.loads((out / "run.json").read_text())
     data = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
     est = DensityEstimate(grid=TimeGrid(**doc["grid"]), p=data[:, 1], F=data[:, 2],
-                          method=doc["method"], gamma=doc["gamma"])
+                          method=doc["method"])
     doc["content_sha256"] = est.content_sha256()
     (out / "run.json").write_text(json.dumps(doc))
 
@@ -71,11 +71,19 @@ class TestSolve:
         diff = json.loads((tmp_path / "method_diff.json").read_text())
         assert diff["sup_nodewise_diff"] <= 1e-3
 
-    def test_gamma_half_rejected(self, tmp_path, capsys):
-        code = run(["solve", "--boundary", "linear", "--a", "1", "--b", "0.5",
-                    "--gamma", "0.5", "--r0", "0", "--out", str(tmp_path)])
+    def test_gamma_is_no_option(self, tmp_path, capsys):
+        # the curve fixes its own Hölder exponent: neither a flag nor a
+        # config key sets it, and an old config holding one is rejected
+        code = run(["solve", *LINEAR_ARGS, "--gamma", "1", "--out", str(tmp_path / "flag")])
         assert code == 2
-        assert "(1/2, 1]" in capsys.readouterr().err
+        assert_one_line(capsys.readouterr().err, "invalid configuration:")
+        for doc in ({"boundary": {"gamma": 1.0}}, {"source": {"kind": "point"}}):
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            code = run(["solve", *LINEAR_ARGS, "--config", str(tmp_path / "cfg.json"),
+                        "--out", str(tmp_path / "file")])
+            assert code == 2
+            assert_one_line(capsys.readouterr().err, "invalid configuration: unknown config key")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_source_above_boundary_rejected(self, tmp_path, capsys):
         code = run(["solve", "--boundary", "constant", "--a", "1", "--r0", "2",
@@ -98,8 +106,8 @@ class TestSolve:
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = {
-            "boundary": {"kind": "linear", "a": 1.0, "b": 0.5, "gamma": 1.0},
-            "source": {"kind": "point", "r0": 0.0},
+            "boundary": {"kind": "linear", "a": 1.0, "b": 0.5},
+            "source": {"r0": 0.0},
             "grid": {"T": 2.0, "N": 128, "q": 2.0},
             "method": "marching",
             "output": {"directory": str(tmp_path)},
@@ -125,7 +133,37 @@ class TestSolve:
                     "--out", str(tmp_path)])
         assert code == 0
         doc = json.loads((tmp_path / "run.json").read_text())
-        assert doc["config"]["source"]["kind"] == "smeared"
+        assert doc["config"]["source"] == {"r0": 0.0, "center": 0.0, "width": 0.25}
+
+    def test_config_file_bump_is_the_flag_bump(self, tmp_path):
+        # a bump center and width smear the source whether they come from
+        # the config file or from flags
+        problem = ["--boundary", "linear", "--a", "1", "--b", "0.5", "--T", "1", "--N", "64"]
+        flags, file = tmp_path / "flags", tmp_path / "file"
+        assert run(["solve", *problem, "--bump-center", "0", "--bump-width", "0.25",
+                    "--out", str(flags)]) == 0
+        (tmp_path / "cfg.json").write_text(json.dumps({"source": {"center": 0.0, "width": 0.25}}))
+        assert run(["solve", *problem, "--config", str(tmp_path / "cfg.json"),
+                    "--out", str(file)]) == 0
+        assert (file / "density.csv").read_bytes() == (flags / "density.csv").read_bytes()
+        (tmp_path / "cfg.json").write_text(json.dumps({"source": {"center": 0.0}}))
+        assert run(["solve", *problem, "--config", str(tmp_path / "cfg.json"),
+                    "--bump-width", "0.25", "--out", str(file)]) == 0
+        assert (file / "density.csv").read_bytes() == (flags / "density.csv").read_bytes()
+        point = tmp_path / "point"
+        assert run(["solve", *problem, "--out", str(point)]) == 0
+        assert (point / "density.csv").read_bytes() != (flags / "density.csv").read_bytes()
+
+    @pytest.mark.parametrize("source", [{"center": 0.0}, {"width": 0.25}],
+                             ids=["center_only", "width_only"])
+    def test_bump_needs_center_and_width(self, tmp_path, capsys, source):
+        (tmp_path / "cfg.json").write_text(json.dumps({"source": source}))
+        code = run(["solve", *LINEAR_ARGS, "--config", str(tmp_path / "cfg.json"),
+                    "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert_one_line(capsys.readouterr().err,
+                        "invalid configuration: smeared source requires center and width")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag", ["T", "q"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -445,6 +483,22 @@ class TestValidate:
         assert_one_line(capsys.readouterr().err, "artifact mismatch:")
         assert not (tmp_path / "validate.json").exists()
 
+    def test_run_json_with_gamma_still_validates(self, tmp_path):
+        # run.json files written while gamma was a user input carry it at the
+        # top level and in their config; the fingerprint already hashed the
+        # curve's own exponent, so such an artifact still checks out
+        assert run(["solve", *LINEAR_ARGS, "--method", "marching", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        doc["gamma"] = 1.0
+        doc["config"]["boundary"]["gamma"] = 1.0
+        doc["config"]["source"]["kind"] = "point"
+        (tmp_path / "run.json").write_text(json.dumps(doc))
+        est = DensityEstimate.from_files(tmp_path / "density.csv", tmp_path / "run.json")
+        assert est.content_sha256() == doc["content_sha256"]
+        code = run(["validate", *LINEAR_ARGS, "--suite", "master", "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "validate.json").read_text())["all_passed"] is True
+
     def test_mismatched_artifact(self, tmp_path, capsys):
         # density solved for a different boundary: fingerprint mismatch
         assert run(["solve", *LINEAR_ARGS, "--method", "marching", "--out", str(tmp_path)]) == 0
@@ -487,10 +541,9 @@ DEFECTS = {
     "a_bool": (["solve"], {"boundary": {"a": True}}),
     "unknown_key": (["solve"], {"grid": {"n": 8}}),
     "unknown_section": (["solve"], {"grd": {}}),
-    "csv_path_int": (["solve"], {"boundary": {"kind": "sampled", "csv_path": 5, "gamma": 1}}),
+    "csv_path_int": (["solve"], {"boundary": {"kind": "sampled", "csv_path": 5}}),
     "out_below_file": (["solve", "--out", "afile/sub"], {}),
-    "csv_short_row": (["solve", "--boundary", "sampled", "--boundary-csv", "short.csv",
-                       "--gamma", "1"], {}),
+    "csv_short_row": (["solve", "--boundary", "sampled", "--boundary-csv", "short.csv"], {}),
     "green_x_min_-inf": (["green", "--x-min=-inf", "--x-max", "0", "--t-min", "0.5",
                           "--t-max", "1", "--nx", "3", "--nt", "1"], {}),
     "green_x_max_inf": (["green", "--x-min", "0", "--x-max=inf", "--t-min", "0.5",
@@ -582,10 +635,8 @@ NUMBER = st.integers(-8, 8) | st.floats(-4.0, 4.0)
 #: the MC oracle n_paths * T/dt substeps)
 TYPED = {
     ("boundary", "kind"): st.sampled_from(["constant", "linear", "power", "sampled"]),
-    ("boundary", "gamma"): st.none() | st.floats(0.4, 1.0),
     ("boundary", "theta"): st.floats(0.4, 1.0),
     ("boundary", "csv_path"): st.none() | st.just("curve.csv") | st.text(max_size=8),
-    ("source", "kind"): st.sampled_from(["point", "smeared"]),
     ("source", "center"): st.none() | NUMBER,
     ("source", "width"): st.none() | st.floats(-0.5, 2.0),
     ("grid", "T"): st.floats(-1.0, 4.0),
@@ -706,6 +757,9 @@ def command_lines(draw):
         if flag is None or flag == "--out" or SECTION_COMMANDS.get(path[0], command) != command:
             continue
         flags[flag] = TYPED.get(path, NUMBER)
+        if kind is int:
+            # a JSON config takes 8.0 for an integer, an integer flag does not
+            flags[flag] = flags[flag].map(int)
         if kind is bool:
             # a bool key's bare flag sets the opposite of its default
             flags[flag] = flags[flag].map(lambda v, flip=not default: True if v == flip else None)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +220,26 @@ class TestSmearedClosedForms:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             smeared_gaussian(0.0, 0.0, [0.0, 1.0], [1.0, 1.0])
+
+
+BUMP = ([-0.5, 0.5], [1.0, 1.0])
+#: every Gaussian factor at a subnormal time, or far out in Psi's tail: the
+#: exponent overflows to -inf, a factor of exactly 0
+TINY_T = {
+    "gaussian": lambda: gaussian(1.0, 1e-310),
+    "gaussian_dx": lambda: gaussian_dx(1.0, 1e-310),
+    "smeared_gaussian": lambda: smeared_gaussian(1.0, 1e-310, *BUMP),
+    "smeared_gaussian_dx": lambda: smeared_gaussian_dx(1.0, 1e-310, *BUMP),
+    "smeared_psi": lambda: smeared_psi(1.0, 1e-310, *BUMP),
+    "psi": lambda: psi(1e200),
+}
+
+
+@pytest.mark.parametrize("call", TINY_T.values(), ids=TINY_T.keys())
+def test_overflowing_exponent_is_a_silent_zero(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call() == 0.0
 
 
 def test_import_leaves_out_scipy_integrate():

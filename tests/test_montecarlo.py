@@ -208,7 +208,7 @@ class TestRefinement:
         BoundaryCurve.power(1.0, -0.5, 0.6),
         # a dip three fine steps wide inside one coarse interval: only its
         # sag below the chord makes that interval refine
-        BoundaryCurve.sampled([0.0, 0.395, 0.3964, 0.3978, 1.2], [1.0, 1.0, 0.1, 1.0, 1.0], 1.0),
+        BoundaryCurve.sampled([0.0, 0.395, 0.3964, 0.3978, 1.2], [1.0, 1.0, 0.1, 1.0, 1.0]),
     ], ids=["constant", "linear", "power", "power-convex", "sampled-dip"])
     @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "no-bridge"])
     def test_matches_full_fine_paths(self, curve, bridge):

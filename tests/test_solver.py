@@ -18,6 +18,7 @@ from fptkit import (
     gaussian_dx,
     master_residual,
     mass_conservation,
+    problem_fingerprint,
     psi,
     segment_weight,
     solve_many,
@@ -114,8 +115,8 @@ def dense_reference(src, curve, grid):
     integrates that weight exactly against the linear interpolant of
     kappa p on each segment [t_j, t_{j+1}]: the moments come from
     `segment_weight`, kappa at tau < t_i from `gaussian_dx`, and kappa at
-    tau = t_i is its limit -X'(t_i) / sqrt(2 pi), with X' the slope of the
-    boundary over the last segment.
+    tau = t_i is its limit -X'(t_i) / sqrt(2 pi), with X' the curve's left
+    derivative `slope`.
     """
     ts = grid.nodes
     xs = curve.value(ts)
@@ -124,7 +125,7 @@ def dense_reference(src, curve, grid):
     for i in range(1, n):
         t = ts[i]
         kappa = [gaussian_dx(xs[i], t, xs[j], ts[j]) * math.sqrt(t - ts[j]) for j in range(i)]
-        kappa.append(-(xs[i] - xs[i - 1]) / (t - ts[i - 1]) / SQRT_2PI)
+        kappa.append(-curve.slope(t) / SQRT_2PI)
         for j in range(i):
             a, b = ts[j], ts[j + 1]
             m0 = segment_weight(-0.5, t, a, b)
@@ -142,7 +143,7 @@ def dense_reference(src, curve, grid):
 REFERENCE_CURVES = {
     "linear": BoundaryCurve.linear(1.0, 0.5),
     "power": BoundaryCurve.power(1.0, 0.5, 0.6),
-    "sampled": BoundaryCurve.sampled([0.0, 0.5, 1.3, 2.0], [1.0, 1.2, 0.9, 1.4], 1.0),
+    "sampled": BoundaryCurve.sampled([0.0, 0.5, 1.3, 2.0], [1.0, 1.2, 0.9, 1.4]),
 }
 REFERENCE_SOURCES = {"point": POINT, "bump": SourceSpec.uniform_bump(0.0, 0.25)}
 
@@ -183,7 +184,7 @@ class TestMarching:
         [
             BoundaryCurve.linear(1.0, 0.5),
             BoundaryCurve.power(1.0, 0.5, 0.75),
-            BoundaryCurve.sampled([0.0, 0.5, 1.3, 2.0], [1.0, 1.2, 0.9, 1.4], 1.0),
+            BoundaryCurve.sampled([0.0, 0.5, 1.3, 2.0], [1.0, 1.2, 0.9, 1.4]),
         ],
     )
     def test_matches_dense_reference(self, curve):
@@ -219,7 +220,7 @@ class TestMarching:
             solve_marching(SourceSpec.point(1.0), BoundaryCurve.constant(1.0), grid)
 
     def test_rejects_horizon_overrun(self):
-        curve = BoundaryCurve.sampled([0.0, 1.0], [1.0, 1.5], gamma=1.0)
+        curve = BoundaryCurve.sampled([0.0, 1.0], [1.0, 1.5])
         with pytest.raises(ValueError, match="horizon"):
             solve_marching(POINT, curve, TimeGrid(T=2.0, N=64, q=2.0))
 
@@ -249,6 +250,19 @@ class TestMarching:
         rep = master_residual(est, curve, POINT, z_offsets=(0.0, 0.5, 1.0),
                               times=(0.5, 1.0, 2.0, 4.0))
         assert rep.sup_residual <= 1e-5
+
+    @pytest.mark.parametrize("theta", [0.6, 0.75])
+    def test_second_order_on_power_boundaries(self, theta):
+        # the diagonal takes the curve's exact slope; its difference quotient
+        # over the last cell left an O(h^(3/2)) error per row, order ~1.45
+        curve = BoundaryCurve.power(1.0, 0.5, theta)
+        ref = solve_marching(POINT, curve, TimeGrid(T=4.0, N=16384, q=2.0)).p
+        errs = []
+        for N in (256, 512, 1024):
+            p = solve_marching(POINT, curve, TimeGrid(T=4.0, N=N, q=2.0)).p
+            # node i of the N grid is node (16384 / N) i of the reference
+            errs.append(np.max(np.abs(p - ref[::16384 // N])))
+        assert np.all(np.log2(np.divide(errs[:-1], errs[1:])) >= 1.9)
 
     def test_translation_invariance(self):
         # shifting curve and source together changes nothing (only
@@ -386,7 +400,7 @@ class TestSolveMany:
         [
             BoundaryCurve.linear(1.0, 0.5),
             BoundaryCurve.power(1.0, 0.5, 0.6),
-            BoundaryCurve.sampled([0.0, 0.5, 1.3, 2.0], [1.0, 1.2, 0.9, 1.4], 1.0),
+            BoundaryCurve.sampled([0.0, 0.5, 1.3, 2.0], [1.0, 1.2, 0.9, 1.4]),
         ],
         ids=["linear", "power", "sampled"],
     )
@@ -449,7 +463,7 @@ class TestEstimateInvariants:
         grid = TimeGrid(T=1.0, N=8, q=1.0)
         p = np.full(9, 0.1)
         with pytest.raises(ValueError, match="vanish"):
-            DensityEstimate(grid=grid, p=p, F=np.zeros(9), method="marching", gamma=1.0)
+            DensityEstimate(grid=grid, p=p, F=np.zeros(9), method="marching")
 
     def test_rejects_decreasing_cdf(self):
         grid = TimeGrid(T=1.0, N=8, q=1.0)
@@ -457,14 +471,14 @@ class TestEstimateInvariants:
         F = np.zeros(9)
         F[-1] = -0.5
         with pytest.raises(ValueError, match="non-decreasing"):
-            DensityEstimate(grid=grid, p=p, F=F, method="marching", gamma=1.0)
+            DensityEstimate(grid=grid, p=p, F=F, method="marching")
 
     def test_rejects_negative_density(self):
         grid = TimeGrid(T=1.0, N=8, q=1.0)
         p = np.zeros(9)
         p[3] = -1e-6
         with pytest.raises(ValueError, match="negative"):
-            DensityEstimate(grid=grid, p=p, F=np.zeros(9), method="marching", gamma=1.0)
+            DensityEstimate(grid=grid, p=p, F=np.zeros(9), method="marching")
 
     @pytest.mark.parametrize("column", ["p", "F"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -473,7 +487,7 @@ class TestEstimateInvariants:
         arrays = {"p": np.zeros(9), "F": np.zeros(9)}
         arrays[column][5] = value
         with pytest.raises(ValueError, match="non-finite"):
-            DensityEstimate(grid=grid, method="marching", gamma=1.0, **arrays)
+            DensityEstimate(grid=grid, method="marching", **arrays)
 
 
 class TestHistory:
@@ -517,6 +531,22 @@ class TestHistory:
             est.history(t, 0.0)
 
 
+class TestFingerprint:
+    def test_unchanged_by_deriving_gamma(self):
+        # the fingerprint still hashes the curve's Hölder exponent, now
+        # derived, so artifacts written when it was declared keep their hash
+        grid = TimeGrid(4.0, 2048, 2.0)
+        curves = {
+            "2f91ccbfa9414ab0": BoundaryCurve.linear(1.0, 0.5),
+            "46694b9fe786cc4a": BoundaryCurve.constant(1.0),
+            "2ffe460eb6dfba42": BoundaryCurve.power(1.0, 0.5, 0.75),
+            "728f78eb211c996c": BoundaryCurve.sampled([0.0, 1.0, 2.5, 4.0],
+                                                      [1.0, 1.4, 1.2, 1.6]),
+        }
+        for fingerprint, curve in curves.items():
+            assert problem_fingerprint(POINT, curve, grid) == fingerprint
+
+
 class TestSerialization:
     def test_csv_json_round_trip(self, tmp_path):
         grid = TimeGrid(T=2.0, N=128, q=2.0)
@@ -527,7 +557,6 @@ class TestSerialization:
         assert np.array_equal(back.p, est.p)
         assert np.array_equal(back.F, est.F)
         assert back.method == est.method
-        assert back.gamma == est.gamma
         assert back.fingerprint == est.fingerprint
 
     def test_content_hash_detects_finite_edit(self, tmp_path):
@@ -547,6 +576,6 @@ class TestSerialization:
 
     def test_csv_header(self, tmp_path):
         grid = TimeGrid(T=1.0, N=8, q=1.0)
-        est = DensityEstimate(grid=grid, p=np.zeros(9), F=np.zeros(9), method="picard", gamma=0.8)
+        est = DensityEstimate(grid=grid, p=np.zeros(9), F=np.zeros(9), method="picard")
         est.to_csv(tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_text().splitlines()[0] == "t,p,F"

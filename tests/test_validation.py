@@ -32,7 +32,7 @@ def inject_exact_density(a, b, grid):
     F = np.zeros(len(grid.nodes))
     F[1:] = np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(grid.nodes))
     fingerprint = problem_fingerprint(POINT, BoundaryCurve.linear(a, b), grid)
-    return DensityEstimate(grid=grid, p=p, F=F, method="marching", gamma=1.0,
+    return DensityEstimate(grid=grid, p=p, F=F, method="marching",
                            fingerprint=fingerprint)
 
 
@@ -93,7 +93,7 @@ class TestMasterResidual:
     def test_detects_corrupted_density(self, linear_case):
         # scaling p by 1.1 introduces a visible mass error
         curve, grid, est = linear_case
-        bad = DensityEstimate(grid=grid, p=1.1 * est.p, F=est.F, method="marching", gamma=1.0)
+        bad = DensityEstimate(grid=grid, p=1.1 * est.p, F=est.F, method="marching")
         rep = master_residual(
             bad, curve, POINT, z_offsets=(0.0,), times=(2.0, 4.0), tolerance=2e-3,
         )
