@@ -67,17 +67,27 @@ class TestSlope:
 
 
 class TestConstruction:
+    def test_gamma_must_exceed_half(self):
+        # gamma is no parameter: only power's theta sets it, checked in (1/2, 1]
+        with pytest.raises(ValueError, match=r"\(1/2, 1\]"):
+            BoundaryCurve.power(1.0, 1.0, theta=0.5)
+        with pytest.raises(ValueError, match=r"\(1/2, 1\]"):
+            BoundaryCurve.power(1.0, 1.0, theta=1.2)
+        with pytest.raises(TypeError):
+            BoundaryCurve.linear(1.0, 0.0, gamma=0.5)
+
     def test_power_theta_must_exceed_half(self):
         with pytest.raises(ValueError):
             BoundaryCurve.power(1.0, 1.0, theta=0.5)
         with pytest.raises(ValueError):
             BoundaryCurve.power(1.0, 1.0, theta=0.3)
 
-    def test_gamma_is_derived(self):
-        # the Hölder exponent is theta for a power curve and 1 for the
-        # Lipschitz families; the theta check is the only hypothesis check
+    def test_power_default_gamma_is_theta(self):
         assert BoundaryCurve.power(1.0, 1.0, 0.8).gamma == 0.8
         assert BoundaryCurve.power(1.0, -0.5, 1.0).gamma == 1.0
+
+    def test_gamma_is_derived(self):
+        # the Hölder exponent is 1 for the Lipschitz families and read-only
         for curve in (BoundaryCurve.constant(1.0), BoundaryCurve.linear(1.0, 0.5),
                       BoundaryCurve.sampled([0.0, 1.0], [1.0, 1.5])):
             assert curve.gamma == 1.0
