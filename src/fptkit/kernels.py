@@ -33,12 +33,11 @@ import math
 import sys
 
 import numpy as np
-from scipy import special
 
 SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# switch point between plain erfc and the scaled-erfcx evaluation of Psi
-_PSI_TAIL_Z = 6.0
+#: the C library's erfc, applied to each element of an array
+_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
 def _elapsed(t, s):
@@ -77,18 +76,14 @@ def gaussian_dx(x, t, r=0.0, s=0.0):
 def psi(z):
     """Upper-tail standard normal probability Psi(z) = P(Z >= z).
 
-    Evaluated as erfc(z / sqrt(2)) / 2 for moderate z and via the scaled
-    complementary error function for z > 6, which keeps the result
-    accurate in relative terms deep into the tail (until exp(-z^2/2)
-    itself underflows).
+    Evaluated as erfc(z / sqrt(2)) / 2 by `math.erfc`, one element at a
+    time; the C library's erfc keeps its relative accuracy deep into the
+    tail, until the result itself underflows.
     """
     z = np.asarray(z, dtype=float)
-    arg = z / math.sqrt(2.0)
-    with np.errstate(under="ignore", over="ignore"):
-        head = 0.5 * special.erfc(arg)
-        # clamp keeps the (discarded) erfcx branch finite where z <= 6
-        tail = 0.5 * special.erfcx(np.maximum(arg, 0.0)) * np.exp(-z * z / 2.0)
-    val = np.where(z > _PSI_TAIL_Z, tail, head)
+    val = np.empty_like(z)
+    _erfc(z / math.sqrt(2.0), out=val, casting="unsafe")
+    val *= 0.5
     return val if val.ndim else float(val)
 
 
@@ -98,21 +93,19 @@ def _phi(u):
         return np.exp(-u * u / 2.0) / SQRT_TWO_PI
 
 
-def _standardised(x, t, knots_x, knots_y):
-    """Broadcast x and t, and standardise the knots against them.
+def _offsets(x, t, knots_x, knots_y):
+    """Broadcast x and t, and measure the knots from x.
 
-    Returns (sqrt(t), u, slope, h_x): u = (knot - x) / sqrt(t) with the
-    knot axis last, the slope of each linear piece of h, and each piece's
-    linear extension evaluated at x.
+    Returns (sqrt(t), d, slope, h_x): d = knot - x with the knot axis last,
+    the slope of each linear piece of h, and each piece's linear extension
+    evaluated at x.
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), _elapsed(t, 0.0))
     kx = np.asarray(knots_x, dtype=float)
     ky = np.asarray(knots_y, dtype=float)
-    rt = np.sqrt(t)
-    u = (kx - x[..., None]) / rt[..., None]
     slope = np.diff(ky) / np.diff(kx)
     h_x = ky[:-1] + slope * (x[..., None] - kx[:-1])
-    return rt, u, slope, h_x
+    return np.sqrt(t), kx - x[..., None], slope, h_x
 
 
 def smeared_gaussian(x, t, knots_x, knots_y):
@@ -126,7 +119,8 @@ def smeared_gaussian(x, t, knots_x, knots_y):
 
     Vectorised over broadcast x and t > 0.
     """
-    rt, u, slope, h_x = _standardised(x, t, knots_x, knots_y)
+    rt, d, slope, h_x = _offsets(x, t, knots_x, knots_y)
+    u = d / rt[..., None]
     mass = -np.diff(psi(u), axis=-1)
     dens = -np.diff(_phi(u), axis=-1)
     val = np.sum(h_x * mass + slope * rt[..., None] * dens, axis=-1)
@@ -141,7 +135,8 @@ def smeared_gaussian_dx(x, t, knots_x, knots_y):
     h is continuous at interior knots, so only the end knots' G terms
     survive the sum.  Vectorised over broadcast x and t > 0.
     """
-    rt, u, slope, _ = _standardised(x, t, knots_x, knots_y)
+    rt, d, slope, _ = _offsets(x, t, knots_x, knots_y)
+    u = d / rt[..., None]
     ky = np.asarray(knots_y, dtype=float)
     mass = -np.diff(psi(u), axis=-1)
     ends = (ky[0] * _phi(u[..., 0]) - ky[-1] * _phi(u[..., -1])) / rt
@@ -152,25 +147,24 @@ def smeared_gaussian_dx(x, t, knots_x, knots_y):
 def smeared_psi(z, t, knots_x, knots_y):
     """int h(xi) Psi((z - xi) / sqrt(t)) dxi of a piecewise-linear h.
 
-    With v = (z - xi) / sqrt(t) the piece alpha + beta xi on [a, b]
-    contributes sqrt(t) [(alpha + beta z) dI0 - beta sqrt(t) dI1], where
-    dI = I(v_a) - I(v_b) for the antiderivatives
+    With s = z - xi and v = s / sqrt(t) the piece alpha + beta xi on [a, b]
+    contributes (alpha + beta z) dA0 - beta dA1, where
 
-        I0(v) = v Psi(v) - phi(v),   I1(v) = ((v^2 - 1) Psi(v) - v phi(v)) / 2
+        A0 = s Psi(v) - sqrt(t) phi(v),   A1 = ((s^2 - t) Psi(v) - sqrt(t) s phi(v)) / 2
 
-    of Psi(v) and v Psi(v).  Vectorised over broadcast z and t > 0.
+    and dA = A(a) - A(b) is the integral over [a, b] of Psi(v) for A0 and of
+    s Psi(v) for A1.  Written in s rather than v, no term grows like
+    1/sqrt(t), so a subnormal t gives the t -> 0 limit, the integral of h
+    above z.  Vectorised over broadcast z and t > 0.
     """
-    rt, u, slope, h_z = _standardised(z, t, knots_x, knots_y)
-    v = -u
-    ps, ph = psi(v), _phi(v)
-    d0 = -np.diff(v * ps - ph, axis=-1)
-    with np.errstate(over="ignore"):
-        # Psi(v) is exactly 0 wherever v^2 may overflow (v > ~38), and so is
-        # the product, which inf * 0 would make nan
-        v2ps = np.multiply(v * v - 1.0, ps, out=np.zeros_like(ps), where=ps != 0.0)
-    d1 = -np.diff((v2ps - v * ph) / 2.0, axis=-1)
+    rt, d, slope, h_z = _offsets(z, t, knots_x, knots_y)
     rt = rt[..., None]
-    val = np.sum(rt * (h_z * d0 - slope * rt * d1), axis=-1)
+    s = -d
+    v = s / rt
+    ps = psi(v)
+    a0 = s * ps - rt * _phi(v)
+    a1 = (s * a0 - rt * rt * ps) / 2.0
+    val = np.sum(h_z * -np.diff(a0, axis=-1) - slope * -np.diff(a1, axis=-1), axis=-1)
     return val if val.ndim else float(val)
 
 

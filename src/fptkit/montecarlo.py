@@ -44,10 +44,11 @@ grid `BLOCK_PATHS` at a time, which bounds the walk's working set, and a
 walked block joins the frontier while its busy intervals fit under
 `FRONTIER_INTERVALS` pending intervals in all, or when the frontier is
 empty.  That keeps each Philox call a few thousand words long, where
-numpy's per-call cost no longer dominates.  A path's pending intervals
-always share one tree level, its drop rule reads only its own earliest
-crossing, and paths never interact, so the schedule cannot change the hits
-or `n_draws`.
+numpy's per-call cost no longer dominates; a frontier that splitting grows
+past that bound draws its words `PHILOX_CHUNK` at a time.  A path's
+pending intervals always share one tree level, its drop rule reads only
+its own earliest crossing, and paths never interact, so the schedule
+cannot change the hits or `n_draws`.
 
 Reproducibility is a hard contract.  Every number path i uses is a fixed
 word of numpy's own `Philox(key=[seed, i]).random_raw()` stream, computed
@@ -59,9 +60,19 @@ random numbers: as easy as 1, 2, 3", SC'11):
 * word K + m: the midpoint normal of fine node m;
 * word K + n + 1 + k: the bridge uniform u_k of substep k.
 
-A normal is ndtri(((w >> 12) + 0.5) 2^-52), one word each; a uniform is
-(w >> 11) 2^-53.  A path is thus a pure function of (seed, i), whatever the
-refinement order, block size, frontier size or worker count.
+A uniform is (w >> 11) 2^-53.  A normal is the Box-Muller transform (Box
+and Muller, Ann. Math. Statist. 29, 1958) of its word's lane pair: words
+2 floor(j/2) and 2 floor(j/2) + 1, lanes 0, 1 or 2, 3 of word j's Philox
+block, whose words w_even, w_odd give
+
+    R = sqrt(-2 ln(((w_even >> 11) + 1/2) 2^-53)),   θ = 2π (w_odd >> 11) 2^-53,
+
+and the normal is R cos θ for an even lane and R sin θ for an odd one.  Word
+j's normal thus reads its partner word too, whatever draws it: the coarse
+walk, which uses all four lanes of each block, or the refinement, which
+reads the partner from the block it computes anyway.  A path is a pure
+function of (seed, i), whatever the refinement order, block size, frontier
+size or worker count.
 """
 
 from __future__ import annotations
@@ -74,7 +85,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtri
 
 from .boundary import BoundaryCurve
 from .solver import SourceSpec, check_problem
@@ -88,6 +98,11 @@ BLOCK_PATHS = 256
 #: (results do not depend on it)
 FRONTIER_INTERVALS = 4096
 
+#: words per Philox call of the refinement: bounds the call's dozen scratch
+#: arrays when the frontier outgrows FRONTIER_INTERVALS by splitting (results
+#: do not depend on it)
+PHILOX_CHUNK = 8192
+
 #: an interval is refined while exp(-2 e0 e1 / Δ) > 2^-53, i.e. while
 #: e0 e1 < _HALF_LOG_INV_EPS * Δ
 _HALF_LOG_INV_EPS = 0.5 * 53.0 * math.log(2.0)
@@ -96,6 +111,8 @@ _U64 = np.uint64
 _LO32 = _U64(0xFFFFFFFF)
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+#: 2π 2^-53: the Box-Muller angle of one unit of a 53-bit word
+_ANGLE_ULP = 2.0 * math.pi * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -242,31 +259,70 @@ def _philox(seed: int, path: np.ndarray, counter: np.ndarray) -> tuple:
     return c0, c1, c2, c3
 
 
-def _philox_words(seed: int, path: np.ndarray, word: np.ndarray) -> np.ndarray:
-    """Word `word` of `Philox(key=[seed, path]).random_raw()`, elementwise.
+def _variates(seed: int, path: np.ndarray, word: np.ndarray, n_uniform: int,
+              n_cos: int) -> np.ndarray:
+    """Word `word` of `Philox(key=[seed, path]).random_raw()` as a uniform or a normal.
 
-    Word j is lane j % 4 of the block at counter j // 4 + 1.
+    The first `n_uniform` words become uniforms and the rest normals, of
+    which the first `n_cos` must lie in even lanes and the others in odd
+    ones.  Word j is lane j % 4 of the block at counter j // 4 + 1 and pairs
+    with lane (j % 4) ^ 1; the blocks are computed `PHILOX_CHUNK` words at a
+    time.
     """
     word = word.astype(_U64)
-    lanes = _philox(seed, path, (word >> _U64(2)) + _U64(1))
-    return np.choose((word & _U64(3)).astype(np.intp), lanes)
+    even, odd = np.empty_like(word), np.empty_like(word)
+    for a in range(0, len(word), PHILOX_CHUNK):
+        part = slice(a, a + PHILOX_CHUNK)
+        lanes = _philox(seed, path[part], (word[part] >> _U64(2)) + _U64(1))
+        upper = (word[part] & _U64(2)).astype(bool)
+        even[part] = np.where(upper, lanes[2], lanes[0])
+        odd[part] = np.where(upper, lanes[3], lanes[1])
+    x = even.view(np.float64)
+    head = slice(0, n_uniform)
+    x[head] = _uniforms(np.where((word[head] & _U64(1)).astype(bool), odd[head], even[head]))
+    r, theta = _polar(even[n_uniform:], odd[n_uniform:])
+    cos, sin = theta[:n_cos], theta[n_cos:]
+    np.cos(cos, out=cos)
+    np.sin(sin, out=sin)
+    r *= theta
+    return x
 
 
-def _leading_words(seed: int, paths: np.ndarray, n: int) -> np.ndarray:
-    """Words [0, n) of every path's stream, shape (len(paths), n)."""
+def _leading_normals(seed: int, paths: np.ndarray, n: int) -> np.ndarray:
+    """The normals of words [0, n) of every path's stream, shape (len(paths), n).
+
+    All four lanes of each block are used: each lane pair gives R cos θ to
+    its even lane and R sin θ to its odd one.
+    """
     n_ctr = -(-n // 4)
     path, counter = np.broadcast_arrays(paths[:, None], np.arange(1, n_ctr + 1, dtype=_U64))
-    lanes = _philox(seed, path, counter)
-    return np.stack(lanes, axis=-1).reshape(len(paths), 4 * n_ctr)[:, :n]
+    w0, w1, w2, w3 = _philox(seed, path, counter)
+    r, theta = _polar(np.stack((w0, w2), axis=-1), np.stack((w1, w3), axis=-1))
+    z = np.empty(r.shape + (2,))
+    np.cos(theta, out=z[..., 0])
+    np.sin(theta, out=z[..., 1])
+    z *= r[..., None]
+    return z.reshape(len(paths), 4 * n_ctr)[:, :n]
 
 
-def _normals(words: np.ndarray) -> np.ndarray:
-    """The normals of `words`, computed in place: a float64 view of their buffer."""
-    z = words.view(np.float64)
-    words >>= _U64(12)
-    np.add(words, 0.5, out=z)
-    z *= 2.0 ** -52
-    return ndtri(z, out=z)
+def _polar(even: np.ndarray, odd: np.ndarray) -> tuple:
+    """Box-Muller R and θ of lane pairs (w_even, w_odd), in place: float64 views of the words.
+
+    R cos θ is the normal of the even lane and R sin θ that of the odd one
+    (module docstring); every caller applies one trig function per normal
+    and multiplies by R, so a normal has the same bits whoever draws it.
+    """
+    r = even.view(np.float64)
+    even >>= _U64(11)
+    np.add(even, 0.5, out=r)
+    r *= 2.0 ** -53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = odd.view(np.float64)
+    odd >>= _U64(11)
+    np.multiply(odd, _ANGLE_ULP, out=theta)
+    return r, theta
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
@@ -357,7 +413,7 @@ def _coarse_level(plan: _Plan, seed: int, paths: np.ndarray, r0: float):
     increments, and the gap to the boundary becomes e1 of `_must_split`.
     """
     tg, xg, coarse = plan.tgrid, plan.xgrid, plan.coarse
-    z = _normals(_leading_words(seed, paths, len(coarse) - 1))
+    z = _leading_normals(seed, paths, len(coarse) - 1)
     z *= np.sqrt(np.diff(tg[coarse]))
     b = np.empty((len(paths), len(coarse)))
     b[:, 0] = r0
@@ -390,7 +446,7 @@ def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge:
     """
     n_coarse = len(plan.coarse) - 1
     first = np.empty(i1 - i0, dtype=np.intp)
-    front = (np.empty(0, dtype=np.intp),) * 3 + (np.empty(0),) * 2  # p, lo, hi, blo, bhi
+    front = [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0)] * 2  # p, lo, hi, blo, bhi
     walked, row, n_draws = None, 0, 0
     while True:
         while walked is not None or row < len(first):
@@ -404,54 +460,75 @@ def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge:
                 row += len(rows)
             if len(front[0]) and len(front[0]) + len(walked[0]) > frontier:
                 break
-            front = tuple(np.concatenate(pair) for pair in zip(front, walked))
+            front = [np.concatenate(pair) for pair in zip(front, walked)]
             walked = None
 
         keep = front[1] < first[front[0]]
-        front = tuple(a[keep] for a in front)
+        front = [a[keep] for a in front]
         if len(front[0]):
-            front, n_words = _refine_level(plan, seed, i0, bridge, first, front)
-            n_draws += n_words
+            n_draws += _refine_level(plan, seed, i0, bridge, first, front)
         elif walked is None and row == len(first):
             return first, n_draws
 
 
-def _refine_level(plan: _Plan, seed: int, i0: int, bridge: bool, first: np.ndarray, front):
+def _refine_level(plan: _Plan, seed: int, i0: int, bridge: bool, first: np.ndarray,
+                  front: list) -> int:
     """Split or test every interval of `front` once, lowering `first` at each hit.
 
-    Returns the halves that still need refining and the number of words drawn.
+    Replaces the list `front` in place by the halves that still need
+    refining, and returns the number of words drawn.  The old intervals are
+    freed before the words are drawn.
     """
-    tg, xg, n = plan.tgrid, plan.xgrid, plan.n_steps
+    tg, xg = plan.tgrid, plan.xgrid
     n_coarse = len(plan.coarse) - 1
-    p, lo, hi, blo, bhi = front
-    d0, d1 = xg[lo] - blo, xg[hi] - bhi
+    split, (tp, tk, bound) = _triage(plan, bridge, first, front)
+    # the split intervals whose midpoint word is in an even lane, then the others
+    rows = np.flatnonzero(split)
+    odd_lane = ((n_coarse + (front[1][rows] + front[2][rows]) // 2) % 2).astype(bool)
+    rows = rows[np.argsort(odd_lane, kind="stable")]
+    p, lo, hi, blo, bhi = (a[rows] for a in front)
+    front.clear()
     m = (lo + hi) // 2
-    leaf = hi - lo == 1
-    sag = plan.sag[m]
-    split = ~leaf & _must_split(d0 - sag, d1 - sag, tg[hi] - tg[lo])
-    test = leaf & (d1 > 0.0) & bridge
-    m = m[split]
-    words = _philox_words(seed, i0 + np.concatenate((p[test], p[split])),
-                          np.concatenate((n_coarse + n + 1 + lo[test], n_coarse + m)))
-    n_test = np.count_nonzero(test)
+    x = _variates(seed, i0 + np.concatenate((tp, p)),
+                  np.concatenate((n_coarse + plan.n_steps + 1 + tk, n_coarse + m)),
+                  len(tk), len(m) - np.count_nonzero(odd_lane))
 
     # leaves: the fine scheme's substep test
-    hit = leaf & (d1 <= 0.0)
-    k = lo[test]
-    hit[test] = (_uniforms(words[:n_test])
-                 < np.exp(-2.0 * d0[test] * d1[test] / (tg[k + 1] - tg[k])))
-    np.minimum.at(first, p[hit], hi[hit])
+    hit = x[:len(tk)] < bound
+    np.minimum.at(first, tp[hit], tk[hit] + 1)
 
     # split intervals: Lévy midpoints
-    p, lo, hi, blo, bhi = p[split], lo[split], hi[split], blo[split], bhi[split]
     t0, t1, tm = tg[lo], tg[hi], tg[m]
     span = t1 - t0
     bm = (blo + (tm - t0) / span * (bhi - blo)
-          + np.sqrt((tm - t0) * (t1 - tm) / span) * _normals(words[n_test:]))
+          + np.sqrt((tm - t0) * (t1 - tm) / span) * x[len(tk):])
     hit = xg[m] - bm <= 0.0
     np.minimum.at(first, p[hit], m[hit])
-    return (np.concatenate((p, p)), np.concatenate((lo, m)), np.concatenate((m, hi)),
-            np.concatenate((blo, bm)), np.concatenate((bm, bhi))), len(words)
+    front += (np.concatenate((p, p)), np.concatenate((lo, m)), np.concatenate((m, hi)),
+              np.concatenate((blo, bm)), np.concatenate((bm, bhi)))
+    return len(x)
+
+
+def _triage(plan: _Plan, bridge: bool, first: np.ndarray, front):
+    """Which intervals of `front` to split, and the leaves to test.
+
+    Lowers `first` at every leaf whose right end has crossed.  Returns the
+    mask of intervals to split and, for each leaf to test, its path row,
+    its substep k and the bridge crossing probability in that substep.
+    """
+    tg, xg = plan.tgrid, plan.xgrid
+    p, lo, hi, blo, bhi = front
+    d0, d1 = xg[lo] - blo, xg[hi] - bhi
+    leaf = hi - lo == 1
+    test = leaf & (d1 > 0.0) & bridge
+    hit = leaf & (d1 <= 0.0)
+    np.minimum.at(first, p[hit], hi[hit])
+    k = lo[test]
+    bound = np.exp(-2.0 * d0[test] * d1[test] / (tg[k + 1] - tg[k]))
+    sag = plan.sag[(lo + hi) // 2]
+    d0 -= sag
+    d1 -= sag
+    return ~leaf & _must_split(d0, d1, tg[hi] - tg[lo]), (p[test], k, bound)
 
 
 def simulate(

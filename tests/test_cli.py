@@ -612,6 +612,27 @@ def test_out_of_memory_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_commands_load_no_scipy(tmp_path):
+    # scipy is a test dependency only: no fpt command may load any part of it
+    script = """
+import sys
+import fptkit
+from fptkit.cli import main
+args = ["--N", "64", "--T", "1", "--out", sys.argv[1]]
+codes = [main(["solve", *args]), main(["validate", *args]),
+         main(["green", *args, "--x-min", "-1", "--x-max", "0.5", "--t-min", "0.5",
+               "--t-max", "1", "--nx", "4", "--nt", "4"]),
+         main(["simulate", *args, "--n-paths", "64", "--dt", "0.01"])]
+print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src_dir = str(Path(fptkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+
+
 def test_run_json_config_round_trips(tmp_path):
     first, second = tmp_path / "first", tmp_path / "second"
     assert run(["solve", *LINEAR_ARGS, "--method", "both", "--out", str(first)]) == 0

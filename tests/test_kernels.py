@@ -242,6 +242,15 @@ def test_overflowing_exponent_is_a_silent_zero(call):
         assert call() == 0.0
 
 
+@pytest.mark.parametrize("z, limit", [(-1.0, 1.0), (0.0, 0.5), (0.25, 0.25), (1.0, 0.0)])
+def test_smeared_psi_at_a_subnormal_time_is_its_limit(z, limit):
+    # as t -> 0, Psi((z - xi)/sqrt(t)) tends to the indicator of xi > z, so
+    # the integral is the mass of h above z, reached with no inf - inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert smeared_psi(z, 1e-310, *BUMP) == limit
+
+
 def test_import_leaves_out_scipy_integrate():
     # scipy.integrate pulls in scipy.optimize, a large share of the import time
     import fptkit

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr
 
 from fptkit import (
     BoundaryCurve,
@@ -23,7 +23,7 @@ CONST = BoundaryCurve.constant(1.0)
 
 TRUE_CDF_1 = 2.0 * psi(1.0)  # reflection principle: P(hit 1 by t=1) = 0.31731...
 
-GOLDEN_HITS_SHA256 = "867f9c35b48e29a0a80edd32b52989f1892203fa575575eff2d68e9690abda54"
+GOLDEN_HITS_SHA256 = "96caa9cfa0d3ccccb5817affd2706fc791a08c01dc9565f5ba07faa877509dba"
 
 
 class _EcdfStub:
@@ -159,7 +159,8 @@ def _fine_scheme_hits(src, curve, cfg):
     Every word comes from numpy's own `Philox(key=[seed, i]).random_raw()`:
     words [0, K) are the coarse increments, word K + m the Lévy midpoint
     normal of node m and word K + n + 1 + k the bridge uniform of substep k.
-    Every node is built, so no interval is skipped.
+    Words 2j and 2j + 1 give the Box-Muller pair R cos θ, R sin θ.  Every
+    node is built, so no interval is skipped.
     """
     n = math.ceil(cfg.T / cfg.dt - 1e-9)
     t = np.minimum(np.arange(n + 1) * cfg.dt, cfg.T)
@@ -168,12 +169,15 @@ def _fine_scheme_hits(src, curve, cfg):
     coarse = np.append(np.arange(0, n, stride), n)
     K = len(coarse) - 1
 
+    n_words = 2 * ((K + 2 * n + 2) // 2)
     words = np.stack([
-        np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)).random_raw(K + 2 * n + 1)
+        np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)).random_raw(n_words)
         for i in range(cfg.n_paths)
     ])
-    z = ndtri(((words >> np.uint64(12)).astype(float) + 0.5) * 2.0 ** -52)
     u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(((words[:, 0::2] >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53))
+    theta = 2.0 * math.pi * u[:, 1::2]
+    z = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1).reshape(cfg.n_paths, -1)
 
     b = np.empty((cfg.n_paths, n + 1))
     b[:, 0] = src.r0
@@ -193,7 +197,7 @@ def _fine_scheme_hits(src, curve, cfg):
     crossed = gap[:, 1:] <= 0.0
     if cfg.bridge_correction:
         arg = np.minimum(-2.0 * gap[:, :-1] * gap[:, 1:] / np.diff(t), 0.0)
-        crossed |= u[:, K + n + 1:] < np.exp(arg)
+        crossed |= u[:, K + n + 1:K + 2 * n + 1] < np.exp(arg)
     hit = crossed.any(axis=1)
     return np.sort(t[np.argmax(crossed, axis=1)[hit] + 1])
 
@@ -236,6 +240,35 @@ class TestRefinement:
         assert run.summary()["n_draws"] == run.n_draws
 
 
+class TestNormals:
+    """Box-Muller on the lane pairs of each Philox block."""
+
+    def test_coarse_walk_and_refinement_draw_the_same_bits(self):
+        paths = np.arange(3, 200, dtype=np.uint64)
+        n = 37  # odd: the last word's partner lies past the words the walk keeps
+        coarse = montecarlo._leading_normals(20261018, paths, n)
+        path, word = (a.ravel() for a in np.meshgrid(paths, np.arange(n), indexing="ij"))
+        order = np.argsort(word % 2, kind="stable")  # the refinement's order: even lanes first
+        refined = np.empty(len(word))
+        refined[order] = montecarlo._variates(20261018, path[order], word[order], 0,
+                                              np.count_nonzero(word % 2 == 0))
+        assert refined.tobytes() == coarse.ravel().tobytes()
+
+    def test_normals_are_standard_normal(self):
+        # 2^20 normals: KS distance to Phi within the 99.9% Kolmogorov bound
+        z = montecarlo._leading_normals(20261018, np.arange(2 ** 12, dtype=np.uint64), 2 ** 8)
+        z = np.sort(z.ravel())
+        n = len(z)
+        cdf = ndtr(z)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks <= 1.95 / math.sqrt(n)
+
+    def test_pair_is_uncorrelated(self):
+        z = montecarlo._leading_normals(20261018, np.arange(2 ** 12, dtype=np.uint64), 2 ** 8)
+        cos, sin = z[:, 0::2].ravel(), z[:, 1::2].ravel()
+        assert abs(np.corrcoef(cos, sin)[0, 1]) <= 4.0 / math.sqrt(len(cos))
+
+
 class TestSchedule:
     """How paths are spread over blocks, frontier and workers cannot change results."""
 
@@ -253,6 +286,15 @@ class TestSchedule:
                     run = simulate(POINT, curve, cfg, workers=workers)
                     assert run.hit_times.tobytes() == ref.hit_times.tobytes()
                     assert run.n_draws == ref.n_draws
+
+    def test_hits_and_draws_do_not_depend_on_philox_chunk(self, monkeypatch):
+        cfg = McConfig(n_paths=300, dt=1e-3, T=1.0, seed=13)
+        ref = simulate(SourceSpec.point(0.5), CONST, cfg)
+        for chunk in (64, 10 ** 6):
+            monkeypatch.setattr(montecarlo, "PHILOX_CHUNK", chunk)
+            run = simulate(SourceSpec.point(0.5), CONST, cfg)
+            assert run.hit_times.tobytes() == ref.hit_times.tobytes()
+            assert run.n_draws == ref.n_draws
 
     @pytest.mark.parametrize("curve, r0", [
         (BoundaryCurve.linear(1.0, 0.5), 0.0),
