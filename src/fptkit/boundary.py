@@ -3,9 +3,11 @@
 A boundary is a deterministic curve t -> X_t that the Brownian path must
 stay below.  The existence theory requires Hölder regularity with
 exponent gamma > 1/2.  Every family fixes its own exponent, so `gamma` is
-derived, not declared: theta for `power`, whose theta is checked to lie
-in (1/2, 1], and 1 for the Lipschitz `constant`, `linear` and
-piecewise-linear `sampled` curves.  It enters no computed number.
+derived, not declared: it is theta, checked to lie in (1/2, 1] for
+`power` and fixed at 1 for the Lipschitz `constant`, `linear` and
+piecewise-linear `sampled` curves.  `constant` and `linear` are the
+power curve a + b t^theta with theta = 1 (and b = 0 for `constant`).  The
+exponent enters no computed number.
 `estimate_holder` is a diagnostic, used by no solver: a conservative
 local constant m with
 
@@ -65,6 +67,10 @@ class BoundaryCurve:
             raise ValueError(
                 f"power boundary exponent theta must lie in (1/2, 1]; got {self.theta}"
             )
+        if self.kind != "power" and self.theta != 1.0:
+            raise ValueError(f"{self.kind} boundary has theta 1; got {self.theta}")
+        if self.kind == "constant" and self.b != 0.0:
+            raise ValueError(f"constant boundary has b 0; got {self.b}")
         if self.kind == "sampled":
             t = self.knots_t
             x = self.knots_x
@@ -130,8 +136,8 @@ class BoundaryCurve:
 
     @property
     def gamma(self) -> float:
-        """Hölder exponent of the curve: theta for `power`, 1 for the Lipschitz families."""
-        return self.theta if self.kind == "power" else 1.0
+        """Hölder exponent of the curve: theta, which is 1 for the Lipschitz families."""
+        return self.theta
 
     @property
     def x0(self) -> float:
@@ -143,14 +149,10 @@ class BoundaryCurve:
         ts = np.asarray(t, dtype=float)
         if np.any(ts < 0.0) or np.any(ts > self.horizon):
             raise ValueError(f"boundary evaluated outside [0, {self.horizon}]")
-        if self.kind == "constant":
-            out = np.full_like(ts, self.a, dtype=float)
-        elif self.kind == "linear":
-            out = self.a + self.b * ts
-        elif self.kind == "power":
-            out = self.a + self.b * ts ** self.theta
-        else:
+        if self.kind == "sampled":
             out = np.interp(ts, self.knots_t, self.knots_x)
+        else:
+            out = self.a + self.b * ts ** self.theta
         return out if out.ndim else float(out)
 
     def slope(self, t):
@@ -162,15 +164,11 @@ class BoundaryCurve:
         ts = np.asarray(t, dtype=float)
         if np.any(ts <= 0.0) or np.any(ts > self.horizon):
             raise ValueError(f"boundary slope taken outside (0, {self.horizon}]")
-        if self.kind == "constant":
-            out = np.zeros_like(ts)
-        elif self.kind == "linear":
-            out = np.full_like(ts, self.b)
-        elif self.kind == "power":
-            out = self.b * self.theta * ts ** (self.theta - 1.0)
-        else:
+        if self.kind == "sampled":
             pieces = np.diff(self.knots_x) / np.diff(self.knots_t)
             out = pieces[np.searchsorted(self.knots_t, ts) - 1]
+        else:
+            out = self.b * self.theta * ts ** (self.theta - 1.0)
         return out if out.ndim else float(out)
 
 

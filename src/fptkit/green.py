@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .kernels import SQRT_TWO_PI, gaussian, psi, smeared_gaussian
+from .kernels import SQRT_TWO_PI, psi, smeared_gaussian
 from .solver import DensityEstimate, SourceSpec, problem_fingerprint
 
 #: composite Gauss-Legendre panel count for the survival integral
@@ -78,7 +78,7 @@ def green_eval(field: GreenField, x, t: float):
     curve = field.curve
 
     # at tiny t - tau an exponent -(x - y)^2 / (2 (t - tau)) may overflow to
-    # -inf, which is a factor of exactly 0, here and in the free kernel
+    # -inf, which is a factor of exactly 0
     with np.errstate(over="ignore"):
         # exp(-(x - X_tau)^2 / (2 (t - tau))) against the p-weighted rule,
         # built in place over blocks of x rows that fill
@@ -100,14 +100,7 @@ def green_eval(field: GreenField, x, t: float):
             expo /= den
             np.exp(expo, out=expo)
             emitted[lo:hi] += np.einsum("ij,j->i", expo, w)
-
-        src = field.src
-        if src.kind == "point":
-            free = np.asarray(gaussian(xs, t, src.r0, 0.0))
-        else:
-            # free evolution of h in closed form over its linear pieces
-            free = smeared_gaussian(xs, t, src.knots_x, src.knots_y)
-    val = free - emitted / SQRT_TWO_PI
+    val = smeared_gaussian(xs, t, field.src.r0, field.src.width) - emitted / SQRT_TWO_PI
     return val.reshape(x.shape) if x.ndim else float(val[0])
 
 

@@ -11,10 +11,12 @@ probability
 
     Psi(z) = int_z^inf exp(-u^2 / 2) / sqrt(2 pi) du.
 
-The `smeared_*` functions integrate G, G_x and Psi exactly against a
-piecewise-linear initial density h: on each linear piece the integrals
-reduce to normal-integral identities (Owen, "A table of normal
-integrals", 1980), so no adaptive quadrature is needed.
+The `smeared_*` functions integrate G, G_x and Psi against the density h
+of a source (r0, width): the point mass at r0 for width 0, which gives G,
+G_x and Psi themselves, else the unit-mass uniform bump of that width
+centred at r0, for which each integral is a difference of a closed-form
+antiderivative at the bump's two ends, so no adaptive quadrature is
+needed.
 
 Every Gaussian factor is a plain `np.exp` of -(square) / (2 variance),
 exactly 0.0 from an argument of about -745.13 down.  At a tiny (say
@@ -93,79 +95,67 @@ def _phi(u):
         return np.exp(-u * u / 2.0) / SQRT_TWO_PI
 
 
-def _offsets(x, t, knots_x, knots_y):
-    """Broadcast x and t, and measure the knots from x.
+def _bump_ends(x, t, r0, width):
+    """Broadcast x and t > 0, and measure the bump's ends from x.
 
-    Returns (sqrt(t), d, slope, h_x): d = knot - x with the knot axis last,
-    the slope of each linear piece of h, and each piece's linear extension
-    evaluated at x.
+    Returns (sqrt(t), 1/width, r0 - width/2 - x, r0 + width/2 - x).
     """
     x, t = np.broadcast_arrays(np.asarray(x, dtype=float), _elapsed(t, 0.0))
-    kx = np.asarray(knots_x, dtype=float)
-    ky = np.asarray(knots_y, dtype=float)
-    slope = np.diff(ky) / np.diff(kx)
-    h_x = ky[:-1] + slope * (x[..., None] - kx[:-1])
-    return np.sqrt(t), kx - x[..., None], slope, h_x
+    return np.sqrt(t), 1.0 / width, r0 - width / 2.0 - x, r0 + width / 2.0 - x
 
 
-def smeared_gaussian(x, t, knots_x, knots_y):
-    """Free evolution int h(xi) G(x, t; xi, 0) dxi of a piecewise-linear h.
+def smeared_gaussian(x, t, r0, width):
+    """Free evolution int h(xi) G(x, t; xi, 0) dxi of a source (r0, width).
 
-    h interpolates (knots_x, knots_y) linearly, knots strictly increasing,
-    and vanishes outside [knots_x[0], knots_x[-1]].  With
-    u = (xi - x) / sqrt(t), the piece alpha + beta xi on [a, b] contributes
-
-        (alpha + beta x) [Psi(u_a) - Psi(u_b)] + beta sqrt(t) [phi(u_a) - phi(u_b)].
-
+    Width 0 is the point mass at r0, G(x, t; r0, 0).  Otherwise h is the
+    uniform bump 1/width on [a, b] = [r0 - width/2, r0 + width/2], and with
+    u = (xi - x) / sqrt(t) the integral is [Psi(u_a) - Psi(u_b)] / width.
     Vectorised over broadcast x and t > 0.
     """
-    rt, d, slope, h_x = _offsets(x, t, knots_x, knots_y)
-    u = d / rt[..., None]
-    mass = -np.diff(psi(u), axis=-1)
-    dens = -np.diff(_phi(u), axis=-1)
-    val = np.sum(h_x * mass + slope * rt[..., None] * dens, axis=-1)
-    return val if val.ndim else float(val)
+    if width == 0.0:
+        return gaussian(x, t, r0)
+    rt, height, lo, hi = _bump_ends(x, t, r0, width)
+    val = height * (psi(lo / rt) - psi(hi / rt))
+    return val if np.ndim(val) else float(val)
 
 
-def smeared_gaussian_dx(x, t, knots_x, knots_y):
-    """int h(xi) G_x(x, t; xi, 0) dxi of a piecewise-linear h.
+def smeared_gaussian_dx(x, t, r0, width):
+    """int h(xi) G_x(x, t; xi, 0) dxi of a source (r0, width).
 
-    Integrating by parts with G_x = -G_xi, the piece alpha + beta xi on
-    [a, b] contributes h(a) G(x; a) - h(b) G(x; b) + beta [Psi(u_a) - Psi(u_b)];
-    h is continuous at interior knots, so only the end knots' G terms
-    survive the sum.  Vectorised over broadcast x and t > 0.
+    Width 0 is G_x(x, t; r0, 0).  For the bump h = 1/width on [a, b],
+    G_x = -G_xi integrates to [G(x; a) - G(x; b)] / width.  Vectorised over
+    broadcast x and t > 0.
     """
-    rt, d, slope, _ = _offsets(x, t, knots_x, knots_y)
-    u = d / rt[..., None]
-    ky = np.asarray(knots_y, dtype=float)
-    mass = -np.diff(psi(u), axis=-1)
-    ends = (ky[0] * _phi(u[..., 0]) - ky[-1] * _phi(u[..., -1])) / rt
-    val = ends + np.sum(slope * mass, axis=-1)
-    return val if val.ndim else float(val)
+    if width == 0.0:
+        return gaussian_dx(x, t, r0)
+    rt, height, lo, hi = _bump_ends(x, t, r0, width)
+    val = (height * _phi(lo / rt) - height * _phi(hi / rt)) / rt
+    return val if np.ndim(val) else float(val)
 
 
-def smeared_psi(z, t, knots_x, knots_y):
-    """int h(xi) Psi((z - xi) / sqrt(t)) dxi of a piecewise-linear h.
+def smeared_psi(z, t, r0, width):
+    """int h(xi) Psi((z - xi) / sqrt(t)) dxi of a source (r0, width).
 
-    With s = z - xi and v = s / sqrt(t) the piece alpha + beta xi on [a, b]
-    contributes (alpha + beta z) dA0 - beta dA1, where
+    Width 0 is Psi((z - r0) / sqrt(t)).  For the bump h = 1/width on
+    [a, b], with s = z - xi and v = s / sqrt(t), the integral is
+    [A(a) - A(b)] / width for the antiderivative in xi
 
-        A0 = s Psi(v) - sqrt(t) phi(v),   A1 = ((s^2 - t) Psi(v) - sqrt(t) s phi(v)) / 2
+        A = s Psi(v) - sqrt(t) phi(v).
 
-    and dA = A(a) - A(b) is the integral over [a, b] of Psi(v) for A0 and of
-    s Psi(v) for A1.  Written in s rather than v, no term grows like
-    1/sqrt(t), so a subnormal t gives the t -> 0 limit, the integral of h
-    above z.  Vectorised over broadcast z and t > 0.
+    Written in s rather than v, no term grows like 1/sqrt(t), so a
+    subnormal t gives the t -> 0 limit, the mass of h above z.  Vectorised
+    over broadcast z and t > 0.
     """
-    rt, d, slope, h_z = _offsets(z, t, knots_x, knots_y)
-    rt = rt[..., None]
-    s = -d
-    v = s / rt
-    ps = psi(v)
-    a0 = s * ps - rt * _phi(v)
-    a1 = (s * a0 - rt * rt * ps) / 2.0
-    val = np.sum(h_z * -np.diff(a0, axis=-1) - slope * -np.diff(a1, axis=-1), axis=-1)
-    return val if val.ndim else float(val)
+    if width == 0.0:
+        return psi((z - r0) / np.sqrt(_elapsed(t, 0.0)))
+    rt, height, lo, hi = _bump_ends(z, t, r0, width)
+
+    def antiderivative(s):
+        v = s / rt
+        return s * psi(v) - rt * _phi(v)
+
+    val = height * (antiderivative(-lo) - antiderivative(-hi))
+    return val if np.ndim(val) else float(val)
 
 
 def segment_weight(beta, t, a, b):

@@ -67,7 +67,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .kernels import SQRT_TWO_PI, gaussian_dx, smeared_gaussian_dx
+from .kernels import SQRT_TWO_PI, smeared_gaussian_dx
 
 #: density values may dip this far below zero before we call it an error
 TOL_NEG = 1e-8
@@ -122,75 +122,64 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class SourceSpec:
-    """Initial condition: a point mass at r0 or a piecewise-linear density h.
+    """Initial condition: a point mass at r0 (width 0) or the unit-mass
+    uniform bump of the given width centred at r0.
 
-    Smeared sources are non-negative piecewise-linear densities on a
-    compact support [knots_x[0], knots_x[-1]] with unit mass; the support
-    must lie strictly below the boundary start X_0 (`check_problem`, run
-    by every solve once the curve is known).
+    The bump is the delta-sequence of the heat equation's smeared initial
+    data; its support [r0 - width/2, r0 + width/2] must lie strictly below
+    the boundary start X_0 (`check_problem`, run by every solve once the
+    curve is known).
     """
 
-    kind: str
-    r0: float | None = None
-    knots_x: np.ndarray | None = field(default=None, repr=False)
-    knots_y: np.ndarray | None = field(default=None, repr=False)
+    r0: float
+    width: float = 0.0
 
     def __post_init__(self):
-        if self.kind == "point":
-            if self.r0 is None or not math.isfinite(self.r0):
+        if self.width == 0.0:
+            if not math.isfinite(self.r0):
                 raise ValueError("point source needs a finite r0")
-        elif self.kind == "smeared":
-            x, y = self.knots_x, self.knots_y
-            if x is None or y is None or len(x) != len(y) or len(x) < 2:
-                raise ValueError("smeared source needs matching knot arrays, length >= 2")
-            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-                raise ValueError("smeared source knots must be finite")
-            if np.any(np.diff(x) <= 0.0):
-                raise ValueError("smeared source knots must be strictly increasing")
-            if np.any(y < 0.0):
-                raise ValueError("smeared source density must be non-negative")
-            mass = float(np.trapezoid(y, x))
-            if abs(mass - 1.0) > 1e-10:
-                raise ValueError(f"smeared source mass is {mass!r}, must be 1 within 1e-10")
-        else:
-            raise ValueError(f"unknown source kind {self.kind!r}")
+            return
+        lo, hi, height = self.support_lower, self.support_upper, 1.0 / self.width
+        if not all(math.isfinite(v) for v in (lo, hi, height)):
+            raise ValueError("smeared source knots must be finite")
+        if not lo < hi:
+            raise ValueError("smeared source knots must be strictly increasing")
+        mass = (hi - lo) * height
+        if abs(mass - 1.0) > 1e-10:
+            raise ValueError(f"smeared source mass is {mass!r}, must be 1 within 1e-10")
 
     @classmethod
     def point(cls, r0: float) -> "SourceSpec":
-        return cls(kind="point", r0=float(r0))
-
-    @classmethod
-    def smeared(cls, knots_x, knots_y) -> "SourceSpec":
-        x = np.ascontiguousarray(knots_x, dtype=float)
-        y = np.ascontiguousarray(knots_y, dtype=float)
-        x.flags.writeable = False
-        y.flags.writeable = False
-        return cls(kind="smeared", knots_x=x, knots_y=y)
+        return cls(r0=float(r0))
 
     @classmethod
     def uniform_bump(cls, center: float, width: float) -> "SourceSpec":
         """Uniform density of total mass 1 on [center - width/2, center + width/2]."""
         if width <= 0.0:
             raise ValueError("bump width must be positive")
-        h = 1.0 / width
-        return cls.smeared([center - width / 2.0, center + width / 2.0], [h, h])
+        return cls(r0=float(center), width=float(width))
+
+    @property
+    def kind(self) -> str:
+        """The source kind: "point" at width 0, "smeared" for a bump."""
+        return "point" if self.width == 0.0 else "smeared"
 
     @property
     def support_upper(self) -> float:
         """Highest point carrying source mass."""
-        return self.r0 if self.kind == "point" else float(self.knots_x[-1])
+        return self.r0 + self.width / 2.0
 
     @property
     def support_lower(self) -> float:
-        return self.r0 if self.kind == "point" else float(self.knots_x[0])
+        return self.r0 - self.width / 2.0
 
     def density(self, xi):
-        """Evaluate the smeared density h (zero outside its support)."""
-        if self.kind != "smeared":
+        """Evaluate the bump's density 1/width on its support, zero outside."""
+        if self.width == 0.0:
             raise ValueError("density() is only defined for smeared sources")
         xi = np.asarray(xi, dtype=float)
-        val = np.interp(xi, self.knots_x, self.knots_y)
-        val = np.where((xi < self.knots_x[0]) | (xi > self.knots_x[-1]), 0.0, val)
+        inside = (xi >= self.support_lower) & (xi <= self.support_upper)
+        val = np.where(inside, 1.0 / self.width, 0.0)
         return val if val.ndim else float(val)
 
 
@@ -323,10 +312,12 @@ def problem_fingerprint(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -
     if curve.kind == "sampled":
         parts += [curve.knots_t.tobytes().hex(), curve.knots_x.tobytes().hex()]
     parts.append(src.kind)
-    if src.kind == "point":
+    if src.width == 0.0:
         parts.append(repr(src.r0))
     else:
-        parts += [src.knots_x.tobytes().hex(), src.knots_y.tobytes().hex()]
+        # a bump hashes as the knots (ends) and heights of its density
+        ends = np.array([src.support_lower, src.support_upper])
+        parts += [ends.tobytes().hex(), np.full(2, 1.0 / src.width).tobytes().hex()]
     parts += [repr(grid.T), repr(grid.N), repr(grid.q)]
     h.update("|".join(parts).encode())
     return h.hexdigest()[:16]
@@ -340,17 +331,14 @@ def problem_fingerprint(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -
 def source_term(src: SourceSpec, curve: BoundaryCurve, t):
     """Forcing term of the Volterra equation at time(s) t > 0.
 
-    Point source: -G_x(X_t, t; r0, 0).  Smeared source:
-    -int h(xi) G_x(X_t, t; xi, 0) dxi, in closed form over the linear
-    pieces of h (`kernels.smeared_gaussian_dx`).  Vectorised over t.
+    -int h(xi) G_x(X_t, t; xi, 0) dxi for the source's density h, which
+    is -G_x(X_t, t; r0, 0) for a point source; `kernels.smeared_gaussian_dx`
+    gives both in closed form.  Vectorised over t.
     """
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("source term requires t > 0")
-    xt = curve.value(t)
-    if src.kind == "point":
-        return -gaussian_dx(xt, t, src.r0, 0.0)
-    return -smeared_gaussian_dx(xt, t, src.knots_x, src.knots_y)
+    return -smeared_gaussian_dx(curve.value(t), t, src.r0, src.width)
 
 
 def _kappa_row(dt, dx):

@@ -61,6 +61,12 @@ class ResidualReport:
         }
 
 
+def _sup_report(name: str, points: list, residuals: list, tolerance: float) -> ResidualReport:
+    """The report of `residuals` at `points`, judged by their supremum (0 when empty)."""
+    return ResidualReport(name=name, points=tuple(points), residuals=tuple(residuals),
+                          sup_residual=max(residuals, default=0.0), tolerance=tolerance)
+
+
 def master_residual(
     est: DensityEstimate,
     curve: BoundaryCurve,
@@ -75,10 +81,9 @@ def master_residual(
 
         P(B_t >= z) = int_0^t Psi((z - X_s)/sqrt(t - s)) p(s) ds,
 
-    where the left-hand side is Psi((z - r0)/sqrt(t)) for a point source
-    and int h(xi) Psi((z - xi)/sqrt(t)) dxi for a smeared source h, the
-    latter in closed form over the linear pieces of h
-    (`kernels.smeared_psi`).  The right-hand side is integrated by
+    where the left-hand side is int h(xi) Psi((z - xi)/sqrt(t)) dxi for
+    the source's density h, Psi((z - r0)/sqrt(t)) for a point source, in
+    closed form (`kernels.smeared_psi`).  The right-hand side is integrated by
     `DensityEstimate.history` with beta = 0; its integrand is bounded, and
     at the s -> t endpoint it tends to Psi(0) p(t) = p(t)/2 when
     offset = 0 (continuous boundaries) and to 0 otherwise, and is
@@ -97,20 +102,10 @@ def master_residual(
         z = float(curve.value(t)) + offsets
         arg = (z[:, None] - np.asarray(curve.value(tau))) / np.sqrt(t - tau)
         integral = np.asarray(psi(arg)) @ w + np.where(offsets == 0.0, 0.5 * w_t, 0.0)
-        if src.kind == "point":
-            lhs = psi((z - src.r0) / math.sqrt(t))
-        else:
-            lhs = smeared_psi(z, t, src.knots_x, src.knots_y)
+        lhs = smeared_psi(z, t, src.r0, src.width)
         pts += [(t, float(o)) for o in offsets]
         res += [float(r) for r in np.abs(lhs - integral)]
-    sup = max(res) if res else 0.0
-    return ResidualReport(
-        name="master_equation",
-        points=tuple(pts),
-        residuals=tuple(res),
-        sup_residual=sup,
-        tolerance=tolerance,
-    )
+    return _sup_report("master_equation", pts, res, tolerance)
 
 
 def heat_residual(
@@ -133,14 +128,7 @@ def heat_residual(
         v_xx = (fn(x + dx, t) - 2.0 * fn(x, t) + fn(x - dx, t)) / (dx * dx)
         pts.append((float(x), float(t)))
         res.append(abs(v_t - 0.5 * v_xx))
-    sup = max(res) if res else 0.0
-    return ResidualReport(
-        name=name,
-        points=tuple(pts),
-        residuals=tuple(res),
-        sup_residual=sup,
-        tolerance=tolerance,
-    )
+    return _sup_report(name, pts, res, tolerance)
 
 
 def mass_conservation(
@@ -149,22 +137,9 @@ def mass_conservation(
     tolerance: float = 2e-3,
 ) -> ResidualReport:
     """Residual of S(t) + F(t) = 1 (no probability mass is lost)."""
-    pts = []
-    res = []
-    for t in times:
-        t = float(t)
-        s = survival(fld, t)
-        f = fld.density.cdf(t)
-        pts.append(t)
-        res.append(abs(s + f - 1.0))
-    sup = max(res) if res else 0.0
-    return ResidualReport(
-        name="mass_conservation",
-        points=tuple(pts),
-        residuals=tuple(res),
-        sup_residual=sup,
-        tolerance=tolerance,
-    )
+    pts = [float(t) for t in times]
+    res = [abs(survival(fld, t) + fld.density.cdf(t) - 1.0) for t in pts]
+    return _sup_report("mass_conservation", pts, res, tolerance)
 
 
 def jump_check(
@@ -178,22 +153,12 @@ def jump_check(
     by the layer density; the flux -1/2 G^X_x(X_t^-) must therefore equal
     p(t).
     """
-    pts = []
+    pts = [float(t) for t in times]
     res = []
-    for t in times:
-        t = float(t)
-        flux = boundary_flux(fld, t)
+    for t in pts:
         p = fld.density.density_at(t)
-        pts.append(t)
-        res.append(abs(flux - p) / max(p, 1e-3))
-    sup = max(res) if res else 0.0
-    return ResidualReport(
-        name="jump_relation",
-        points=tuple(pts),
-        residuals=tuple(res),
-        sup_residual=sup,
-        tolerance=tolerance,
-    )
+        res.append(abs(boundary_flux(fld, t) - p) / max(p, 1e-3))
+    return _sup_report("jump_relation", pts, res, tolerance)
 
 
 def delta_convergence(

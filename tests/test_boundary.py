@@ -23,6 +23,14 @@ class TestEval:
         ts = np.array([0.0, 1.0, 2.0])
         assert np.array_equal(curve.value(ts), ts)
 
+    def test_linear_and_constant_through_the_power_formula(self):
+        # a + b t^1 is a + b t to the last bit, and its slope b t^0 is b
+        ts = np.random.default_rng(3).uniform(0.0, 10.0, 10_000)
+        curve = BoundaryCurve.linear(-0.3, 1.7)
+        assert np.array_equal(curve.value(ts), -0.3 + 1.7 * ts)
+        assert np.array_equal(curve.slope(ts[ts > 0.0]), np.full(np.sum(ts > 0.0), 1.7))
+        assert np.array_equal(BoundaryCurve.constant(2.5).value(ts), np.full(len(ts), 2.5))
+
     def test_domain_errors(self):
         curve = BoundaryCurve.sampled([0.0, 1.0, 2.0], [1.0, 1.5, 1.2])
         with pytest.raises(ValueError):
@@ -93,6 +101,17 @@ class TestConstruction:
             assert curve.gamma == 1.0
         with pytest.raises(AttributeError):
             BoundaryCurve.linear(1.0, 0.5).gamma = 0.75
+
+    @pytest.mark.parametrize("kind", ["constant", "linear", "sampled"])
+    def test_lipschitz_families_take_theta_one(self, kind):
+        # constant and linear evaluate as the power curve a + b t^theta
+        knots = {"knots_t": np.array([0.0, 1.0]), "knots_x": np.array([1.0, 1.5])}
+        with pytest.raises(ValueError, match="theta 1"):
+            BoundaryCurve(kind=kind, horizon=1.0, a=1.0, b=0.5 * (kind != "constant"),
+                          theta=0.75, **(knots if kind == "sampled" else {}))
+        if kind == "constant":
+            with pytest.raises(ValueError, match="b 0"):
+                BoundaryCurve(kind=kind, horizon=1.0, a=1.0, b=0.5)
 
     def test_sampled_knot_validation(self):
         with pytest.raises(ValueError, match="start at t = 0"):

@@ -755,6 +755,31 @@ COMMAND_FLAGS = {
               "--nt": st.integers(-1, 4)},
 }
 LATTICE = {"--x-min", "--x-max", "--t-min", "--t-max", "--nx", "--nt"}
+#: values a run accepts, by flag, for flags whose typed range goes past them:
+#: a horizon long enough for the lattice and the MC step, and a source below
+#: the boundary start
+WORKING = {
+    "--T": st.floats(1.0, 4.0),
+    "--q": st.floats(1.0, 4.0),
+    "--a": st.floats(0.5, 4.0),
+    "--theta": st.floats(0.55, 1.0),
+    "--boundary-csv": st.just("curve.csv"),
+    "--r0": st.floats(-2.0, 0.25),
+    "--bump-center": st.floats(-2.0, 0.0),
+    "--bump-width": st.floats(0.01, 0.5),
+    "--n-paths": st.integers(1, 256),
+    "--dt": st.floats(1e-3, 0.1),
+    "--seed": st.integers(0, 2 ** 64 - 1),
+    "--x-min": st.floats(-3.0, 0.0),
+    "--x-max": st.floats(0.0, 1.0),
+    "--t-min": st.floats(0.01, 0.5),
+    "--t-max": st.floats(0.5, 1.0),
+    "--nx": st.integers(1, 4),
+    "--nt": st.integers(1, 4),
+}
+#: flags given together or not at all: a bump's centre and width, and a
+#: boundary kind with the CSV a sampled one reads
+UNITS = ({"--bump-center", "--bump-width"}, {"--boundary", "--boundary-csv"})
 
 
 def _parses_as_number(text):
@@ -768,10 +793,12 @@ def _parses_as_number(text):
 @st.composite
 def command_lines(draw):
     """`fpt` argv as --flag=value over some of a command's flags, and always
-    over the bounded and lattice ones: typed values, a None value omits its
-    flag, and at most one flag holds an arbitrary short string (never a
-    number for a bounded flag).  --out stays out/, since a fuzzed one could
-    write outside the scratch directory."""
+    over the bounded and lattice ones, with each of `UNITS` given whole.
+    Values lie in `WORKING`, so that most draws reach a run, except that at
+    most one flag holds a value from its whole typed range (a None value
+    omits its flag) or an arbitrary short string (never a number for a
+    bounded flag).  --out stays out/, since a fuzzed one could write outside
+    the scratch directory."""
     command = draw(st.sampled_from(list(COMMAND_ARGS)))
     flags, always, bounded = {}, set(LATTICE), {"--nx", "--nt"}
     for path, (kind, default, flag) in fptkit.cli.CONFIG.items():
@@ -788,18 +815,24 @@ def command_lines(draw):
             always.add(flag)
             bounded.add(flag)
     flags.update(COMMAND_FLAGS.get(command, {}))
-    chosen = draw(st.lists(st.sampled_from(sorted(flags.keys() - always)), unique=True))
-    chosen += sorted(always & flags.keys())
-    junk = draw(st.sampled_from(chosen)) if draw(st.integers(0, 2)) == 2 else None
+    chosen = set(draw(st.lists(st.sampled_from(sorted(flags.keys() - always)), unique=True)))
+    for unit in UNITS:
+        if chosen & unit:
+            chosen |= unit & flags.keys()
+    chosen = sorted(chosen) + sorted(always & flags.keys())
+    odd = draw(st.sampled_from(chosen))
+    flaw = draw(st.sampled_from(["none", "none", "range", "junk"]))
     argv = [command, "--out=out"]
     for flag in chosen:
-        if flag == junk:
+        if flag == odd and flaw == "junk":
             text = st.text(max_size=6)
             if flag in bounded:
                 text = text.filter(lambda v: not _parses_as_number(v))
             value = draw(text)
-        else:
+        elif flag == odd and flaw == "range":
             value = draw(flags[flag])
+        else:
+            value = draw(WORKING.get(flag, flags[flag]))
         if value is True:
             argv.append(flag)
         elif value is not None:

@@ -109,8 +109,14 @@ class TestPsi:
         assert psi(z) + psi(-z) == pytest.approx(1.0, abs=1e-14)
 
     def test_tail_branch_continuity(self):
-        # the erfc / erfcx switchover at z = 6 must be seamless
-        assert psi(6.0 - 1e-12) == pytest.approx(psi(6.0 + 1e-12), rel=1e-12)
+        # Psi is one erfc formula over the whole line: across z = 6, deep in
+        # the tail, two points 2e-12 apart differ by the derivative step
+        # phi(6) dz and no more (approx's default abs of 1e-12 alone would
+        # pass any two values this small)
+        lo, hi = 6.0 - 1e-12, 6.0 + 1e-12
+        assert psi(lo) == pytest.approx(psi(hi), rel=1e-12)
+        step = (hi - lo) * INV_SQRT_2PI * math.exp(-18.0)
+        assert psi(lo) - psi(hi) == pytest.approx(step, rel=1e-3)
 
     def test_accuracy_vs_erfc_band(self):
         # relative error <= 1e-12 against mpmath-grade values for |z| <= 8
@@ -165,64 +171,65 @@ class TestSegmentWeight:
         assert np.sum(vals) == pytest.approx(2.0, rel=1e-14)
 
 
-@st.composite
-def smeared_sources(draw):
-    """Unit-mass piecewise-linear densities with 2-6 knots."""
-    n = draw(st.integers(min_value=2, max_value=6))
-    start = draw(st.floats(min_value=-2.0, max_value=0.0))
-    gaps = draw(st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=n - 1,
-                         max_size=n - 1))
-    ys = draw(st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=n, max_size=n)
-              .filter(lambda v: max(v) > 0.1))
-    kx = start + np.concatenate([[0.0], np.cumsum(gaps)])
-    ky = np.asarray(ys) / np.trapezoid(ys, kx)
-    return kx, ky
+#: uniform bumps (centre, width), narrow to wide
+BUMPS = st.tuples(st.floats(min_value=-2.0, max_value=1.0),
+                  st.floats(min_value=0.05, max_value=3.0))
 
 
 class TestSmearedClosedForms:
     @staticmethod
-    def _quad(f, kx, ky, x):
-        """int h(xi) f(xi) dxi piece by piece, split at x where it falls inside."""
+    def _quad(f, r0, width, x):
+        """int h(xi) f(xi) dxi over the bump h = 1/width, piece by piece, split at x
+        where it falls inside."""
+        lo, hi = r0 - width / 2.0, r0 + width / 2.0
+        cuts = [lo, x, hi] if lo < x < hi else [lo, hi]
         total = 0.0
-        for lo, hi in zip(kx[:-1], kx[1:]):
-            val, _ = integrate.quad(
-                lambda xi: np.interp(xi, kx, ky) * f(xi), lo, hi,
-                points=[x] if lo < x < hi else None,
-                epsabs=1e-12, epsrel=1e-12, limit=200,
-            )
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            val, _ = integrate.quad(lambda xi: f(xi) / width, a, b,
+                                    epsabs=1e-12, epsrel=1e-12, limit=200)
             total += val
         return total
 
     @given(
-        smeared_sources(),
+        BUMPS,
         st.floats(min_value=1e-3, max_value=4.0),
         st.floats(min_value=-4.0, max_value=4.0),
     )
     @settings(max_examples=100, deadline=None)
-    def test_against_quadrature(self, source, t, x):
-        kx, ky = source
-        free = self._quad(lambda xi: gaussian(x, t, xi, 0.0), kx, ky, x)
-        dx = self._quad(lambda xi: gaussian_dx(x, t, xi, 0.0), kx, ky, x)
-        lhs = self._quad(lambda xi: psi((x - xi) / math.sqrt(t)), kx, ky, x)
-        assert smeared_gaussian(x, t, kx, ky) == pytest.approx(free, abs=1e-10)
-        assert smeared_gaussian_dx(x, t, kx, ky) == pytest.approx(dx, abs=1e-10)
-        assert smeared_psi(x, t, kx, ky) == pytest.approx(lhs, abs=1e-10)
+    def test_against_quadrature(self, bump, t, x):
+        free = self._quad(lambda xi: gaussian(x, t, xi, 0.0), *bump, x)
+        dx = self._quad(lambda xi: gaussian_dx(x, t, xi, 0.0), *bump, x)
+        lhs = self._quad(lambda xi: psi((x - xi) / math.sqrt(t)), *bump, x)
+        assert smeared_gaussian(x, t, *bump) == pytest.approx(free, abs=1e-10)
+        assert smeared_gaussian_dx(x, t, *bump) == pytest.approx(dx, abs=1e-10)
+        assert smeared_psi(x, t, *bump) == pytest.approx(lhs, abs=1e-10)
+
+    @given(st.floats(min_value=-2.0, max_value=1.0), st.floats(min_value=1e-3, max_value=4.0),
+           st.floats(min_value=-4.0, max_value=4.0))
+    @settings(max_examples=50, deadline=None)
+    def test_width_zero_is_the_point_mass(self, r0, t, x):
+        assert smeared_gaussian(x, t, r0, 0.0) == gaussian(x, t, r0, 0.0)
+        assert smeared_gaussian_dx(x, t, r0, 0.0) == gaussian_dx(x, t, r0, 0.0)
+        assert smeared_psi(x, t, r0, 0.0) == psi((x - r0) / math.sqrt(t))
 
     def test_vectorized(self):
-        kx, ky = np.array([-1.0, 0.0, 0.5]), np.array([0.0, 4.0 / 3.0, 4.0 / 3.0])
         xs = np.linspace(-2.0, 2.0, 7)
         ts = np.full(7, 0.5)
         for fn in (smeared_gaussian, smeared_gaussian_dx, smeared_psi):
-            vals = fn(xs, ts, kx, ky)
-            assert vals.shape == (7,)
-            assert np.array_equal(vals, [fn(x, 0.5, kx, ky) for x in xs])
+            for bump in ((-0.25, 1.5), (-0.25, 0.0)):
+                vals = fn(xs, ts, *bump)
+                assert vals.shape == (7,)
+                assert np.array_equal(vals, [fn(x, 0.5, *bump) for x in xs])
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            smeared_gaussian(0.0, 0.0, [0.0, 1.0], [1.0, 1.0])
+        for width in (1.0, 0.0):
+            for fn in (smeared_gaussian, smeared_gaussian_dx, smeared_psi):
+                with pytest.raises(ValueError):
+                    fn(0.0, 0.0, 0.5, width)
 
 
-BUMP = ([-0.5, 0.5], [1.0, 1.0])
+#: the unit bump on [-0.5, 0.5], as (centre, width)
+BUMP = (0.0, 1.0)
 #: every Gaussian factor at a subnormal time, or far out in Psi's tail: the
 #: exponent overflows to -inf, a factor of exactly 0
 TINY_T = {

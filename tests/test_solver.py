@@ -56,31 +56,45 @@ class TestTimeGrid:
 class TestSourceSpec:
     def test_point(self):
         assert POINT.support_upper == 0.0
+        assert (POINT.kind, POINT.width) == ("point", 0.0)
 
     def test_uniform_bump_mass(self):
         bump = SourceSpec.uniform_bump(0.0, 0.25)
+        assert bump.kind == "smeared"
         assert bump.density(0.0) == 4.0
         assert bump.density(0.2) == 0.0
-        assert np.trapezoid([bump.density(x) for x in bump.knots_x], bump.knots_x) == pytest.approx(1.0)
+        ends = [bump.support_lower, bump.support_upper]
+        assert np.trapezoid(bump.density(ends), ends) == pytest.approx(1.0)
 
     def test_mass_must_be_one(self):
-        with pytest.raises(ValueError, match="mass"):
-            SourceSpec.smeared([0.0, 1.0], [0.5, 0.5])
+        # far from 0 the ends round away from a width of 1e-9
+        with pytest.raises(ValueError, match="mass is 0.93"):
+            SourceSpec.uniform_bump(1e6, 1e-9)
+
+    def test_ends_must_be_distinct(self):
+        # a width below the centre's spacing collapses both ends onto it
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SourceSpec.uniform_bump(1e6, 1e-12)
 
     def test_negative_density_rejected(self):
-        with pytest.raises(ValueError):
-            SourceSpec.smeared([0.0, 0.5, 1.0], [2.0, -0.5, 2.0])
+        # a bump's density is 1/width, so its width must be positive
+        for width in (0.0, -0.0, -0.5):
+            with pytest.raises(ValueError, match="bump width must be positive"):
+                SourceSpec.uniform_bump(0.0, width)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SourceSpec(r0=0.0, width=-0.5)
 
     @pytest.mark.parametrize("make", [
         lambda: SourceSpec.uniform_bump(-math.inf, 0.5),
         lambda: SourceSpec.uniform_bump(0.0, math.nan),
         lambda: SourceSpec.uniform_bump(0.0, math.inf),
-        lambda: SourceSpec.smeared([0.0, math.nan, 1.0], [1.0, 1.0, 1.0]),
-        lambda: SourceSpec.smeared([0.0, 1.0], [math.nan, 1.0]),
-        lambda: SourceSpec.smeared([0.0, 1.0], [1.0, math.inf]),
+        lambda: SourceSpec.uniform_bump(math.nan, 0.5),
+        lambda: SourceSpec(r0=0.0, width=math.nan),
+        lambda: SourceSpec.uniform_bump(0.0, 1e-320),
     ], ids=["center_-inf", "width_nan", "width_inf", "x_nan", "y_nan", "y_inf"])
     def test_non_finite_knots_rejected(self, make):
-        # nan slips past `diff <= 0` and the mass check, so finiteness is explicit
+        # the knots are the bump's ends (x) and its height 1/width (y); nan
+        # slips past the order and mass checks, so finiteness is explicit
         with pytest.raises(ValueError, match="finite"):
             make()
 
@@ -545,6 +559,13 @@ class TestFingerprint:
         }
         for fingerprint, curve in curves.items():
             assert problem_fingerprint(POINT, curve, grid) == fingerprint
+
+    def test_bump_hashes_its_ends_and_height(self):
+        # a bump hashes its two ends and its height 1/w at each; pinned, so
+        # the run.json of an existing bump solve keeps validating
+        bump = SourceSpec.uniform_bump(0.0, 0.25)
+        grid = TimeGrid(4.0, 2048, 2.0)
+        assert problem_fingerprint(bump, BoundaryCurve.linear(1.0, 0.5), grid) == "42dd2020ec1bc6ec"
 
 
 class TestSerialization:
