@@ -11,8 +11,11 @@ Exit codes are a fixed external contract:
     2  configuration invalid
     3  solver failure (diagonal dominance lost / no convergence / the
        solution fails the density checks), from any solve of the run
-    4  horizon mismatch between artifacts
+    4  a density artifact that fails its checks or belongs to another problem
     5  validation suite failed
+
+Every command reports a failure by raising, and `main` alone turns the
+exception into its exit code and one stderr line.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .solver import (
     SourceSpec,
     TimeGrid,
     check_problem,
+    problem_fingerprint,
     solve_many,
     solve_marching,
 )
@@ -53,6 +57,14 @@ DELTA_WIDTHS = (0.25, 0.125, 0.0625, 0.03125)
 
 class ConfigError(ValueError):
     """Invalid run configuration; maps to exit code 2."""
+
+
+class ArtifactMismatch(ValueError):
+    """A density artifact that fails its checks or belongs to another problem; exit code 4."""
+
+
+class ValidationFailed(RuntimeError):
+    """A validation suite with a failing check; maps to exit code 5."""
 
 
 # ---------------------------------------------------------------------------
@@ -208,14 +220,19 @@ def _write_run_json(path: Path, cfg: dict, est: DensityEstimate) -> None:
         fh.write("\n")
 
 
-def _read_density(density_csv: Path, run_json: Path) -> DensityEstimate | None:
-    """The density artifact pair, or None (after a one-line reason) if it fails its checks."""
-    try:
-        return DensityEstimate.from_files(density_csv, run_json)
-    except (ValueError, KeyError, IndexError) as exc:
-        reason = " ".join(str(exc).split())
-        print(f"artifact mismatch: {density_csv.name} fails its checks: {reason}", file=sys.stderr)
+def _solved_density(out: Path, curve, src) -> DensityEstimate | None:
+    """The density artifact pair in `out`, or None if it holds none; raises
+    ArtifactMismatch if the pair fails its checks or belongs to another problem."""
+    density_csv, run_json = out / "density.csv", out / "run.json"
+    if not (density_csv.exists() and run_json.exists()):
         return None
+    try:
+        est = DensityEstimate.from_files(density_csv, run_json)
+    except (OSError, ValueError, KeyError, IndexError) as exc:
+        raise ArtifactMismatch(f"{density_csv.name} fails its checks: {exc}") from exc
+    if est.fingerprint != problem_fingerprint(src, curve, est.grid):
+        raise ArtifactMismatch(f"{density_csv.name} was solved for another (curve, source) pair")
+    return est
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +240,7 @@ def _read_density(density_csv: Path, run_json: Path) -> DensityEstimate | None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_solve(cfg: dict) -> int:
+def cmd_solve(cfg: dict) -> None:
     curve, src, grid = build_problem(cfg)
     method = cfg["method"]
     if method not in ("marching", "picard", "both"):
@@ -241,10 +258,9 @@ def cmd_solve(cfg: dict) -> int:
             json.dump({"sup_nodewise_diff": diff,
                        "picard_summary": picard.residual_summary}, fh, indent=2)
             fh.write("\n")
-    return EXIT_OK
 
 
-def cmd_simulate(cfg: dict) -> int:
+def cmd_simulate(cfg: dict) -> None:
     curve, src, grid = build_problem(cfg)
     if src.kind != "point":
         raise ConfigError("simulate requires a point source")
@@ -253,43 +269,33 @@ def cmd_simulate(cfg: dict) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _outdir(cfg)
+    est = _solved_density(out, curve, src)
+    if est is not None and est.grid.T != mc_cfg.T:
+        raise ArtifactMismatch(f"density.csv has horizon T={est.grid.T}, simulate T={mc_cfg.T}")
     run = simulate(src, curve, mc_cfg, workers=_workers())
     run.hits_to_csv(out / "hits.csv")
     run.to_json(out / "mc.json")
-
-    density_csv = out / "density.csv"
-    run_json = out / "run.json"
-    if density_csv.exists() and run_json.exists():
-        est = _read_density(density_csv, run_json)
-        if est is None:
-            return EXIT_MISMATCH
-        if est.grid.T != mc_cfg.T:
-            print(
-                f"horizon mismatch: existing density has T={est.grid.T},"
-                f" simulation has T={mc_cfg.T}", file=sys.stderr,
-            )
-            return EXIT_MISMATCH
+    if est is not None:
         d = ks_distance(run, est)
         with open(out / "ks.json", "w") as fh:
             json.dump({"ks_distance": d, "n_paths": mc_cfg.n_paths,
                        "solver_method": est.method}, fh, indent=2)
             fh.write("\n")
-    return EXIT_OK
 
 
-def run_validation_suite(suite: str, curve, src, grid, est: DensityEstimate,
-                         fld: GreenField) -> list:
+def run_validation_suite(suite: str, fld: GreenField) -> list:
     """Run one named suite against a solved case; returns ResidualReports.
 
     `all` runs every suite that applies to the source, so it omits `delta`
     (a point-source study) for smeared sources and for point sources whose
     widest bump would reach the boundary start.
     """
+    curve, src, grid = fld.curve, fld.src, fld.density.grid
     T = grid.T
     reports = []
     if suite in ("master", "all"):
         reports.append(validation.master_residual(
-            est, curve, src, z_offsets=(0.0, 0.5, 1.0),
+            fld.density, curve, src, z_offsets=(0.0, 0.5, 1.0),
             times=(T / 8.0, T / 4.0, T / 2.0, T), tolerance=2e-3,
         ))
     if suite in ("heat", "all"):
@@ -336,7 +342,7 @@ def _delta_applies(curve, src) -> bool:
     return src.kind == "point" and src.r0 + max(DELTA_WIDTHS) / 2.0 < curve.x0
 
 
-def cmd_validate(cfg: dict, suite: str) -> int:
+def cmd_validate(cfg: dict, suite: str) -> None:
     if suite not in SUITES:
         raise ConfigError(f"unknown validation suite {suite!r}; choose from {SUITES}")
     curve, src, grid = build_problem(cfg)
@@ -344,21 +350,11 @@ def cmd_validate(cfg: dict, suite: str) -> int:
         raise ConfigError(f"delta suite requires a point source at least"
                           f" {max(DELTA_WIDTHS) / 2} below the boundary start X_0")
     out = _outdir(cfg)
-    density_csv = out / "density.csv"
-    run_json = out / "run.json"
-    if density_csv.exists() and run_json.exists():
-        # validate the artifact already in the output directory
-        est = _read_density(density_csv, run_json)
-        if est is None:
-            return EXIT_MISMATCH
-    else:
+    # validate the artifact already in the output directory, if any
+    est = _solved_density(out, curve, src)
+    if est is None:
         est = solve_marching(src, curve, grid)
-    try:
-        fld = GreenField(curve=curve, src=src, density=est)
-    except ValueError as exc:
-        print(f"artifact mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    reports = run_validation_suite(suite, curve, src, est.grid, est, fld)
+    reports = run_validation_suite(suite, GreenField(curve=curve, src=src, density=est))
     doc = {
         "suite": suite,
         "all_passed": all(r.passed for r in reports),
@@ -369,13 +365,10 @@ def cmd_validate(cfg: dict, suite: str) -> int:
         fh.write("\n")
     if not doc["all_passed"]:
         failing = [r.name for r in reports if not r.passed]
-        print(f"validation failed: {', '.join(failing)} (see validate.json)",
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    return EXIT_OK
+        raise ValidationFailed(f"{', '.join(failing)} (see validate.json)")
 
 
-def cmd_green(cfg: dict, x_range, t_range, resolution) -> int:
+def cmd_green(cfg: dict, x_range, t_range, resolution) -> None:
     curve, src, grid = build_problem(cfg)
     x_lo, x_hi = x_range
     t_lo, t_hi = t_range
@@ -397,7 +390,6 @@ def cmd_green(cfg: dict, x_range, t_range, resolution) -> int:
             vals = green_eval(fld, xs, float(t))
             for x, v in zip(xs, vals):
                 fh.write(f"{x:.17g},{t:.17g},{v:.17g}\n")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -446,19 +438,25 @@ def main(argv=None) -> int:
         args = make_parser().parse_args(argv)
         cfg = resolve_config(args)
         if args.command == "solve":
-            return cmd_solve(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg, args.suite)
-        return cmd_green(cfg, (args.x_min, args.x_max), (args.t_min, args.t_max),
-                         (args.nx, args.nt))
+            cmd_solve(cfg)
+        elif args.command == "simulate":
+            cmd_simulate(cfg)
+        elif args.command == "validate":
+            cmd_validate(cfg, args.suite)
+        else:
+            cmd_green(cfg, (args.x_min, args.x_max), (args.t_min, args.t_max),
+                      (args.nx, args.nt))
+        return EXIT_OK
     except ConfigError as exc:
         reason, code = f"invalid configuration: {exc}", EXIT_CONFIG
     except MemoryError as exc:
         reason, code = f"invalid configuration: the run does not fit in memory: {exc}", EXIT_CONFIG
     except SolverError as exc:
         reason, code = f"solver failure: {exc}", EXIT_SOLVER
+    except ArtifactMismatch as exc:
+        reason, code = f"artifact mismatch: {exc}", EXIT_MISMATCH
+    except ValidationFailed as exc:
+        reason, code = f"validation failed: {exc}", EXIT_VALIDATION
     print(" ".join(reason.split()), file=sys.stderr)
     return code
 

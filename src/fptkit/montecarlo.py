@@ -40,15 +40,17 @@ Schedule.  Each worker takes one contiguous range of paths, so the plan is
 sent once per worker.  Within a range one loop refines a frontier: every
 step takes each pending interval of every admitted path one tree level
 down, with one Philox call for all of them.  Paths are walked on the coarse
-grid `BLOCK_PATHS` at a time, which bounds the walk's working set, and a
-walked block joins the frontier while its busy intervals fit under
-`FRONTIER_INTERVALS` pending intervals in all, or when the frontier is
-empty.  That keeps each Philox call a few thousand words long, where
-numpy's per-call cost no longer dominates; a frontier that splitting grows
-past that bound draws its words `PHILOX_CHUNK` at a time.  A path's
-pending intervals always share one tree level, its drop rule reads only
-its own earliest crossing, and paths never interact, so the schedule
-cannot change the hits or `n_draws`.
+grid `BLOCK_PATHS` at a time, which bounds the walk's working set, and
+walked blocks join the frontier until it holds `FRONTIER_INTERVALS`
+pending intervals.  That keeps each Philox call a few thousand words long,
+where numpy's per-call cost no longer dominates.  Admission stops at that
+bound, but nothing caps the frontier: the last block admitted and
+splitting grow it past the bound (to 22,660 intervals for 8192 paths
+started 0.1 below a constant boundary, dt = 1e-4, seed 5).  `PHILOX_CHUNK`
+bounds only the Philox scratch, drawing a step's words that many at a
+time.  A path's pending intervals always share one tree level, its drop
+rule reads only its own earliest crossing, and paths never interact, so
+the schedule cannot change the hits or `n_draws`.
 
 Reproducibility is a hard contract.  Every number path i uses is a fixed
 word of numpy's own `Philox(key=[seed, i]).random_raw()` stream, computed
@@ -87,20 +89,20 @@ from functools import partial
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .solver import SourceSpec, check_problem
+from .solver import DensityEstimate, SourceSpec, check_problem
 
 #: paths per coarse walk: bounds the walk's working set and is the step in
 #: which paths join the refinement frontier (results do not depend on it)
 BLOCK_PATHS = 256
 
-#: pending intervals the refinement frontier is kept under, so that each
-#: step's Philox call is long enough to amortize numpy's per-call cost
-#: (results do not depend on it)
+#: pending intervals at which the refinement frontier stops admitting walked
+#: blocks, so that each step's Philox call is long enough to amortize numpy's
+#: per-call cost; splitting can grow the frontier past it (results do not
+#: depend on it)
 FRONTIER_INTERVALS = 4096
 
 #: words per Philox call of the refinement: bounds the call's dozen scratch
-#: arrays when the frontier outgrows FRONTIER_INTERVALS by splitting (results
-#: do not depend on it)
+#: arrays, however large the frontier (results do not depend on it)
 PHILOX_CHUNK = 8192
 
 #: an interval is refined while exp(-2 e0 e1 / Δ) > 2^-53, i.e. while
@@ -441,33 +443,25 @@ def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge:
     """First fine crossing index (n + 1 if none) of paths i0..i1-1, and words drawn.
 
     Paths join the frontier `block_paths` at a time, after their coarse
-    walk, while it stays under `frontier` intervals (see the module
-    docstring); each step refines the whole frontier one level.
+    walk, until it holds `frontier` intervals (see the module docstring);
+    each step refines the whole frontier one level.
     """
     n_coarse = len(plan.coarse) - 1
     first = np.empty(i1 - i0, dtype=np.intp)
     front = [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0)] * 2  # p, lo, hi, blo, bhi
-    walked, row, n_draws = None, 0, 0
+    row, n_draws = 0, 0
     while True:
-        while walked is not None or row < len(first):
-            if len(front[0]) and len(front[0]) >= frontier:
-                break  # no block can fit: walk none yet
-            if walked is None:
-                rows = np.arange(i0 + row, min(i0 + row + block_paths, i1), dtype=_U64)
-                first[row:row + len(rows)], (p, *ends) = _coarse_level(plan, seed, rows, r0)
-                walked = (p + row, *ends)
-                n_draws += len(rows) * n_coarse
-                row += len(rows)
-            if len(front[0]) and len(front[0]) + len(walked[0]) > frontier:
-                break
-            front = [np.concatenate(pair) for pair in zip(front, walked)]
-            walked = None
-
+        while row < len(first) and len(front[0]) < frontier:
+            rows = np.arange(i0 + row, min(i0 + row + block_paths, i1), dtype=_U64)
+            first[row:row + len(rows)], (p, *ends) = _coarse_level(plan, seed, rows, r0)
+            front = [np.concatenate(pair) for pair in zip(front, (p + row, *ends))]
+            n_draws += len(rows) * n_coarse
+            row += len(rows)
         keep = front[1] < first[front[0]]
         front = [a[keep] for a in front]
         if len(front[0]):
             n_draws += _refine_level(plan, seed, i0, bridge, first, front)
-        elif walked is None and row == len(first):
+        elif row == len(first):
             return first, n_draws
 
 
@@ -568,23 +562,13 @@ def simulate(
                  n_draws=sum(d for _, d in results))
 
 
-def ks_distance(run: McRun, est) -> float:
+def ks_distance(run: McRun, est: DensityEstimate) -> float:
     """Kolmogorov-Smirnov distance between the empirical and estimated CDFs.
 
-    `est` is anything exposing `cdf(t)` and a horizon (a DensityEstimate,
-    or a stub for self-tests).  The supremum is taken over the hit-time
-    sample points and, when present, the estimate's grid nodes.
+    The supremum is taken over the hit-time sample points and the
+    estimate's grid nodes.
     """
-    horizon = est.grid.T if hasattr(est, "grid") else est.horizon
-    if horizon != run.config.T:
-        raise ValueError(
-            f"horizon mismatch: run T={run.config.T}, estimate T={horizon}"
-        )
-    pts = [run.hit_times]
-    if hasattr(est, "grid"):
-        pts.append(np.asarray(est.grid.nodes))
-    ts = np.unique(np.concatenate(pts)) if pts else np.array([])
-    ts = ts[(ts >= 0.0) & (ts <= horizon)]
-    if len(ts) == 0:
-        return 0.0
-    return float(np.max(np.abs(run.ecdf(ts) - np.asarray(est.cdf(ts)))))
+    if est.grid.T != run.config.T:
+        raise ValueError(f"horizon mismatch: run T={run.config.T}, estimate T={est.grid.T}")
+    ts = np.union1d(run.hit_times, est.grid.nodes)
+    return float(np.max(np.abs(run.ecdf(ts) - est.cdf(ts))))

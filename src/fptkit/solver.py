@@ -306,19 +306,21 @@ class DensityEstimate:
 
 
 def problem_fingerprint(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> str:
-    """Content hash tying a density estimate to its (source, curve, grid)."""
+    """Content hash tying a density estimate to its (source, curve, grid).
+
+    Numbers hash as floats and N as an int, whatever type built them."""
     h = hashlib.sha256()
-    parts = [curve.kind, repr(curve.gamma), repr(curve.a), repr(curve.b), repr(curve.theta)]
+    parts = [curve.kind, *(repr(float(v)) for v in (curve.gamma, curve.a, curve.b, curve.theta))]
     if curve.kind == "sampled":
         parts += [curve.knots_t.tobytes().hex(), curve.knots_x.tobytes().hex()]
     parts.append(src.kind)
     if src.width == 0.0:
-        parts.append(repr(src.r0))
+        parts.append(repr(float(src.r0)))
     else:
         # a bump hashes as the knots (ends) and heights of its density
         ends = np.array([src.support_lower, src.support_upper])
         parts += [ends.tobytes().hex(), np.full(2, 1.0 / src.width).tobytes().hex()]
-    parts += [repr(grid.T), repr(grid.N), repr(grid.q)]
+    parts += [repr(float(grid.T)), repr(int(grid.N)), repr(float(grid.q))]
     h.update("|".join(parts).encode())
     return h.hexdigest()[:16]
 

@@ -331,6 +331,21 @@ class TestSimulate:
         assert code == 4
         assert "mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solved", [
+        ["--boundary", "constant", "--a", "1.5", "--r0", "0"],
+        ["--boundary", "constant", "--a", "1", "--r0", "-0.5"],
+    ], ids=["boundary", "source"])
+    def test_density_of_another_problem_rejected(self, tmp_path, capsys, solved):
+        # the density in the directory was solved for another boundary or
+        # source: exit 4 before any path is simulated
+        assert run(["solve", *solved, "--T", "1", "--N", "256", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = run([*self.SIM, "--out", str(tmp_path)])
+        assert code == 4
+        assert_one_line(capsys.readouterr().err, "artifact mismatch:")
+        for name in ("ks.json", "hits.csv", "mc.json"):
+            assert not (tmp_path / name).exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_dt_rejected(self, tmp_path, capsys, value):
         code = run([*self.SIM, f"--dt={value}", "--out", str(tmp_path)])
@@ -446,7 +461,7 @@ class TestValidate:
         doc = json.loads((tmp_path / "a" / "validate.json").read_text())
         assert "delta_convergence" not in [r["name"] for r in doc["reports"]]
 
-    def test_corrupted_density_detected(self, tmp_path):
+    def test_corrupted_density_detected(self, tmp_path, capsys):
         # solve, scale the stored p column by 1.1, then validate: exit 5
         assert run(["solve", *LINEAR_ARGS, "--method", "marching", "--out", str(tmp_path)]) == 0
         rows = (tmp_path / "density.csv").read_text().splitlines()
@@ -458,8 +473,10 @@ class TestValidate:
         # with its content hash updated the edit passes the integrity check,
         # so the master residual is what must catch it
         reseal(tmp_path)
+        capsys.readouterr()
         code = run(["validate", *LINEAR_ARGS, "--suite", "master", "--out", str(tmp_path)])
         assert code == 5
+        assert_one_line(capsys.readouterr().err, "validation failed:")
         doc = json.loads((tmp_path / "validate.json").read_text())
         assert doc["all_passed"] is False
 
@@ -585,6 +602,22 @@ def test_malformed_run_json_exits_4_without_artifacts(tmp_path, capsys, cmd, wri
     assert run(["solve", *problem, "--method", "marching", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "run.json").read_text())
     (tmp_path / "run.json").write_text(json.dumps(edit(doc)))
+    capsys.readouterr()
+    assert run([*cmd, *problem, "--out", str(tmp_path)]) == 4
+    assert_one_line(capsys.readouterr().err, "artifact mismatch:")
+    assert not (tmp_path / written).exists()
+
+
+@pytest.mark.parametrize("cmd, written", [
+    (["validate", "--suite", "mass"], "validate.json"),
+    (["simulate", "--n-paths", "2000", "--dt", "0.01", "--seed", "42"], "ks.json"),
+], ids=["validate", "simulate"])
+def test_unreadable_density_exits_4_without_artifacts(tmp_path, capsys, cmd, written):
+    # a density.csv that cannot be read at all is an artifact failing its checks
+    problem = ["--boundary", "constant", "--a", "1", "--r0", "0", "--T", "1", "--N", "256"]
+    assert run(["solve", *problem, "--method", "marching", "--out", str(tmp_path)]) == 0
+    (tmp_path / "density.csv").unlink()
+    (tmp_path / "density.csv").mkdir()
     capsys.readouterr()
     assert run([*cmd, *problem, "--out", str(tmp_path)]) == 4
     assert_one_line(capsys.readouterr().err, "artifact mismatch:")

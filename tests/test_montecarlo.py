@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,11 +28,11 @@ GOLDEN_HITS_SHA256 = "96caa9cfa0d3ccccb5817affd2706fc791a08c01dc9565f5ba07faa877
 
 
 class _EcdfStub:
-    """Minimal estimate-like wrapper exposing the run's own ecdf."""
+    """Minimal estimate-like wrapper exposing the run's own ecdf on a node-less grid."""
 
     def __init__(self, run):
         self._run = run
-        self.horizon = run.config.T
+        self.grid = SimpleNamespace(T=run.config.T, nodes=np.empty(0))
 
     def cdf(self, t):
         return self._run.ecdf(t)

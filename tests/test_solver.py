@@ -567,6 +567,17 @@ class TestFingerprint:
         grid = TimeGrid(4.0, 2048, 2.0)
         assert problem_fingerprint(bump, BoundaryCurve.linear(1.0, 0.5), grid) == "42dd2020ec1bc6ec"
 
+    @pytest.mark.parametrize("number", [int, np.float64], ids=["int", "np.float64"])
+    def test_numbers_hash_as_floats(self, number):
+        # a problem built from ints or numpy scalars is the problem built
+        # from the floats they equal, and hashes to the same pins
+        bump = SourceSpec.uniform_bump(number(0), 0.25)
+        grid = TimeGrid(number(4), 2048, number(2))
+        curve = BoundaryCurve.linear(number(1), 0.5)
+        assert problem_fingerprint(bump, curve, grid) == "42dd2020ec1bc6ec"
+        point = SourceSpec(r0=number(0))
+        assert problem_fingerprint(point, curve, TimeGrid(4.0, 2048, 2.0)) == "2f91ccbfa9414ab0"
+
 
 class TestSerialization:
     def test_csv_json_round_trip(self, tmp_path):
