@@ -220,9 +220,9 @@ def _write_run_json(path: Path, cfg: dict, est: DensityEstimate) -> None:
         fh.write("\n")
 
 
-def _solved_density(out: Path, curve, src) -> DensityEstimate | None:
-    """The density artifact pair in `out`, or None if it holds none; raises
-    ArtifactMismatch if the pair fails its checks or belongs to another problem."""
+def _solved_density(out: Path, curve, src, T: float) -> DensityEstimate | None:
+    """The density artifact pair in `out`, or None if it holds none; raises ArtifactMismatch
+    if the pair fails its checks or belongs to another problem or horizon T (N is free)."""
     density_csv, run_json = out / "density.csv", out / "run.json"
     if not (density_csv.exists() and run_json.exists()):
         return None
@@ -232,6 +232,8 @@ def _solved_density(out: Path, curve, src) -> DensityEstimate | None:
         raise ArtifactMismatch(f"{density_csv.name} fails its checks: {exc}") from exc
     if est.fingerprint != problem_fingerprint(src, curve, est.grid):
         raise ArtifactMismatch(f"{density_csv.name} was solved for another (curve, source) pair")
+    if est.grid.T != T:
+        raise ArtifactMismatch(f"{density_csv.name} has horizon T={est.grid.T}, this run T={T}")
     return est
 
 
@@ -269,9 +271,7 @@ def cmd_simulate(cfg: dict) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     out = _outdir(cfg)
-    est = _solved_density(out, curve, src)
-    if est is not None and est.grid.T != mc_cfg.T:
-        raise ArtifactMismatch(f"density.csv has horizon T={est.grid.T}, simulate T={mc_cfg.T}")
+    est = _solved_density(out, curve, src, grid.T)
     run = simulate(src, curve, mc_cfg, workers=_workers())
     run.hits_to_csv(out / "hits.csv")
     run.to_json(out / "mc.json")
@@ -351,7 +351,7 @@ def cmd_validate(cfg: dict, suite: str) -> None:
                           f" {max(DELTA_WIDTHS) / 2} below the boundary start X_0")
     out = _outdir(cfg)
     # validate the artifact already in the output directory, if any
-    est = _solved_density(out, curve, src)
+    est = _solved_density(out, curve, src, grid.T)
     if est is None:
         est = solve_marching(src, curve, grid)
     reports = run_validation_suite(suite, GreenField(curve=curve, src=src, density=est))

@@ -6,22 +6,22 @@ free kernel minus the mass re-emitted from the boundary:
 
     G^X(r0, x, t) = G(x, t; r0, 0) - int_0^t G(x, t; X_tau, tau) p(tau) dtau
 
-Everything else here derives from that representation: the survival
-probability S(t) = int_{-inf}^{X_t} G^X dx and the boundary flux
--1/2 d/dx G^X|_{X_t^-}, which must reproduce p itself.
+Everything else here derives from that representation.  The boundary
+flux -1/2 d/dx G^X|_{X_t^-} must reproduce p itself.  The survival
+S(t) = int_{-inf}^{X_t} G^X dx is closed-form in x, as each free kernel
+G(., t; y, s) integrates to 1 - Psi((X_t - y)/sqrt(t - s)) below X_t, a
+bracket that tends to 1/2 at s = t.  `hitting_integral` takes that Psi
+row against p for `survival` and `validation.master_residual` alike, so
+S + F = 1 is the hitting identity at z = X_t.
 
-The time integral has a (t - tau)^(-1/2) endpoint weight from the Gaussian
-prefactor; it is product-integrated by `DensityEstimate.history`, the one
-rule for time integrals against p, whose partition adds one geometric
-sequence toward tau = t to the grid nodes, so the boundary layer of the
-exponential factor is resolved at every scale, also where it spans
-several grid segments.
+Time integrals against p use `DensityEstimate.history`, whose partition
+adds one geometric sequence toward tau = t to the grid nodes, resolving
+the exponential factor's boundary layer at every scale.
 
-This emission sum, n_x points against the n_tau partition nodes, is one of
-the package's two O(N^2) loops (the other is the solver's kernel sum).
-`green_eval` builds it in row blocks of at most `EMISSION_BLOCK_BYTES`
-(2 MB; a block holds at least one row), so `survival`, with 2048
-x-points, peaks near 2 MB at N = 4096.
+The emission sum of `green_eval`, n_x points against the n_tau partition
+nodes, is one of the package's two O(N^2) loops (the other is the
+solver's kernel sum); it is built in row blocks of at most
+`EMISSION_BLOCK_BYTES` (2 MB; a block holds at least one row).
 """
 
 from __future__ import annotations
@@ -32,15 +32,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .kernels import SQRT_TWO_PI, psi, smeared_gaussian
+from .kernels import SQRT_TWO_PI, psi, smeared_gaussian, smeared_psi
 from .solver import DensityEstimate, SourceSpec, problem_fingerprint
 
-#: composite Gauss-Legendre panel count for the survival integral
-SURVIVAL_PANELS = 256
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-
 #: working set of one block of the emission sum in `green_eval` (rows of x
-#: against the n_tau partition nodes); 0.5 to 4 MB ran equally fast
+#: against the n_tau partition nodes), whose largest caller is the `fpt
+#: green` lattice; 0.5 to 4 MB ran equally fast
 EMISSION_BLOCK_BYTES = 2 * 2**20
 
 
@@ -104,29 +101,31 @@ def green_eval(field: GreenField, x, t: float):
     return val.reshape(x.shape) if x.ndim else float(val[0])
 
 
-def survival(field: GreenField, t: float) -> float:
-    """Survival probability P(tau > t) = int_{-inf}^{X_t} G^X(x, t) dx.
+def hitting_integral(density: DensityEstimate, curve: BoundaryCurve, t: float, z):
+    """(int_0^t Psi((z - X_tau)/sqrt(t - tau)) p(tau) dtau, int_0^t p) by `history(t, 0)`.
 
-    Composite 8-point Gauss-Legendre panels over a 12-standard-deviation
-    window below the boundary, cosine-clustered toward X_t where the
-    integrand vanishes linearly; the analytic tail of the free kernel
-    below the window (at most Psi(12) ~ 2e-33) is added back.
+    The first is the hitting identity's right-hand side at levels z >= X_t
+    (scalar or array), its integrand taken at the tau -> t limit, p(t)/2
+    for z = X_t and 0 above.
     """
-    if not 0.0 < t <= field.horizon:
-        raise ValueError(f"survival defined for 0 < t <= {field.horizon}")
-    curve = field.curve
-    xt = float(curve.value(t))
-    x_lo = xt - 12.0 * math.sqrt(t) - abs(field.src.support_lower - curve.x0)
+    tau, w, w_t = density.history(t, 0.0)
+    z = np.asarray(z, dtype=float)
+    arg = (z[..., None] - np.asarray(curve.value(tau))) / np.sqrt(t - tau)
+    hit = np.asarray(psi(arg)) @ w + np.where(z == float(curve.value(t)), 0.5 * w_t, 0.0)
+    return hit, float(np.sum(w)) + w_t
 
-    j = np.arange(SURVIVAL_PANELS + 1)
-    bounds = x_lo + (xt - x_lo) * np.sin(0.5 * math.pi * j / SURVIVAL_PANELS)
-    mid = 0.5 * (bounds[1:] + bounds[:-1])
-    half = 0.5 * (bounds[1:] - bounds[:-1])
-    xs = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
-    ws = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
 
-    total = float(green_eval(field, xs, t) @ ws)
-    total += psi((field.src.support_lower - x_lo) / math.sqrt(t))
+def survival(field: GreenField, t: float) -> float:
+    """Survival probability P(tau > t) = int_{-inf}^{X_t} G^X(x, t) dx, in closed form in x:
+
+        S(t) = 1 - Psi_h(X_t, t) - int_0^t [1 - Psi((X_t - X_tau)/sqrt(t - tau))] p(tau) dtau
+
+    clamped to [0, 1], with Psi_h = `kernels.smeared_psi` of the source and
+    the bracket 1/2 at tau = t; the history rule rejects t outside (0, T].
+    """
+    xt = float(field.curve.value(t))
+    hit, mass = hitting_integral(field.density, field.curve, t, xt)
+    total = 1.0 - smeared_psi(xt, t, field.src.r0, field.src.width) - (mass - float(hit))
     return min(max(total, 0.0), 1.0)
 
 

@@ -24,9 +24,10 @@ subnormal) time that argument overflows to -inf, a factor of exactly 0,
 so each evaluation runs under `np.errstate(over="ignore")`, as the
 solver's assembler and `green.green_eval` do.
 
-The moment integral at the bottom, `segment_weight`, integrates a weakly
-singular weight (t - tau)^beta exactly over one subinterval, the building
-block of product integration against piecewise-linear co-factors.
+The moment integral at the bottom, `segment_weight`, integrates the
+weight (t - tau)^beta exactly over one subinterval.  No module under
+`src/` calls it (`solver._nodal_weights` builds its own moments); it
+stays as the tests' reference and for the benchmark.
 """
 
 from __future__ import annotations

@@ -7,13 +7,12 @@ through quantities the solvers do *not* use directly:
 * `master_residual` - the hitting distribution must satisfy
   Psi((z - r0)/sqrt(t)) = int_0^t Psi((z - X_s)/sqrt(t - s)) p(s) ds
   for every level z >= X_t (for a smeared source h the left-hand side
-  is int h(xi) Psi((z - xi)/sqrt(t)) dxi), the right-hand side
-  integrated by `DensityEstimate.history`, the same rule the Green
-  function uses;
+  is int h(xi) Psi((z - xi)/sqrt(t)) dxi), the right-hand side by the
+  one rule for time integrals against p, `DensityEstimate.history`;
 * `heat_residual` - finite-difference heat-equation residual of any
   space-time field;
 * `mass_conservation` - survival probability and hitting CDF must sum
-  to one;
+  to one: the hitting identity at z = X_t, with the CDF for int p;
 * `jump_check` - the boundary flux of the Green function must reproduce
   the density;
 * `delta_convergence` - densities for shrinking smeared sources must
@@ -29,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .green import GreenField, boundary_flux, survival
-from .kernels import psi, smeared_psi
+from .green import GreenField, boundary_flux, hitting_integral, survival
+from .kernels import smeared_psi
 from .solver import DensityEstimate, SourceSpec, TimeGrid, solve_many
 
 
@@ -83,28 +82,18 @@ def master_residual(
 
     where the left-hand side is int h(xi) Psi((z - xi)/sqrt(t)) dxi for
     the source's density h, Psi((z - r0)/sqrt(t)) for a point source, in
-    closed form (`kernels.smeared_psi`).  The right-hand side is integrated by
-    `DensityEstimate.history` with beta = 0; its integrand is bounded, and
-    at the s -> t endpoint it tends to Psi(0) p(t) = p(t)/2 when
-    offset = 0 (continuous boundaries) and to 0 otherwise, and is
-    evaluated by that limit.
+    closed form (`kernels.smeared_psi`).  The right-hand side is
+    `green.hitting_integral`, whose history rule rejects t outside (0, T].
     """
     offsets = np.array([float(o) for o in z_offsets])
     if np.any(offsets < 0.0):
         raise ValueError("offsets must be >= 0 (identity holds for z >= X_t)")
-    pts = []
-    res = []
-    for t in times:
-        t = float(t)
-        if not 0.0 < t <= est.grid.T:
-            raise ValueError("probe times must lie in (0, T]")
-        tau, w, w_t = est.history(t, 0.0)
+    pts, res = [], []
+    for t in map(float, times):
         z = float(curve.value(t)) + offsets
-        arg = (z[:, None] - np.asarray(curve.value(tau))) / np.sqrt(t - tau)
-        integral = np.asarray(psi(arg)) @ w + np.where(offsets == 0.0, 0.5 * w_t, 0.0)
-        lhs = smeared_psi(z, t, src.r0, src.width)
+        integral = hitting_integral(est, curve, t, z)[0]
         pts += [(t, float(o)) for o in offsets]
-        res += [float(r) for r in np.abs(lhs - integral)]
+        res += [float(r) for r in np.abs(smeared_psi(z, t, src.r0, src.width) - integral)]
     return _sup_report("master_equation", pts, res, tolerance)
 
 

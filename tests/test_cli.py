@@ -500,6 +500,18 @@ class TestValidate:
         assert_one_line(capsys.readouterr().err, "artifact mismatch:")
         assert not (tmp_path / "validate.json").exists()
 
+    def test_density_of_another_horizon_rejected(self, tmp_path, capsys):
+        # a T = 4 density checked at T = 2 would report t = 1, 2, 4: exit 4,
+        # no validate.json; N is free, as for simulate
+        assert run(["solve", "--N", "64", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = run(["validate", "--N", "64", "--T", "2", "--suite", "mass",
+                    "--out", str(tmp_path)])
+        assert code == 4
+        assert_one_line(capsys.readouterr().err, "artifact mismatch:")
+        assert not (tmp_path / "validate.json").exists()
+        assert run(["validate", "--N", "32", "--suite", "mass", "--out", str(tmp_path)]) == 0
+
     def test_run_json_with_gamma_still_validates(self, tmp_path):
         # run.json files written while gamma was a user input carry it at the
         # top level and in their config; the fingerprint already hashed the

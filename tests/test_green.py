@@ -16,7 +16,7 @@ from fptkit import (
     solve_marching,
     survival,
 )
-from fptkit.green import EMISSION_BLOCK_BYTES, SURVIVAL_PANELS
+from fptkit.green import EMISSION_BLOCK_BYTES
 
 POINT = SourceSpec.point(0.0)
 
@@ -86,6 +86,20 @@ class TestGreenEval:
         vals = green_eval(linear_field, xs, t)
         assert np.array_equal(vals, np.array([green_eval(linear_field, float(x), t) for x in xs]))
 
+    def test_peak_memory_is_one_emission_block(self):
+        # 2048 x-points against ~4300 history nodes are 67 MiB in one array
+        curve = BoundaryCurve.linear(1.0, 0.5)
+        est = solve_marching(POINT, curve, TimeGrid(T=4.0, N=4096, q=2.0))
+        fld = GreenField(curve=curve, src=POINT, density=est)
+        xs = np.linspace(-3.0, float(curve.value(4.0)), 2048)
+        tracemalloc.start()
+        try:
+            green_eval(fld, xs, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("t", [1e-300, 1e-310, 5e-324])
     def test_tiny_times_stay_finite(self, linear_field, t):
         # the exponents overflow to -inf, factors of exactly 0, with no
@@ -132,34 +146,21 @@ class TestSurvival:
             for t in (1.0, 2.0, 4.0):
                 assert survival(fld, t) + est.cdf(t) == pytest.approx(1.0, abs=2e-3)
 
-    def test_peak_memory_is_one_lattice_array(self):
-        # survival evaluates 8 x-points per panel against the n_tau nodes of
-        # the history rule; the exponential factor is built in place
-        curve = BoundaryCurve.linear(1.0, 0.5)
-        est = solve_marching(POINT, curve, TimeGrid(T=4.0, N=1024, q=2.0))
-        fld = GreenField(curve=curve, src=POINT, density=est)
-        lattice_bytes = 8 * SURVIVAL_PANELS * len(est.history(4.0, -0.5)[0]) * 8
-        tracemalloc.start()
-        try:
-            survival(fld, 4.0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * lattice_bytes
-
-
-    def test_peak_memory_is_one_emission_block(self):
-        # 2048 x-points against ~4300 history nodes are 67 MiB in one array
+    def test_peak_memory_is_a_few_history_rows(self):
+        # the closed form takes one row of Psi against the ~4300 history
+        # nodes.  A first call imports numpy.ma (through np.union1d), so the
+        # traced call is the second
         curve = BoundaryCurve.linear(1.0, 0.5)
         est = solve_marching(POINT, curve, TimeGrid(T=4.0, N=4096, q=2.0))
         fld = GreenField(curve=curve, src=POINT, density=est)
+        survival(fld, 4.0)
         tracemalloc.start()
         try:
             survival(fld, 4.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8 * 2**20
+        assert peak < EMISSION_BLOCK_BYTES / 2
 
 
 class TestBoundaryFlux:

@@ -177,15 +177,29 @@ class TestMassConservation:
         assert rep.passed
 
     def test_exact_density_floor(self):
-        # with the closed-form p injected the residual is the Green
-        # quadrature's own floor, set by how the partition resolves the
-        # emission factor's Gaussian layer, which spans several grid segments
-        # near tau = t
+        # with the closed-form p injected the residual is the history rule's
+        # own floor for the Psi row at z = X_t, as in the master identity
         grid = TimeGrid(T=4.0, N=4096, q=2.0)
         fld = GreenField(curve=BoundaryCurve.linear(1.0, 0.5), src=POINT,
                          density=inject_exact_density(1.0, 0.5, grid))
-        rep = mass_conservation(fld, times=(0.5, 1.0, 2.0, 4.0), tolerance=1e-6)
+        rep = mass_conservation(fld, times=(0.5, 1.0, 2.0, 4.0), tolerance=2e-8)
         assert rep.passed, rep.residuals
+
+    @pytest.mark.parametrize("curve", [BoundaryCurve.linear(1.0, 0.5),
+                                       BoundaryCurve.power(1.0, 0.5, 0.75)],
+                             ids=["linear", "power"])
+    def test_is_the_hitting_identity_at_the_boundary(self, curve):
+        # S + F - 1 = [F - int p] + [int Psi p - P(B_t >= X_t)]: at a node
+        # the trapezoid F is the rule's int p, so the mass residual is the
+        # master residual at offset 0
+        grid = TimeGrid(T=4.0, N=1024, q=2.0)
+        est = solve_marching(POINT, curve, grid)
+        fld = GreenField(curve=curve, src=POINT, density=est)
+        times = (grid.T / 4.0, grid.T)
+        assert all(t in grid.nodes for t in times)
+        mass = mass_conservation(fld, times=times)
+        master = master_residual(est, curve, POINT, z_offsets=(0.0,), times=times)
+        assert np.allclose(mass.residuals, master.residuals, rtol=0.0, atol=1e-12)
 
 
 class TestJumpCheck:
