@@ -23,6 +23,7 @@ from .solver import (
     SourceSpec,
     TimeGrid,
     check_problem,
+    cpu_workers,
     problem_fingerprint,
     solve_many,
     solve_marching,
@@ -55,6 +56,7 @@ __all__ = [
     "boundary_flux",
     "check_problem",
     "closed_form_linear",
+    "cpu_workers",
     "delta_convergence",
     "estimate_holder",
     "gaussian",

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from .solver import (
     SourceSpec,
     TimeGrid,
     check_problem,
+    cpu_workers,
     problem_fingerprint,
     solve_many,
     solve_marching,
@@ -188,22 +188,6 @@ def build_problem(cfg: dict):
     return curve, src, grid
 
 
-def _workers() -> int:
-    """MC worker processes: at most 4, the CPUs this process may run on, and FPT_THREADS."""
-    cap = os.environ.get("FPT_THREADS")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count()
-    default = min(4, cpus or 1)
-    if cap is None:
-        return default
-    try:
-        return max(1, min(default, int(cap)))
-    except ValueError:
-        return default
-
-
 def _outdir(cfg: dict) -> Path:
     out = Path(cfg["output"]["directory"])
     try:
@@ -272,7 +256,7 @@ def cmd_simulate(cfg: dict) -> None:
         raise ConfigError(str(exc)) from exc
     out = _outdir(cfg)
     est = _solved_density(out, curve, src, grid.T)
-    run = simulate(src, curve, mc_cfg, workers=_workers())
+    run = simulate(src, curve, mc_cfg, workers=cpu_workers())
     run.hits_to_csv(out / "hits.csv")
     run.to_json(out / "mc.json")
     if est is not None:

@@ -37,20 +37,21 @@ at every node.  A path far from the boundary costs about K draws instead
 of 2n.
 
 Schedule.  Each worker takes one contiguous range of paths, so the plan is
-sent once per worker.  Within a range one loop refines a frontier: every
-step takes each pending interval of every admitted path one tree level
-down, with one Philox call for all of them.  Paths are walked on the coarse
-grid `BLOCK_PATHS` at a time, which bounds the walk's working set, and
-walked blocks join the frontier until it holds `FRONTIER_INTERVALS`
+sent once per worker, and the calling process takes the first range, so k
+workers start k - 1 processes.  Within a range one loop refines a frontier:
+every step takes each pending interval of every admitted path one tree
+level down, with one Philox call for all of them.  Paths are walked on the
+coarse grid `BLOCK_PATHS` at a time, which bounds the walk's working set,
+and walked blocks join the frontier until it holds `FRONTIER_INTERVALS`
 pending intervals.  That keeps each Philox call a few thousand words long,
 where numpy's per-call cost no longer dominates.  Admission stops at that
-bound, but nothing caps the frontier: the last block admitted and
-splitting grow it past the bound (to 22,660 intervals for 8192 paths
-started 0.1 below a constant boundary, dt = 1e-4, seed 5).  `PHILOX_CHUNK`
-bounds only the Philox scratch, drawing a step's words that many at a
-time.  A path's pending intervals always share one tree level, its drop
-rule reads only its own earliest crossing, and paths never interact, so
-the schedule cannot change the hits or `n_draws`.
+bound, but nothing caps the frontier: the last block admitted and splitting
+grow it past the bound (to 22,660 intervals for 8192 paths started 0.1
+below a constant boundary, dt = 1e-4, seed 5).  `PHILOX_CHUNK` bounds only
+the Philox scratch, drawing a step's words that many at a time.  A path's
+pending intervals always share one tree level, its drop rule reads only its
+own earliest crossing, and paths never interact, so the schedule cannot
+change the hits or `n_draws`.
 
 Reproducibility is a hard contract.  Every number path i uses is a fixed
 word of numpy's own `Philox(key=[seed, i]).random_raw()` stream, computed
@@ -89,7 +90,7 @@ from functools import partial
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .solver import DensityEstimate, SourceSpec, check_problem
+from .solver import DensityEstimate, SourceSpec, check_problem, sorted_union
 
 #: paths per coarse walk: bounds the walk's working set and is the step in
 #: which paths join the refinement frontier (results do not depend on it)
@@ -536,7 +537,8 @@ def simulate(
     Deterministic given (seed, n_paths, dt): path i is a pure function of
     its Philox words, and the merged hit times are sorted, so the output is
     byte-identical for any `workers`.  Each worker refines one contiguous
-    range of whole `BLOCK_PATHS` blocks, so the plan is sent once per worker.
+    range of whole `BLOCK_PATHS` blocks, so the plan is sent once per worker;
+    this process is the worker of the first range.
     """
     if src.kind != "point":
         raise ValueError("Monte Carlo oracle simulates point sources only")
@@ -551,8 +553,10 @@ def simulate(
     run_range = partial(_simulate_range, plan, cfg.seed, r0=src.r0, bridge=cfg.bridge_correction,
                         block_paths=BLOCK_PATHS, frontier=FRONTIER_INTERVALS)
     if n_ranges > 1:
-        with ProcessPoolExecutor(max_workers=n_ranges) as ex:
-            results = list(ex.map(run_range, cuts[:-1], cuts[1:]))
+        # this process simulates range 0 while the pool runs the others
+        with ProcessPoolExecutor(max_workers=n_ranges - 1) as ex:
+            rest = ex.map(run_range, cuts[1:-1], cuts[2:])
+            results = [run_range(0, cuts[1]), *rest]
     else:
         results = [run_range(0, cfg.n_paths)]
 
@@ -570,5 +574,5 @@ def ks_distance(run: McRun, est: DensityEstimate) -> float:
     """
     if est.grid.T != run.config.T:
         raise ValueError(f"horizon mismatch: run T={run.config.T}, estimate T={est.grid.T}")
-    ts = np.union1d(run.hit_times, est.grid.nodes)
+    ts = sorted_union(run.hit_times, est.grid.nodes)
     return float(np.max(np.abs(run.ecdf(ts) - est.cdf(ts))))

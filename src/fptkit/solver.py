@@ -51,6 +51,18 @@ rows is built in place: t_i - tau once, turned into kappa with one
 `np.exp`, and multiplied into the product weights, so at most four
 BLOCK_ROWS x (N + 1) buffers are live (2 MB at N = 4096).
 
+A sweep of at least `PARALLEL_PAIRS` kernel pairs (N of about 1450)
+assembles on `cpu_workers()` processes where `os.fork` exists: block b
+comes from worker b % workers, worker 0 being the calling process, which
+also runs every history product and block step in time order.  The
+forked helpers write their blocks into a shared anonymous-mmap ring of
+`RING_BLOCKS` blocks (2 MB at N = 4096), so no block is pickled or sent
+through a pipe; a pipe per helper carries one byte per block each way.
+A block is the same function of (ts, xs, kdiag) whoever assembles it,
+so p is bit-identical for every worker count.  The helpers are reaped
+when the sweep ends, whether it returns or raises; a helper that dies
+leaves its remaining blocks to the calling process.
+
 Downstream time integrals against the solved p (the Green function's
 boundary emission, the hitting identity) all use one product-integration
 rule, `DensityEstimate.history`.
@@ -58,10 +70,15 @@ rule, `DensityEstimate.history`.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import mmap
+import os
+import signal
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +95,14 @@ MIN_DIAGONAL = 0.1
 #: rows of the quadrature matrix assembled at a time
 BLOCK_ROWS = 16
 
+#: a sweep that assembles at least this many kernel pairs (N of about
+#: 1450) forks `cpu_workers() - 1` assembly helpers; at N = 1024 the fork
+#: and reap cost about what the parallel assembly saves
+PARALLEL_PAIRS = 2 ** 20
+
+#: blocks of the shared ring the helpers assemble into, ahead of the caller
+RING_BLOCKS = 4
+
 #: ratio of the geometric sequence toward t in `DensityEstimate.history`'s
 #: partition; four nodes per octave of t - tau keeps the piecewise-linear
 #: error of exp(-c/(t-tau)) layers below ~1e-3 relative
@@ -86,6 +111,27 @@ _TAIL_RATIO = 2.0 ** 0.25
 
 class SolverError(RuntimeError):
     """A solve could not be completed (grid too coarse, no convergence, no density)."""
+
+
+def cpu_workers() -> int:
+    """Processes a parallel stage may use: at most 4, at most the CPUs in this
+    process's affinity mask, and at most the FPT_THREADS environment variable.
+
+    The one CPU policy of the package: it sizes the block sweep's assembly
+    helpers and the `fpt simulate` worker pool, and changes no result.
+    """
+    cap = os.environ.get("FPT_THREADS")
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    default = min(4, cpus or 1)
+    if cap is None:
+        return default
+    try:
+        return max(1, min(default, int(cap)))
+    except ValueError:
+        return default
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +292,7 @@ class DensityEstimate:
             raise ValueError(f"history defined for 0 < t <= {self.grid.T}")
         nodes = self.grid.nodes
         tail = t - t * _TAIL_RATIO ** -np.arange(math.ceil(math.log(1e14, _TAIL_RATIO)))
-        part = np.union1d(nodes[nodes < t], np.append(tail, t))
+        part = sorted_union(nodes[nodes < t], np.append(tail, t))
         w = _nodal_weights(beta, t - part, np.diff(part)) * np.interp(part, nodes, self.p)
         return part[:-1], w[:-1], float(w[-1])
 
@@ -303,6 +349,19 @@ class DensityEstimate:
         if meta.get("content_sha256") != est.content_sha256():
             raise ValueError("density CSV values do not match the content_sha256 in the metadata")
         return est
+
+
+def sorted_union(a, b) -> np.ndarray:
+    """The sorted distinct values of a and b, bit for bit those of `np.union1d`.
+
+    Concatenate, sort, drop adjacent repeats: `np.union1d` does the same
+    through `np.unique`, whose first call imports `numpy.ma` (17-32 ms).
+    """
+    u = np.sort(np.concatenate((a, b), axis=None))
+    keep = np.empty(len(u), dtype=bool)
+    keep[:1] = True
+    np.not_equal(u[1:], u[:-1], out=keep[1:])
+    return u[keep]
 
 
 def problem_fingerprint(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> str:
@@ -480,18 +539,108 @@ def _block_sweep(curve, grid, jobs):
     product, and `solve_block(ts, lo, M, rhs)` returns its p[lo:hi] from
     (I - M) p[lo:hi] = rhs, with M = A[lo:hi, lo:hi] lower triangular and
     read only.  Returns one p per job, each bit-identical to a sweep of
-    that job alone.
+    that job alone, whoever assembled the blocks.
     """
     gs = [_source_vector(src, curve, grid.nodes) for src, _ in jobs]
     ts, xs, kdiag = _discrete_system(curve, grid)
-    n = len(ts)
-    ps = [np.zeros(n) for _ in jobs]
-    for lo in range(1, n, BLOCK_ROWS):
-        hi = min(lo + BLOCK_ROWS, n)
-        A = _quadrature_rows(lo, hi, ts, xs, kdiag)
-        for (_, solve_block), g, p in zip(jobs, gs, ps):
-            p[lo:hi] = solve_block(ts, lo, A[:, lo:], g[lo:hi] + A[:, :lo] @ p[:lo])
+    ps = [np.zeros(len(ts)) for _ in jobs]
+    with contextlib.closing(_blocks(ts, xs, kdiag)) as blocks:
+        for lo, A in blocks:
+            hi = lo + len(A)
+            for (_, solve_block), g, p in zip(jobs, gs, ps):
+                p[lo:hi] = solve_block(ts, lo, A[:, lo:], g[lo:hi] + A[:, :lo] @ p[:lo])
     return ps
+
+
+def _blocks(ts, xs, kdiag):
+    """Every block (lo, A[lo:hi, :hi]) of `_quadrature_rows`, in time order.
+
+    A yielded block is valid until the next one is asked for.  A sweep of
+    at least `PARALLEL_PAIRS` kernel pairs, where `os.fork` exists, has
+    block b assembled by worker b % workers of `cpu_workers()`, worker 0
+    being this process; any other sweep is assembled here alone.  Worker
+    k > 0 is a forked helper.  The helpers' blocks take the slots of a
+    shared anonymous-mmap ring of `RING_BLOCKS` blocks in turn.  A helper
+    writes one byte to its ready pipe when a block is in its slot, and
+    before it refills a slot it waits for the byte on its free pipe by
+    which this process releases it.  A helper that cannot be started or
+    dies (EOF on its ready pipe) leaves its blocks to this process, and
+    every helper is killed and reaped when the sweep ends, however it ends.
+    """
+    n = len(ts)
+    los = range(1, n, BLOCK_ROWS)
+    workers = cpu_workers() if (n - 1) ** 2 // 2 >= PARALLEL_PAIRS and hasattr(os, "fork") else 1
+    shared = [b for b in range(len(los)) if b % workers]  # the helpers' blocks, in order
+    ring = np.frombuffer(mmap.mmap(-1, RING_BLOCKS * BLOCK_ROWS * n * 8)) if shared else None
+
+    def slot(j, lo, hi):
+        start = j % RING_BLOCKS * BLOCK_ROWS * n
+        return ring[start:start + (hi - lo) * hi].reshape(hi - lo, hi)
+
+    def assemble_share(k, ready_w, free_r):
+        for j, b in enumerate(shared):
+            if b % workers != k:
+                continue
+            if j >= RING_BLOCKS and not os.read(free_r, 1):
+                return
+            lo, hi = los[b], min(los[b] + BLOCK_ROWS, n)
+            slot(j, lo, hi)[...] = _quadrature_rows(lo, hi, ts, xs, kdiag)
+            os.write(ready_w, b"\0")
+
+    pids, opened, pipes = [], [], {}  # pipes: helper -> (ready read end, free write end)
+    try:
+        for k in range(1, workers):
+            try:
+                ready_r, ready_w = os.pipe()
+                opened += (ready_r, ready_w)
+                free_r, free_w = os.pipe()
+                opened += (free_r, free_w)
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork while threads (OpenBLAS's) run;
+                    # the helper takes no lock they hold: numpy ufuncs, then os._exit
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in opened:
+                        if fd not in (ready_w, free_r):
+                            os.close(fd)
+                    assemble_share(k, ready_w, free_r)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            for fd in (ready_w, free_r):
+                os.close(fd)
+                opened.remove(fd)
+            pipes[k] = ready_r, free_w
+
+        j = 0  # the next helper block
+        for b, lo in enumerate(los):
+            hi = min(lo + BLOCK_ROWS, n)
+            k = b % workers
+            if k in pipes and os.read(pipes[k][0], 1):
+                yield lo, slot(j, lo, hi)
+            else:
+                yield lo, _quadrature_rows(lo, hi, ts, xs, kdiag)
+            if k:
+                # release the slot to the helper block RING_BLOCKS later
+                nxt = shared[j + RING_BLOCKS] % workers if j + RING_BLOCKS < len(shared) else 0
+                if nxt in pipes:
+                    with contextlib.suppress(BrokenPipeError):  # EOF tells on it next
+                        os.write(pipes[nxt][1], b"\0")
+                j += 1
+    finally:
+        for pid in pids:
+            # already gone where SIGCHLD is ignored, which reaps children at exit
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in opened:
+            os.close(fd)
 
 
 def _marching_step():

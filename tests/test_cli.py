@@ -377,30 +377,6 @@ class TestSimulate:
         assert_one_line(capsys.readouterr().err, "artifact mismatch:")
         assert not (tmp_path / "ks.json").exists()
 
-    @pytest.mark.parametrize("affinity, cpu_count, cap, expected", [
-        ({0}, 8, None, 1),
-        ({0, 1, 2}, 64, None, 3),
-        (set(range(16)), 16, None, 4),
-        ({0, 1}, 8, "3", 2),
-        ({0, 1, 2}, 8, "1", 1),
-        (None, 2, None, 2),
-        (None, None, None, 1),
-    ])
-    def test_workers_follow_cpu_affinity(self, monkeypatch, affinity, cpu_count, cap,
-                                         expected):
-        # a cpuset or taskset mask, not the machine's CPU count, caps the MC pool
-        if affinity is None:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity),
-                                raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        if cap is None:
-            monkeypatch.delenv("FPT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FPT_THREADS", cap)
-        assert fptkit.cli._workers() == expected
-
     def test_fpt_threads_does_not_change_results(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "w1", tmp_path / "wn"
         monkeypatch.setenv("FPT_THREADS", "1")

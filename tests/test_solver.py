@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,7 @@ from fptkit import (
     SourceSpec,
     TimeGrid,
     closed_form_linear,
+    cpu_workers,
     gaussian_dx,
     master_residual,
     mass_conservation,
@@ -26,7 +32,8 @@ from fptkit import (
     solve_picard,
     source_term,
 )
-from fptkit.solver import BLOCK_ROWS
+import fptkit.solver
+from fptkit.solver import BLOCK_ROWS, PARALLEL_PAIRS, sorted_union
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -445,6 +452,122 @@ class TestSolveMany:
                        [(POINT, "newton")])
 
 
+class TestCpuWorkers:
+    @pytest.mark.parametrize("affinity, cpu_count, cap, expected", [
+        ({0}, 8, None, 1),
+        ({0, 1, 2}, 64, None, 3),
+        (set(range(16)), 16, None, 4),
+        ({0, 1}, 8, "3", 2),
+        ({0, 1, 2}, 8, "1", 1),
+        (None, 2, None, 2),
+        (None, None, None, 1),
+    ])
+    def test_workers_follow_cpu_affinity(self, monkeypatch, affinity, cpu_count, cap,
+                                         expected):
+        # a cpuset or taskset mask, not the machine's CPU count, caps the processes
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if cap is None:
+            monkeypatch.delenv("FPT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FPT_THREADS", cap)
+        assert cpu_workers() == expected
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestParallelSweep:
+    """Sweeps of at least `PARALLEL_PAIRS` kernel pairs assemble on forked helpers."""
+
+    N = 1536  # the smallest multiple of 512 over the threshold
+    REQUESTS = [(POINT, "marching"), (POINT, "picard"),
+                (SourceSpec.uniform_bump(0.0, 0.25), "marching"),
+                (SourceSpec.uniform_bump(0.0, 0.25), "picard")]
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Four allowed CPUs whatever the machine has, and a count of the forks."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        calls = []
+        fork = os.fork
+
+        def counted():
+            calls.append(None)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return calls
+
+    def solve(self, monkeypatch, threads, N=None):
+        monkeypatch.setenv("FPT_THREADS", str(threads))
+        grid = TimeGrid(T=4.0, N=N or self.N, q=2.0)
+        return solve_many(BoundaryCurve.linear(1.0, 0.5), grid, self.REQUESTS)
+
+    def test_grid_is_over_the_threshold(self):
+        assert self.N ** 2 // 2 >= PARALLEL_PAIRS > 1024 ** 2 // 2
+
+    def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, forks):
+        serial = self.solve(monkeypatch, 1)
+        assert forks == []
+        for threads in (2, 4):
+            del forks[:]
+            ests = self.solve(monkeypatch, threads)
+            assert len(forks) == threads - 1
+            for est, ref in zip(ests, serial):
+                assert np.array_equal(est.p, ref.p) and np.array_equal(est.F, ref.F)
+                assert est.residual_summary == ref.residual_summary
+                assert est.fingerprint == ref.fingerprint
+                assert est.content_sha256() == ref.content_sha256()
+            assert_no_child_left()
+
+    def test_small_sweeps_fork_nothing(self, monkeypatch, forks):
+        self.solve(monkeypatch, 4, N=1024)
+        assert forks == []
+
+    def test_solver_error_mid_sweep_reaps_the_helpers(self, monkeypatch, forks):
+        monkeypatch.setenv("FPT_THREADS", "2")
+        grid = TimeGrid(T=4.0, N=self.N, q=2.0)
+        with pytest.raises(SolverError, match="window 0"):
+            solve_picard(SourceSpec.point(0.9), BoundaryCurve.linear(1.0, 0.5), grid,
+                         max_iter=1)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_ignored_sigchld_reaps_the_helpers_itself(self, monkeypatch, forks):
+        serial = self.solve(monkeypatch, 1)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            ests = self.solve(monkeypatch, 2)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert [e.content_sha256() for e in ests] == [e.content_sha256() for e in serial]
+        assert len(forks) == 1
+
+    def test_a_dead_helper_leaves_its_blocks_to_the_caller(self, monkeypatch, forks):
+        serial = self.solve(monkeypatch, 1)
+        caller = os.getpid()
+        assemble = fptkit.solver._quadrature_rows
+
+        def dies_in_helper(lo, *args):
+            if os.getpid() != caller and lo > 40 * BLOCK_ROWS:
+                os._exit(1)
+            return assemble(lo, *args)
+
+        monkeypatch.setattr(fptkit.solver, "_quadrature_rows", dies_in_helper)
+        for est, ref in zip(self.solve(monkeypatch, 4), serial):
+            assert est.content_sha256() == ref.content_sha256()
+            assert est.residual_summary == ref.residual_summary
+        assert len(forks) == 3
+        assert_no_child_left()
+
+
 class TestCdf:
     def test_zero_at_origin(self):
         est = solve_marching(POINT, BoundaryCurve.constant(1.0), TimeGrid(T=1.0, N=128, q=2.0))
@@ -538,6 +661,33 @@ class TestHistory:
             assert np.all(np.diff(tau) > 0.0) and tau[-1] < t
             assert np.all(np.isin(nodes[nodes < t], tau))
             assert t - tau[-1] <= 1e-13 * t
+
+    def test_sorted_union_is_union1d(self):
+        rng = np.random.default_rng(7)
+        a = np.round(rng.normal(size=300), 2)
+        b = np.concatenate((a[:50], np.round(rng.normal(size=200), 1), [0.0, -0.0]))
+        for x, y in ((a, b), (b, a), (a, np.empty(0)), (np.empty(0), np.empty(0))):
+            u = sorted_union(x, y)
+            assert u.tobytes() == np.union1d(x, y).tobytes()
+
+    def test_history_and_ks_import_no_numpy_ma(self):
+        # numpy.union1d imports numpy.ma on its first call, 17-32 ms per process
+        script = (
+            "import sys\n"
+            "from fptkit import *\n"
+            "est = solve_marching(SourceSpec.point(0.0), BoundaryCurve.linear(1.0, 0.5),"
+            " TimeGrid(T=1.0, N=64))\n"
+            "est.history(0.5, -0.5)\n"
+            "run = simulate(SourceSpec.point(0.0), BoundaryCurve.linear(1.0, 0.5),"
+            " McConfig(n_paths=64, dt=1e-2, T=1.0, seed=1))\n"
+            "ks_distance(run, est)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(fptkit.solver.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("t", [0.0, -1.0, 4.5])
     def test_domain_error(self, est, t):
