@@ -36,9 +36,10 @@ so the hits equal those of the full fine path built by Lévy construction
 at every node.  A path far from the boundary costs about K draws instead
 of 2n.
 
-Schedule.  Each worker takes one contiguous range of paths, so the plan is
-sent once per worker, and the calling process takes the first range, so k
-workers start k - 1 processes.  Within a range one loop refines a frontier:
+Schedule.  Each worker takes one contiguous range of paths, the calling
+process the first and a `solver.forked` helper, which inherits the plan by
+fork (it is never pickled), each other one; without `os.fork` the calling
+process runs every range.  Within a range one loop refines a frontier:
 every step takes each pending interval of every admitted path one tree
 level down, with one Philox call for all of them.  Paths are walked on the
 coarse grid `BLOCK_PATHS` at a time, which bounds the walk's working set,
@@ -83,14 +84,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from concurrent.futures import ProcessPoolExecutor
+import os
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .solver import DensityEstimate, SourceSpec, check_problem, sorted_union
+from .solver import DensityEstimate, SourceSpec, check_problem, forked, sorted_union
 
 #: paths per coarse walk: bounds the walk's working set and is the step in
 #: which paths join the refinement frontier (results do not depend on it)
@@ -439,21 +439,20 @@ def _coarse_level(plan: _Plan, seed: int, paths: np.ndarray, r0: float):
     return first, (p, lo[c], hi[c], b[p, c], b[p, c + 1])
 
 
-def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge: bool,
-                    block_paths: int, frontier: int):
+def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge: bool):
     """First fine crossing index (n + 1 if none) of paths i0..i1-1, and words drawn.
 
-    Paths join the frontier `block_paths` at a time, after their coarse
-    walk, until it holds `frontier` intervals (see the module docstring);
-    each step refines the whole frontier one level.
+    Paths join the frontier `BLOCK_PATHS` at a time, after their coarse
+    walk, until it holds `FRONTIER_INTERVALS` intervals (see the module
+    docstring); each step refines the whole frontier one level.
     """
     n_coarse = len(plan.coarse) - 1
     first = np.empty(i1 - i0, dtype=np.intp)
     front = [np.empty(0, dtype=np.intp)] * 3 + [np.empty(0)] * 2  # p, lo, hi, blo, bhi
     row, n_draws = 0, 0
     while True:
-        while row < len(first) and len(front[0]) < frontier:
-            rows = np.arange(i0 + row, min(i0 + row + block_paths, i1), dtype=_U64)
+        while row < len(first) and len(front[0]) < FRONTIER_INTERVALS:
+            rows = np.arange(i0 + row, min(i0 + row + BLOCK_PATHS, i1), dtype=_U64)
             first[row:row + len(rows)], (p, *ends) = _coarse_level(plan, seed, rows, r0)
             front = [np.concatenate(pair) for pair in zip(front, (p + row, *ends))]
             n_draws += len(rows) * n_coarse
@@ -537,8 +536,8 @@ def simulate(
     Deterministic given (seed, n_paths, dt): path i is a pure function of
     its Philox words, and the merged hit times are sorted, so the output is
     byte-identical for any `workers`.  Each worker refines one contiguous
-    range of whole `BLOCK_PATHS` blocks, so the plan is sent once per worker;
-    this process is the worker of the first range.
+    range of whole `BLOCK_PATHS` blocks: this process the first, and a
+    `forked` helper each other one, unless it dies or cannot be forked.
     """
     if src.kind != "point":
         raise ValueError("Monte Carlo oracle simulates point sources only")
@@ -550,20 +549,24 @@ def simulate(
     n_ranges = max(1, min(workers, n_blocks))
     cuts = [min(cfg.n_paths, BLOCK_PATHS * (n_blocks * k // n_ranges))
             for k in range(n_ranges + 1)]
-    run_range = partial(_simulate_range, plan, cfg.seed, r0=src.r0, bridge=cfg.bridge_correction,
-                        block_paths=BLOCK_PATHS, frontier=FRONTIER_INTERVALS)
-    if n_ranges > 1:
-        # this process simulates range 0 while the pool runs the others
-        with ProcessPoolExecutor(max_workers=n_ranges - 1) as ex:
-            rest = ex.map(run_range, cuts[1:-1], cuts[2:])
-            results = [run_range(0, cuts[1]), *rest]
-    else:
-        results = [run_range(0, cfg.n_paths)]
 
-    first = np.concatenate([f for f, _ in results])
+    def run_range(k, shared, done_w, _):
+        # each path's first crossing, then each range's words drawn
+        out = np.frombuffer(shared, dtype=np.int64)
+        out[cuts[k]:cuts[k + 1]], out[cfg.n_paths + k] = _simulate_range(
+            plan, cfg.seed, cuts[k], cuts[k + 1], src.r0, cfg.bridge_correction)
+        if done_w is not None:
+            os.write(done_w, b"\0")
+
+    with forked(n_ranges - 1, 8 * (cfg.n_paths + n_ranges), run_range) as (shared, pipes):
+        for k in range(n_ranges):
+            # range 0, and the range of any helper that did not finish
+            if not (k in pipes and os.read(pipes[k][0], 1)):
+                run_range(k, shared, None, None)
+    first, draws = np.split(np.frombuffer(shared, dtype=np.int64), [cfg.n_paths])
     hits = np.sort(tgrid[first[first <= plan.n_steps]])
     return McRun(config=cfg, hit_times=hits, n_censored=int(np.sum(first > plan.n_steps)),
-                 n_draws=sum(d for _, d in results))
+                 n_draws=int(draws.sum()))
 
 
 def ks_distance(run: McRun, est: DensityEstimate) -> float:

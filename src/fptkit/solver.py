@@ -55,13 +55,14 @@ A sweep of at least `PARALLEL_PAIRS` kernel pairs (N of about 1450)
 assembles on `cpu_workers()` processes where `os.fork` exists: block b
 comes from worker b % workers, worker 0 being the calling process, which
 also runs every history product and block step in time order.  The
-forked helpers write their blocks into a shared anonymous-mmap ring of
-`RING_BLOCKS` blocks (2 MB at N = 4096), so no block is pickled or sent
-through a pipe; a pipe per helper carries one byte per block each way.
-A block is the same function of (ts, xs, kdiag) whoever assembles it,
-so p is bit-identical for every worker count.  The helpers are reaped
-when the sweep ends, whether it returns or raises; a helper that dies
-leaves its remaining blocks to the calling process.
+helpers, started by `forked` as Monte Carlo's are, each write their blocks
+into their own shared anonymous-mmap ring of `RING_BLOCKS` blocks (2 MB
+at N = 4096), so no block is pickled or sent through a pipe; a pipe per
+helper carries one byte per block each way.  A block is the same function
+of (ts, xs, kdiag) whoever assembles it, so p is bit-identical for every
+worker count.  The helpers are reaped when the sweep ends, whether it
+returns or raises; a helper that dies leaves its remaining blocks to the
+calling process.
 
 Downstream time integrals against the solved p (the Green function's
 boundary emission, the hitting identity) all use one product-integration
@@ -100,7 +101,7 @@ BLOCK_ROWS = 16
 #: and reap cost about what the parallel assembly saves
 PARALLEL_PAIRS = 2 ** 20
 
-#: blocks of the shared ring the helpers assemble into, ahead of the caller
+#: blocks of the shared ring each assembly helper fills ahead of the caller
 RING_BLOCKS = 4
 
 #: ratio of the geometric sequence toward t in `DensityEstimate.history`'s
@@ -118,7 +119,7 @@ def cpu_workers() -> int:
     process's affinity mask, and at most the FPT_THREADS environment variable.
 
     The one CPU policy of the package: it sizes the block sweep's assembly
-    helpers and the `fpt simulate` worker pool, and changes no result.
+    helpers and `fpt simulate`'s path ranges, and changes no result.
     """
     cap = os.environ.get("FPT_THREADS")
     if hasattr(os, "sched_getaffinity"):
@@ -132,6 +133,62 @@ def cpu_workers() -> int:
         return max(1, min(default, int(cap)))
     except ValueError:
         return default
+
+
+@contextlib.contextmanager
+def forked(helpers, nbytes, work):
+    """Up to `helpers` forked processes sharing `nbytes` of anonymous memory.
+
+    Helper k = 1..helpers runs `work(k, shared, out_w, in_r)` on its ends of
+    two pipes, then exits.  Yields (shared, {k: (out_r, in_w)}): a helper
+    that could not be started is missing, and one that dies shows as EOF on
+    its out_r.  Without `os.fork` none is started.  Every helper is killed
+    and reaped when the block ends, however it ends.  Memory that cannot be
+    mapped raises MemoryError.
+    """
+    try:
+        shared = mmap.mmap(-1, max(nbytes, 1))  # mmap rejects a length of 0
+    except OSError as exc:
+        raise MemoryError(f"cannot map {nbytes} bytes of shared memory ({exc.strerror})") from None
+    pids, opened, pipes = [], [], {}
+    try:
+        for k in range(1, helpers + 1 if hasattr(os, "fork") else 1):
+            try:
+                out_r, out_w = os.pipe()
+                opened += (out_r, out_w)
+                in_r, in_w = os.pipe()
+                opened += (in_r, in_w)
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork while threads (OpenBLAS's) run;
+                    # the helpers take no lock they hold: numpy ufuncs, then os._exit
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in opened:
+                        if fd not in (out_w, in_r):
+                            os.close(fd)
+                    work(k, shared, out_w, in_r)
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids.append(pid)
+            for fd in (out_w, in_r):
+                os.close(fd)
+                opened.remove(fd)
+            pipes[k] = out_r, in_w
+        yield shared, pipes
+    finally:
+        for pid in pids:
+            # already gone where SIGCHLD is ignored, which reaps children at exit
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for fd in opened:
+            os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -556,91 +613,41 @@ def _blocks(ts, xs, kdiag):
     """Every block (lo, A[lo:hi, :hi]) of `_quadrature_rows`, in time order.
 
     A yielded block is valid until the next one is asked for.  A sweep of
-    at least `PARALLEL_PAIRS` kernel pairs, where `os.fork` exists, has
-    block b assembled by worker b % workers of `cpu_workers()`, worker 0
-    being this process; any other sweep is assembled here alone.  Worker
-    k > 0 is a forked helper.  The helpers' blocks take the slots of a
-    shared anonymous-mmap ring of `RING_BLOCKS` blocks in turn.  A helper
-    writes one byte to its ready pipe when a block is in its slot, and
-    before it refills a slot it waits for the byte on its free pipe by
-    which this process releases it.  A helper that cannot be started or
-    dies (EOF on its ready pipe) leaves its blocks to this process, and
-    every helper is killed and reaped when the sweep ends, however it ends.
+    at least `PARALLEL_PAIRS` kernel pairs has block b assembled by worker
+    b % workers of `cpu_workers()`, worker 0 being this process; any other
+    sweep is assembled here alone.  Worker k > 0 is a `forked` helper,
+    which puts its m-th block in slot m % `RING_BLOCKS` of its own shared
+    ring and writes one byte to its out pipe; before it refills a slot it
+    waits for the byte on its in pipe that this process writes once it
+    has read that slot.  A helper that cannot be started or dies (EOF on
+    its out pipe) leaves its blocks to this process.
     """
     n = len(ts)
     los = range(1, n, BLOCK_ROWS)
-    workers = cpu_workers() if (n - 1) ** 2 // 2 >= PARALLEL_PAIRS and hasattr(os, "fork") else 1
-    shared = [b for b in range(len(los)) if b % workers]  # the helpers' blocks, in order
-    ring = np.frombuffer(mmap.mmap(-1, RING_BLOCKS * BLOCK_ROWS * n * 8)) if shared else None
+    workers = cpu_workers() if (n - 1) ** 2 // 2 >= PARALLEL_PAIRS else 1
 
-    def slot(j, lo, hi):
-        start = j % RING_BLOCKS * BLOCK_ROWS * n
-        return ring[start:start + (hi - lo) * hi].reshape(hi - lo, hi)
+    def slot(shared, b):
+        lo, hi = los[b], min(los[b] + BLOCK_ROWS, n)
+        start = ((b % workers - 1) * RING_BLOCKS + b // workers % RING_BLOCKS) * BLOCK_ROWS * n
+        return np.frombuffer(shared, count=(hi - lo) * hi, offset=8 * start).reshape(hi - lo, hi)
 
-    def assemble_share(k, ready_w, free_r):
-        for j, b in enumerate(shared):
-            if b % workers != k:
-                continue
-            if j >= RING_BLOCKS and not os.read(free_r, 1):
+    def assemble_share(k, shared, ready_w, free_r):
+        for m, b in enumerate(range(k, len(los), workers)):
+            if m >= RING_BLOCKS and not os.read(free_r, 1):
                 return
-            lo, hi = los[b], min(los[b] + BLOCK_ROWS, n)
-            slot(j, lo, hi)[...] = _quadrature_rows(lo, hi, ts, xs, kdiag)
+            slot(shared, b)[...] = _quadrature_rows(los[b], min(los[b] + BLOCK_ROWS, n), ts, xs, kdiag)
             os.write(ready_w, b"\0")
 
-    pids, opened, pipes = [], [], {}  # pipes: helper -> (ready read end, free write end)
-    try:
-        for k in range(1, workers):
-            try:
-                ready_r, ready_w = os.pipe()
-                opened += (ready_r, ready_w)
-                free_r, free_w = os.pipe()
-                opened += (free_r, free_w)
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns on a fork while threads (OpenBLAS's) run;
-                    # the helper takes no lock they hold: numpy ufuncs, then os._exit
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    for fd in opened:
-                        if fd not in (ready_w, free_r):
-                            os.close(fd)
-                    assemble_share(k, ready_w, free_r)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-            for fd in (ready_w, free_r):
-                os.close(fd)
-                opened.remove(fd)
-            pipes[k] = ready_r, free_w
-
-        j = 0  # the next helper block
+    ring_bytes = (workers - 1) * RING_BLOCKS * BLOCK_ROWS * n * 8
+    with forked(workers - 1, ring_bytes, assemble_share) as (shared, pipes):
         for b, lo in enumerate(los):
-            hi = min(lo + BLOCK_ROWS, n)
             k = b % workers
             if k in pipes and os.read(pipes[k][0], 1):
-                yield lo, slot(j, lo, hi)
+                yield lo, slot(shared, b)
+                with contextlib.suppress(BrokenPipeError):  # EOF tells on it next
+                    os.write(pipes[k][1], b"\0")
             else:
-                yield lo, _quadrature_rows(lo, hi, ts, xs, kdiag)
-            if k:
-                # release the slot to the helper block RING_BLOCKS later
-                nxt = shared[j + RING_BLOCKS] % workers if j + RING_BLOCKS < len(shared) else 0
-                if nxt in pipes:
-                    with contextlib.suppress(BrokenPipeError):  # EOF tells on it next
-                        os.write(pipes[nxt][1], b"\0")
-                j += 1
-    finally:
-        for pid in pids:
-            # already gone where SIGCHLD is ignored, which reaps children at exit
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for fd in opened:
-            os.close(fd)
+                yield lo, _quadrature_rows(lo, min(lo + BLOCK_ROWS, n), ts, xs, kdiag)
 
 
 def _marching_step():

@@ -633,8 +633,32 @@ def test_out_of_memory_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_unmappable_shared_memory_exits_2(tmp_path):
+    # two workers need a shared ring of 4 blocks of 16 rows: 2.56 GB at N = 5e6
+    resource = pytest.importorskip("resource")
+    limit = 2 * 1024 ** 3
+
+    def cap_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    script = ("import os, sys\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "from fptkit.cli import main\n"
+              "sys.exit(main(['solve', '--N', '5000000', '--out', sys.argv[1]]))\n")
+    src_dir = str(Path(fptkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]),
+           "FPT_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          preexec_fn=cap_address_space, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 2, proc.stderr
+    assert_one_line(proc.stderr, "invalid configuration: the run does not fit in memory")
+    assert not (tmp_path / "density.csv").exists() and not (tmp_path / "run.json").exists()
+
+
 def test_commands_load_no_scipy(tmp_path):
-    # scipy is a test dependency only: no fpt command may load any part of it
+    # scipy is a test dependency only: no fpt command may load any part of it;
+    # nor multiprocessing or concurrent, since the helpers are forked directly
     script = """
 import sys
 import fptkit
@@ -644,7 +668,8 @@ codes = [main(["solve", *args]), main(["validate", *args]),
          main(["green", *args, "--x-min", "-1", "--x-max", "0.5", "--t-min", "0.5",
                "--t-max", "1", "--nx", "4", "--nt", "4"]),
          main(["simulate", *args, "--n-paths", "64", "--dt", "0.01"])]
-print(codes, sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+print(codes, sorted(name for name in sys.modules
+                   if name.split(".")[0] in ("scipy", "multiprocessing", "concurrent")))
 """
     src_dir = str(Path(fptkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}

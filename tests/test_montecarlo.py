@@ -106,19 +106,14 @@ class TestSimulate:
             assert one.n_censored == many.n_censored
             assert one.n_draws == many.n_draws
 
-    def test_calling_process_simulates_the_first_range(self, monkeypatch):
-        # k workers start a pool of k - 1 processes; none for one worker
-        pools = []
-        pool = montecarlo.ProcessPoolExecutor
-
-        def recorded(max_workers):
-            pools.append(max_workers)
-            return pool(max_workers=max_workers)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", recorded)
+    def test_calling_process_simulates_the_first_range(self, forks):
+        # k workers fork k - 1 helpers; one worker forks none
         cfg = McConfig(n_paths=3 * montecarlo.BLOCK_PATHS, dt=1e-3, T=1.0, seed=3)
-        runs = [simulate(POINT, CONST, cfg, workers=w) for w in (1, 2, 3)]
-        assert pools == [1, 2]
+        runs = []
+        for workers in (1, 2, 3):
+            del forks[:]
+            runs.append(simulate(POINT, CONST, cfg, workers=workers))
+            assert len(forks) == workers - 1
         for run in runs[1:]:
             assert np.array_equal(run.hit_times, runs[0].hit_times)
             assert run.n_draws == runs[0].n_draws

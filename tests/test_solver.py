@@ -16,6 +16,7 @@ from fptkit import (
     BoundaryCurve,
     DensityEstimate,
     GreenField,
+    McConfig,
     SolverError,
     SourceSpec,
     TimeGrid,
@@ -27,12 +28,14 @@ from fptkit import (
     problem_fingerprint,
     psi,
     segment_weight,
+    simulate,
     solve_many,
     solve_marching,
     solve_picard,
     source_term,
 )
 import fptkit.solver
+from fptkit import montecarlo
 from fptkit.solver import BLOCK_ROWS, PARALLEL_PAIRS, sorted_union
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -484,31 +487,44 @@ def assert_no_child_left():
 
 
 class TestParallelSweep:
-    """Sweeps of at least `PARALLEL_PAIRS` kernel pairs assemble on forked helpers."""
+    """Sweeps of at least `PARALLEL_PAIRS` kernel pairs assemble on forked helpers.
+
+    The failure cases run on both callers of `solver.forked`: the block
+    sweep and `simulate`, whose helpers each simulate one range of paths.
+    """
 
     N = 1536  # the smallest multiple of 512 over the threshold
     REQUESTS = [(POINT, "marching"), (POINT, "picard"),
                 (SourceSpec.uniform_bump(0.0, 0.25), "marching"),
                 (SourceSpec.uniform_bump(0.0, 0.25), "picard")]
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """Four allowed CPUs whatever the machine has, and a count of the forks."""
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        calls = []
-        fork = os.fork
-
-        def counted():
-            calls.append(None)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted)
-        return calls
+    MC = McConfig(n_paths=4 * montecarlo.BLOCK_PATHS, dt=1e-3, T=1.0, seed=3)
+    # the work each caller's helpers do, in the calling process too
+    WORK = {"sweep": (fptkit.solver, "_quadrature_rows"),
+            "simulate": (montecarlo, "_simulate_range")}
 
     def solve(self, monkeypatch, threads, N=None):
         monkeypatch.setenv("FPT_THREADS", str(threads))
         grid = TimeGrid(T=4.0, N=N or self.N, q=2.0)
         return solve_many(BoundaryCurve.linear(1.0, 0.5), grid, self.REQUESTS)
+
+    def results(self, monkeypatch, caller, threads):
+        """The sweep's estimates, or the simulation's hits and draws, on `threads` workers."""
+        if caller == "sweep":
+            return [(est.content_sha256(), est.residual_summary)
+                    for est in self.solve(monkeypatch, threads)]
+        run = simulate(POINT, BoundaryCurve.linear(1.0, 0.5), self.MC, workers=threads)
+        return run.hit_times.tobytes(), run.n_draws
+
+    def patch_work(self, monkeypatch, caller, fault):
+        """Call `fault(*args)` before each call of the caller's work, in every process."""
+        module, name = self.WORK[caller]
+        work = getattr(module, name)
+
+        def patched(*args):
+            fault(*args)
+            return work(*args)
+
+        monkeypatch.setattr(module, name, patched)
 
     def test_grid_is_over_the_threshold(self):
         assert self.N ** 2 // 2 >= PARALLEL_PAIRS > 1024 ** 2 // 2
@@ -540,32 +556,55 @@ class TestParallelSweep:
         assert len(forks) == 1
         assert_no_child_left()
 
-    def test_ignored_sigchld_reaps_the_helpers_itself(self, monkeypatch, forks):
-        serial = self.solve(monkeypatch, 1)
+    @pytest.mark.parametrize("caller", ["sweep", "simulate"])
+    def test_an_error_in_the_caller_reaps_the_helpers(self, monkeypatch, forks, caller):
+        pid = os.getpid()
+
+        def fails_in_caller(*args):
+            if os.getpid() == pid:
+                raise SolverError("the caller's share failed")
+
+        self.patch_work(monkeypatch, caller, fails_in_caller)
+        with pytest.raises(SolverError, match="caller's share"):
+            self.results(monkeypatch, caller, 2)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("caller", ["sweep", "simulate"])
+    def test_ignored_sigchld_reaps_the_helpers_itself(self, monkeypatch, forks, caller):
+        serial = self.results(monkeypatch, caller, 1)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
-            ests = self.solve(monkeypatch, 2)
+            parallel = self.results(monkeypatch, caller, 2)
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert [e.content_sha256() for e in ests] == [e.content_sha256() for e in serial]
+        assert parallel == serial
         assert len(forks) == 1
 
-    def test_a_dead_helper_leaves_its_blocks_to_the_caller(self, monkeypatch, forks):
-        serial = self.solve(monkeypatch, 1)
-        caller = os.getpid()
-        assemble = fptkit.solver._quadrature_rows
+    @pytest.mark.parametrize("caller", ["sweep", "simulate"])
+    def test_a_dead_helper_leaves_its_blocks_to_the_caller(self, monkeypatch, forks, caller):
+        serial = self.results(monkeypatch, caller, 1)
+        pid = os.getpid()
 
-        def dies_in_helper(lo, *args):
-            if os.getpid() != caller and lo > 40 * BLOCK_ROWS:
+        def dies_in_helper(*args):
+            # sweep: the blocks after a few ring laps; simulate: the helpers
+            # of ranges 2 and 3, while range 1's finishes
+            late = (args[0] > 40 * BLOCK_ROWS if caller == "sweep"
+                    else args[2] >= 2 * montecarlo.BLOCK_PATHS)
+            if os.getpid() != pid and late:
                 os._exit(1)
-            return assemble(lo, *args)
 
-        monkeypatch.setattr(fptkit.solver, "_quadrature_rows", dies_in_helper)
-        for est, ref in zip(self.solve(monkeypatch, 4), serial):
-            assert est.content_sha256() == ref.content_sha256()
-            assert est.residual_summary == ref.residual_summary
+        self.patch_work(monkeypatch, caller, dies_in_helper)
+        assert self.results(monkeypatch, caller, 4) == serial
         assert len(forks) == 3
         assert_no_child_left()
+
+    @pytest.mark.parametrize("caller", ["sweep", "simulate"])
+    def test_without_fork_the_caller_does_all_the_work(self, monkeypatch, forks, caller):
+        serial = self.results(monkeypatch, caller, 1)
+        monkeypatch.delattr(os, "fork")
+        assert self.results(monkeypatch, caller, 4) == serial
+        assert forks == []
 
 
 class TestCdf:
