@@ -19,9 +19,10 @@ adds one geometric sequence toward tau = t to the grid nodes, resolving
 the exponential factor's boundary layer at every scale.
 
 The emission sum of `green_eval`, n_x points against the n_tau partition
-nodes, is one of the package's two O(N^2) loops (the other is the
-solver's kernel sum); it is built in row blocks of at most
-`EMISSION_BLOCK_BYTES` (2 MB; a block holds at least one row).
+nodes, is the package's one O(N^2) loop (the solver's kernel sum
+interpolates its far bands and assembles O(N log N) pairs); it is built
+in row blocks of at most `EMISSION_BLOCK_BYTES` (2 MB; a block holds at
+least one row).
 """
 
 from __future__ import annotations

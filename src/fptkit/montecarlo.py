@@ -200,9 +200,7 @@ class McRun:
 
     def hits_to_csv(self, path) -> None:
         with open(path, "w") as fh:
-            fh.write("t\n")
-            for t in self.hit_times:
-                fh.write(f"{t:.17g}\n")
+            fh.write("t\n" + "%.17g\n" * len(self.hit_times) % tuple(self.hit_times.tolist()))
 
 
 def _time_axis(cfg: McConfig) -> np.ndarray:

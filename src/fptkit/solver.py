@@ -21,15 +21,15 @@ integrated exactly against a piecewise-linear interpolant of kappa * p
 (product integration) on the graded grid.  That yields one
 lower-triangular system (I - A) p = g, in which A depends only on the
 curve and the grid and the source enters only g.  Every solve runs one
-block sweep, `_block_sweep`: blocks of `BLOCK_ROWS` rows of A come from
-one assembler, `_quadrature_rows`, in time order, and each block is
-assembled once for every job on that (curve, grid) - `solve_many` runs
-several sources and methods in one sweep, `solve_marching` and
-`solve_picard` are its one-job calls.  Each job takes its block's history
-over its solved nodes in one matrix-vector product, and only the
-per-block step differs, so no solve holds the dense (N+1)^2 matrix and a
-sweep needs O(BLOCK_ROWS N) memory plus two length-N vectors (g, p) per
-job:
+block sweep, `_block_sweep`: rows of A come from one assembler,
+`_quadrature_rows`, `BLOCK_ROWS` rows at a time in time order, and each
+piece is assembled once for every job on that (curve, grid) -
+`solve_many` runs several sources and methods in one sweep,
+`solve_marching` and `solve_picard` are its one-job calls.  Each job takes
+its block's history over its solved nodes in matrix-vector products, and
+only the per-block step differs, so no solve holds the dense (N+1)^2
+matrix and a sweep needs O(BLOCK_ROWS N) memory plus two length-N
+vectors (g, p) per job:
 
 * `solve_marching` solves each node of the block in closed form (the
   diagonal weight multiplies the unknown);
@@ -45,24 +45,26 @@ agreement a useful internal consistency check.  A job's arithmetic does
 not depend on the other jobs of its sweep, so its p is bit-identical to
 a solve of that job alone.
 
-The assembler's kernel sum is one of the package's two O(N^2) loops (the
-other is the Green function's emission sum).  A block of `BLOCK_ROWS`
-rows is built in place: t_i - tau once, turned into kappa with one
-`np.exp`, and multiplied into the product weights, so at most four
-BLOCK_ROWS x (N + 1) buffers are live (2 MB at N = 4096).
-
-A sweep of at least `PARALLEL_PAIRS` kernel pairs (N of about 1450)
-assembles on `cpu_workers()` processes where `os.fork` exists: block b
-comes from worker b % workers, worker 0 being the calling process, which
-also runs every history product and block step in time order.  The
-helpers, started by `forked` as Monte Carlo's are, each write their blocks
-into their own shared anonymous-mmap ring of `RING_BLOCKS` blocks (2 MB
-at N = 4096), so no block is pickled or sent through a pipe; a pipe per
-helper carries one byte per block each way.  A block is the same function
-of (ts, xs, kdiag) whoever assembles it, so p is bit-identical for every
-worker count.  The helpers are reaped when the sweep ends, whether it
-returns or raises; a helper that dies leaves its remaining blocks to the
-calling process.
+The sweep assembles O(N log N) kernel pairs, not all N(N+1)/2 of A.
+Away from the diagonal a row of A is analytic in t (the fast Volterra
+convolution of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput.
+6 (1985), rests on the same smoothness), so a dyadic panel of blocks
+spanning [a, b] takes its far band, tau <= a - `FAR_MARGIN` (b - a),
+from rows assembled at `CHEBYSHEV_TIMES` Chebyshev times and
+interpolated to its own rows.  That keeps the discretization: p moves
+from that of the dense sweep only by roundoff (at most 2e-15 on the
+linear, power, kinked and bump problems at N = 4096, and not at all on a
+constant boundary).  A breakpoint of X near a panel (t = 0, or a knot of
+a `sampled` curve) ends the analyticity, so such a panel hands its band
+down to its children, and the rows of a 2-block panel near one assemble
+it exactly: a curve with a knot in every panel assembles as many pairs
+as the dense sweep.  Each sweep reports the pairs it assembled as
+`residual_summary["kernel_pairs"]`: 0.80M of the 8.4M at N = 4096 on a
+linear boundary.  A block of rows is built in place: t_i - tau once,
+turned into kappa with one `np.exp`, and multiplied into the product
+weights, so at most four BLOCK_ROWS x (N + 1) buffers are live (2 MB at
+N = 4096).  The sweep runs in the calling process: with a forked helper
+assembling every other piece of A it was no faster at N = 4096 or 16384.
 
 Downstream time integrals against the solved p (the Green function's
 boundary emission, the hitting identity) all use one product-integration
@@ -71,6 +73,7 @@ rule, `DensityEstimate.history`.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import hashlib
 import json
@@ -96,13 +99,13 @@ MIN_DIAGONAL = 0.1
 #: rows of the quadrature matrix assembled at a time
 BLOCK_ROWS = 16
 
-#: a sweep that assembles at least this many kernel pairs (N of about
-#: 1450) forks `cpu_workers() - 1` assembly helpers; at N = 1024 the fork
-#: and reap cost about what the parallel assembly saves
-PARALLEL_PAIRS = 2 ** 20
+#: a panel of blocks whose rows span [a, b] interpolates its far band,
+#: tau <= a - FAR_MARGIN (b - a), unless a breakpoint of X lies within
+#: FAR_MARGIN (b - a) of [a, b]; inf assembles every pair (the dense sweep)
+FAR_MARGIN = 1.0
 
-#: blocks of the shared ring each assembly helper fills ahead of the caller
-RING_BLOCKS = 4
+#: Chebyshev times at which a panel assembles its far columns
+CHEBYSHEV_TIMES = 16
 
 #: ratio of the geometric sequence toward t in `DensityEstimate.history`'s
 #: partition; four nodes per octave of t - tau keeps the piecewise-linear
@@ -118,8 +121,8 @@ def cpu_workers() -> int:
     """Processes a parallel stage may use: at most 4, at most the CPUs in this
     process's affinity mask, and at most the FPT_THREADS environment variable.
 
-    The one CPU policy of the package: it sizes the block sweep's assembly
-    helpers and `fpt simulate`'s path ranges, and changes no result.
+    The one CPU policy of the package: it sizes `fpt simulate`'s path
+    ranges, and changes no result.
     """
     cap = os.environ.get("FPT_THREADS")
     if hasattr(os, "sched_getaffinity"):
@@ -244,9 +247,9 @@ class SourceSpec:
             return
         lo, hi, height = self.support_lower, self.support_upper, 1.0 / self.width
         if not all(math.isfinite(v) for v in (lo, hi, height)):
-            raise ValueError("smeared source knots must be finite")
+            raise ValueError("bump ends and height must be finite")
         if not lo < hi:
-            raise ValueError("smeared source knots must be strictly increasing")
+            raise ValueError("bump ends must be strictly increasing")
         mass = (hi - lo) * height
         if abs(mass - 1.0) > 1e-10:
             raise ValueError(f"smeared source mass is {mass!r}, must be 1 within 1e-10")
@@ -275,15 +278,6 @@ class SourceSpec:
     @property
     def support_lower(self) -> float:
         return self.r0 - self.width / 2.0
-
-    def density(self, xi):
-        """Evaluate the bump's density 1/width on its support, zero outside."""
-        if self.width == 0.0:
-            raise ValueError("density() is only defined for smeared sources")
-        xi = np.asarray(xi, dtype=float)
-        inside = (xi >= self.support_lower) & (xi <= self.support_upper)
-        val = np.where(inside, 1.0 / self.width, 0.0)
-        return val if val.ndim else float(val)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +351,9 @@ class DensityEstimate:
 
     def to_csv(self, path) -> None:
         """Write `t,p,F` rows at 17 significant digits (double round-trip)."""
+        rows = np.column_stack((self.grid.nodes, self.p, self.F))
         with open(path, "w") as fh:
-            fh.write("t,p,F\n")
-            for t, p, f in zip(self.grid.nodes, self.p, self.F):
-                fh.write(f"{t:.17g},{p:.17g},{f:.17g}\n")
+            fh.write("t,p,F\n" + "%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
     def content_sha256(self) -> str:
         """SHA-256 of the p and F values as little-endian doubles."""
@@ -517,28 +510,47 @@ def _nodal_weights(beta, r, dt):
     return c
 
 
-def _quadrature_rows(lo, hi, ts, xs, kdiag):
-    """Rows lo..hi-1, columns 0..hi-1, of A, for one block of at most `BLOCK_ROWS` rows.
+def _quadrature_rows(t, x, c0, c1, ts, xs, kdiag=None):
+    """The rows of A at times t, where the boundary is at x, over the nodes c0..c1-1.
 
-    Row i approximates int_0^{t_i} G_x(X_{t_i}, t_i; X_tau, tau) p(tau) dtau:
-    weights times kappa before t_i, the diagonal weight times `kdiag[i]`.
-    The block takes t_i - tau once: clamped at 0 it gives the product
-    weights, then kappa is built in its place and multiplied into them.
+    Row i approximates int_{tau_c0}^{tau_c1-1} G_x(X_{t_i}, t_i; X_tau,
+    tau) p(tau) dtau: product weights on the segments between those nodes
+    times kappa(t_i, tau).  A node at or past t_i has weight 0, except the
+    diagonal (tau = t_i), whose weight multiplies `kdiag[i]`; `kdiag` may
+    be left out when every node lies before every row.  The rows take
+    t_i - tau once: clamped at 0 it gives the product weights, then kappa
+    is built in its place and multiplied into them.
     """
-    k = np.arange(hi - lo)
-    r = ts[lo:hi, None] - ts[:hi]
-    # tau >= t_i only occurs in the last hi - lo columns
-    tail = r[:, lo:]
-    np.maximum(tail, 0.0, out=tail)
-    A = _nodal_weights(-0.5, r, np.diff(ts[:hi]))
-    diag = A[k, lo + k] * kdiag[lo:hi]
+    r = t[:, None] - ts[c0:c1]
+    np.maximum(r, 0.0, out=r)
+    A = _nodal_weights(-0.5, r, np.diff(ts[c0:c1]))
+    dx = x[:, None] - xs[c0:c1]
+    if kdiag is None:
+        A *= _kappa_row(r, dx)
+        return A
     # kappa needs t_i - tau > 0: a unit value on and past the diagonal
-    # keeps it finite there, where the weights are 0 (the diagonal is
-    # set from kdiag below)
-    tail[k[:, None] <= k] = 1.0
-    A *= _kappa_row(r, xs[lo:hi, None] - xs[:hi])
-    A[k, lo + k] = diag
+    # keeps it finite there, where kdiag replaces it
+    on = r == 0.0
+    r[on] = 1.0
+    A *= np.where(on, kdiag[:, None], _kappa_row(r, dx))
     return A
+
+
+def _interpolation_matrix(t, nodes, theta):
+    """Barycentric interpolation from the Chebyshev nodes at angles `theta` to times t.
+
+    Row i holds the Lagrange basis at t_i; a time on a node takes that
+    node's value.
+    """
+    w = np.sin(theta)
+    w[1::2] *= -1.0
+    with np.errstate(divide="ignore"):
+        L = w / (t[:, None] - nodes)
+    hit = np.isinf(L)
+    on_node = hit.any(axis=1)
+    L[on_node] = hit[on_node]
+    L /= L.sum(axis=1, keepdims=True)
+    return L
 
 
 def check_problem(src: SourceSpec, curve: BoundaryCurve, T: float) -> None:
@@ -590,64 +602,71 @@ def _estimate(src, curve, grid, p, method, summary):
 def _block_sweep(curve, grid, jobs):
     """Solve (I - A) p = g for every job, `BLOCK_ROWS` rows at a time, in time order.
 
-    A depends only on (curve, grid), so each block of rows lo..hi-1 is
-    assembled once and shared by every job `(src, solve_block)`.  Each job
-    takes its own history A[lo:hi, :lo] @ p[:lo] in one matrix-vector
-    product, and `solve_block(ts, lo, M, rhs)` returns its p[lo:hi] from
+    A depends only on (curve, grid), so each piece of it is assembled once
+    and shared by every job `(src, solve_block)`.  Blocks group into
+    dyadic panels of 2, 4, 8, ... blocks.  A panel whose rows span [a, b]
+    owns the far band of segments up to the last node tau <= a -
+    `FAR_MARGIN` (b - a) that no ancestor owns.  Its children take the band
+    instead when the panel is the incomplete last one of its level, or
+    when a breakpoint of X (t = 0 or an interior knot of a `sampled` curve)
+    lies within `FAR_MARGIN` (b - a) of [a, b], where the rows of A are not
+    analytic in t.  When a panel starts, its band's p is solved: the band
+    is assembled at `CHEBYSHEV_TIMES` Chebyshev times in [a, b], and each
+    job adds its product with p, interpolated to the panel's rows, into
+    its g.  Each block then assembles its own rows exactly on the segments
+    from where its level-1 panel's band ends up to the diagonal; each job
+    takes that history in one matrix-vector product, and
+    `solve_block(ts, lo, M, rhs)` returns its p[lo:hi] from
     (I - M) p[lo:hi] = rhs, with M = A[lo:hi, lo:hi] lower triangular and
-    read only.  Returns one p per job, each bit-identical to a sweep of
-    that job alone, whoever assembled the blocks.
+    read only.
+
+    Bands meet at a node and split the rows by segment, so that node's
+    weight has a part on each side.  Split by node instead, the roundoff
+    of a weight's two segments would fall on different row times and no
+    longer cancel against its neighbours': that moved p by 7e-14 at
+    N = 4096, where this split moves it by 2e-15.
+
+    Returns one p per job, each bit-identical to a sweep of that job
+    alone, and the number of kernel pairs assembled.
     """
     gs = [_source_vector(src, curve, grid.nodes) for src, _ in jobs]
     ts, xs, kdiag = _discrete_system(curve, grid)
-    ps = [np.zeros(len(ts)) for _ in jobs]
-    with contextlib.closing(_blocks(ts, xs, kdiag)) as blocks:
-        for lo, A in blocks:
-            hi = lo + len(A)
-            for (_, solve_block), g, p in zip(jobs, gs, ps):
-                p[lo:hi] = solve_block(ts, lo, A[:, lo:], g[lo:hi] + A[:, :lo] @ p[:lo])
-    return ps
-
-
-def _blocks(ts, xs, kdiag):
-    """Every block (lo, A[lo:hi, :hi]) of `_quadrature_rows`, in time order.
-
-    A yielded block is valid until the next one is asked for.  A sweep of
-    at least `PARALLEL_PAIRS` kernel pairs has block b assembled by worker
-    b % workers of `cpu_workers()`, worker 0 being this process; any other
-    sweep is assembled here alone.  Worker k > 0 is a `forked` helper,
-    which puts its m-th block in slot m % `RING_BLOCKS` of its own shared
-    ring and writes one byte to its out pipe; before it refills a slot it
-    waits for the byte on its in pipe that this process writes once it
-    has read that slot.  A helper that cannot be started or dies (EOF on
-    its out pipe) leaves its blocks to this process.
-    """
     n = len(ts)
-    los = range(1, n, BLOCK_ROWS)
-    workers = cpu_workers() if (n - 1) ** 2 // 2 >= PARALLEL_PAIRS else 1
-
-    def slot(shared, b):
-        lo, hi = los[b], min(los[b] + BLOCK_ROWS, n)
-        start = ((b % workers - 1) * RING_BLOCKS + b // workers % RING_BLOCKS) * BLOCK_ROWS * n
-        return np.frombuffer(shared, count=(hi - lo) * hi, offset=8 * start).reshape(hi - lo, hi)
-
-    def assemble_share(k, shared, ready_w, free_r):
-        for m, b in enumerate(range(k, len(los), workers)):
-            if m >= RING_BLOCKS and not os.read(free_r, 1):
-                return
-            slot(shared, b)[...] = _quadrature_rows(los[b], min(los[b] + BLOCK_ROWS, n), ts, xs, kdiag)
-            os.write(ready_w, b"\0")
-
-    ring_bytes = (workers - 1) * RING_BLOCKS * BLOCK_ROWS * n * 8
-    with forked(workers - 1, ring_bytes, assemble_share) as (shared, pipes):
-        for b, lo in enumerate(los):
-            k = b % workers
-            if k in pipes and os.read(pipes[k][0], 1):
-                yield lo, slot(shared, b)
-                with contextlib.suppress(BrokenPipeError):  # EOF tells on it next
-                    os.write(pipes[k][1], b"\0")
-            else:
-                yield lo, _quadrature_rows(lo, min(lo + BLOCK_ROWS, n), ts, xs, kdiag)
+    ps = [np.zeros(n) for _ in jobs]
+    breaks = [0.0, *(curve.knots_t[1:-1].tolist() if curve.kind == "sampled" else ())]
+    theta = (np.arange(CHEBYSHEV_TIMES) + 0.5) * (math.pi / CHEBYSHEV_TIMES)
+    levels = ((n - 2) // BLOCK_ROWS).bit_length()  # the top panel holds every block
+    # limit[l]: where the bands of the current level-l panel and its ancestors end
+    limit = [0] * (levels + 2)
+    pairs = 0
+    for b, lo in enumerate(range(1, n, BLOCK_ROWS)):
+        for level in range(levels, 0, -1):
+            if b % (1 << level):
+                continue
+            limit[level] = c0 = limit[level + 1]
+            end = lo + (BLOCK_ROWS << level)
+            if end > n:
+                continue
+            a, z = ts[lo], ts[end - 1]
+            reach = FAR_MARGIN * (z - a)
+            if bisect.bisect_left(breaks, a - reach) < bisect.bisect_right(breaks, z + reach):
+                continue
+            c1 = int(np.searchsorted(ts, a - reach, side="right")) - 1
+            if c1 <= c0:
+                continue
+            limit[level] = c1
+            tc = 0.5 * (a + z) + 0.5 * (z - a) * np.cos(theta)
+            B = _quadrature_rows(tc, curve.value(tc), c0, c1 + 1, ts, xs)
+            L = _interpolation_matrix(ts[lo:end], tc, theta)
+            pairs += B.size
+            for g, p in zip(gs, ps):
+                g[lo:end] += L @ (B @ p[c0:c1 + 1])
+        hi, c = min(lo + BLOCK_ROWS, n), limit[1]
+        A = _quadrature_rows(ts[lo:hi], xs[lo:hi], c, hi, ts, xs, kdiag[lo:hi])
+        pairs += A.size
+        for (_, solve_block), g, p in zip(jobs, gs, ps):
+            p[lo:hi] = solve_block(ts, lo, A[:, lo - c:], g[lo:hi] + A[:, :lo - c] @ p[c:lo])
+    return ps, pairs
 
 
 def _marching_step():
@@ -731,8 +750,8 @@ def solve_many(
             raise ValueError(f"unknown solve method {method!r}")
         jobs.append((src, step))
         summaries.append(summary)
-    ps = _block_sweep(curve, grid, jobs)
-    return [_estimate(src, curve, grid, p, method, summary())
+    ps, pairs = _block_sweep(curve, grid, jobs)
+    return [_estimate(src, curve, grid, p, method, summary() | {"kernel_pairs": pairs})
             for (src, method), p, summary in zip(requests, ps, summaries)]
 
 

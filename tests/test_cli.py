@@ -196,18 +196,21 @@ class TestSolve:
 
     @pytest.mark.parametrize("N", [256, 250])
     def test_both_methods_assemble_each_block_once(self, tmp_path, monkeypatch, N):
+        # a piece of A is its rows' first time and count and its column range
         calls = []
         assemble = fptkit.solver._quadrature_rows
 
-        def counted(*args):
-            calls.append(args[:2])
-            return assemble(*args)
+        def counted(t, x, c0, c1, *args):
+            calls.append((float(t[0]), len(t), c0, c1))
+            return assemble(t, x, c0, c1, *args)
 
         monkeypatch.setattr(fptkit.solver, "_quadrature_rows", counted)
-        args = [*LINEAR_ARGS, "--N", str(N), "--method", "both", "--out", str(tmp_path)]
-        assert run(["solve", *args]) == 0
-        assert len(calls) == math.ceil(N / fptkit.solver.BLOCK_ROWS)
-        assert len(set(calls)) == len(calls)
+        args = [*LINEAR_ARGS, "--N", str(N), "--out", str(tmp_path)]
+        assert run(["solve", *args, "--method", "marching"]) == 0
+        marching, calls[:] = calls[:], []
+        assert run(["solve", *args, "--method", "both"]) == 0
+        assert calls == marching
+        assert len(set(calls)) == len(calls) > math.ceil(N / fptkit.solver.BLOCK_ROWS)
 
     @pytest.mark.parametrize("cmd", [["solve", "--method", "marching"],
                                      ["solve", "--method", "picard"], ["validate"]],
@@ -634,7 +637,7 @@ def test_out_of_memory_exits_2(tmp_path):
 
 
 def test_unmappable_shared_memory_exits_2(tmp_path):
-    # two workers need a shared ring of 4 blocks of 16 rows: 2.56 GB at N = 5e6
+    # the workers of simulate share one int64 per path: 2.4 GB for 3e8 paths
     resource = pytest.importorskip("resource")
     limit = 2 * 1024 ** 3
 
@@ -644,7 +647,7 @@ def test_unmappable_shared_memory_exits_2(tmp_path):
     script = ("import os, sys\n"
               "os.sched_getaffinity = lambda pid: {0, 1}\n"
               "from fptkit.cli import main\n"
-              "sys.exit(main(['solve', '--N', '5000000', '--out', sys.argv[1]]))\n")
+              "sys.exit(main(['simulate', '--n-paths', '300000000', '--out', sys.argv[1]]))\n")
     src_dir = str(Path(fptkit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]),
            "FPT_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}
@@ -653,7 +656,7 @@ def test_unmappable_shared_memory_exits_2(tmp_path):
                           timeout=300)
     assert proc.returncode == 2, proc.stderr
     assert_one_line(proc.stderr, "invalid configuration: the run does not fit in memory")
-    assert not (tmp_path / "density.csv").exists() and not (tmp_path / "run.json").exists()
+    assert not (tmp_path / "hits.csv").exists() and not (tmp_path / "mc.json").exists()
 
 
 def test_commands_load_no_scipy(tmp_path):

@@ -194,8 +194,8 @@ class TestSmearedSolution:
     """u(x, t) for a smeared initial datum h is the Green function of h's field."""
 
     def test_initial_datum(self, smeared_field):
-        # at t -> 0 the solution approaches h pointwise inside the support
-        h0 = smeared_field.src.density(0.0)
+        # at t -> 0 the solution approaches h = 1/width pointwise inside the support
+        h0 = 1.0 / smeared_field.src.width
         assert green_eval(smeared_field, 0.0, 1e-5) == pytest.approx(h0, abs=1e-2)
 
     def test_boundary_condition(self, smeared_field):

@@ -10,6 +10,7 @@ from scipy.special import ndtr
 from fptkit import (
     BoundaryCurve,
     McConfig,
+    McRun,
     SourceSpec,
     TimeGrid,
     ks_distance,
@@ -365,6 +366,16 @@ class TestSerialization:
         lines = (tmp_path / "hits.csv").read_text().splitlines()
         assert lines[0] == "t"
         assert len(lines) == 1 + len(base_run.hit_times)
+
+    def test_hits_csv_bytes_are_those_of_a_row_by_row_write(self, tmp_path):
+        # 17 significant digits, whatever the value: subnormals and values
+        # near the top of the double range
+        hits = np.array([5e-324, 2.2250738585072014e-308 / 3, 0.1, 1 / 3, 1.0, 1e300])
+        run = McRun(config=McConfig(n_paths=7, dt=1.0, T=1e300, seed=0), hit_times=hits,
+                    n_censored=1, n_draws=0)
+        run.hits_to_csv(tmp_path / "hits.csv")
+        expected = "t\n" + "".join(f"{t:.17g}\n" for t in hits)
+        assert (tmp_path / "hits.csv").read_bytes() == expected.encode()
 
     def test_summary_fields(self, base_run):
         s = base_run.summary()

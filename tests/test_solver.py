@@ -36,7 +36,7 @@ from fptkit import (
 )
 import fptkit.solver
 from fptkit import montecarlo
-from fptkit.solver import BLOCK_ROWS, PARALLEL_PAIRS, sorted_union
+from fptkit.solver import BLOCK_ROWS, sorted_union
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -71,10 +71,8 @@ class TestSourceSpec:
     def test_uniform_bump_mass(self):
         bump = SourceSpec.uniform_bump(0.0, 0.25)
         assert bump.kind == "smeared"
-        assert bump.density(0.0) == 4.0
-        assert bump.density(0.2) == 0.0
-        ends = [bump.support_lower, bump.support_upper]
-        assert np.trapezoid(bump.density(ends), ends) == pytest.approx(1.0)
+        assert bump.support_lower < 0.0 < bump.support_upper < 0.2
+        assert (bump.support_upper - bump.support_lower) / bump.width == pytest.approx(1.0)
 
     def test_mass_must_be_one(self):
         # far from 0 the ends round away from a width of 1e-9
@@ -487,31 +485,26 @@ def assert_no_child_left():
 
 
 class TestParallelSweep:
-    """Sweeps of at least `PARALLEL_PAIRS` kernel pairs assemble on forked helpers.
-
-    The failure cases run on both callers of `solver.forked`: the block
-    sweep and `simulate`, whose helpers each simulate one range of paths.
+    """`solver.forked` runs the parallel stages: `simulate`, whose helpers each
+    simulate one range of paths.  The block sweep runs in the calling
+    process for any `FPT_THREADS`.
     """
 
-    N = 1536  # the smallest multiple of 512 over the threshold
+    N = 1536
     REQUESTS = [(POINT, "marching"), (POINT, "picard"),
                 (SourceSpec.uniform_bump(0.0, 0.25), "marching"),
                 (SourceSpec.uniform_bump(0.0, 0.25), "picard")]
     MC = McConfig(n_paths=4 * montecarlo.BLOCK_PATHS, dt=1e-3, T=1.0, seed=3)
-    # the work each caller's helpers do, in the calling process too
-    WORK = {"sweep": (fptkit.solver, "_quadrature_rows"),
-            "simulate": (montecarlo, "_simulate_range")}
+    # the callers of `solver.forked`, and the work their helpers do, in the calling process too
+    WORK = {"simulate": (montecarlo, "_simulate_range")}
 
-    def solve(self, monkeypatch, threads, N=None):
+    def solve(self, monkeypatch, threads):
         monkeypatch.setenv("FPT_THREADS", str(threads))
-        grid = TimeGrid(T=4.0, N=N or self.N, q=2.0)
+        grid = TimeGrid(T=4.0, N=self.N, q=2.0)
         return solve_many(BoundaryCurve.linear(1.0, 0.5), grid, self.REQUESTS)
 
     def results(self, monkeypatch, caller, threads):
-        """The sweep's estimates, or the simulation's hits and draws, on `threads` workers."""
-        if caller == "sweep":
-            return [(est.content_sha256(), est.residual_summary)
-                    for est in self.solve(monkeypatch, threads)]
+        """The simulation's hits and draws on `threads` workers."""
         run = simulate(POINT, BoundaryCurve.linear(1.0, 0.5), self.MC, workers=threads)
         return run.hit_times.tobytes(), run.n_draws
 
@@ -526,37 +519,18 @@ class TestParallelSweep:
 
         monkeypatch.setattr(module, name, patched)
 
-    def test_grid_is_over_the_threshold(self):
-        assert self.N ** 2 // 2 >= PARALLEL_PAIRS > 1024 ** 2 // 2
-
     def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, forks):
         serial = self.solve(monkeypatch, 1)
-        assert forks == []
         for threads in (2, 4):
-            del forks[:]
             ests = self.solve(monkeypatch, threads)
-            assert len(forks) == threads - 1
             for est, ref in zip(ests, serial):
                 assert np.array_equal(est.p, ref.p) and np.array_equal(est.F, ref.F)
                 assert est.residual_summary == ref.residual_summary
                 assert est.fingerprint == ref.fingerprint
                 assert est.content_sha256() == ref.content_sha256()
-            assert_no_child_left()
-
-    def test_small_sweeps_fork_nothing(self, monkeypatch, forks):
-        self.solve(monkeypatch, 4, N=1024)
         assert forks == []
 
-    def test_solver_error_mid_sweep_reaps_the_helpers(self, monkeypatch, forks):
-        monkeypatch.setenv("FPT_THREADS", "2")
-        grid = TimeGrid(T=4.0, N=self.N, q=2.0)
-        with pytest.raises(SolverError, match="window 0"):
-            solve_picard(SourceSpec.point(0.9), BoundaryCurve.linear(1.0, 0.5), grid,
-                         max_iter=1)
-        assert len(forks) == 1
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("caller", ["sweep", "simulate"])
+    @pytest.mark.parametrize("caller", WORK)
     def test_an_error_in_the_caller_reaps_the_helpers(self, monkeypatch, forks, caller):
         pid = os.getpid()
 
@@ -570,7 +544,7 @@ class TestParallelSweep:
         assert len(forks) == 1
         assert_no_child_left()
 
-    @pytest.mark.parametrize("caller", ["sweep", "simulate"])
+    @pytest.mark.parametrize("caller", WORK)
     def test_ignored_sigchld_reaps_the_helpers_itself(self, monkeypatch, forks, caller):
         serial = self.results(monkeypatch, caller, 1)
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
@@ -581,17 +555,14 @@ class TestParallelSweep:
         assert parallel == serial
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("caller", ["sweep", "simulate"])
+    @pytest.mark.parametrize("caller", WORK)
     def test_a_dead_helper_leaves_its_blocks_to_the_caller(self, monkeypatch, forks, caller):
         serial = self.results(monkeypatch, caller, 1)
         pid = os.getpid()
 
         def dies_in_helper(*args):
-            # sweep: the blocks after a few ring laps; simulate: the helpers
-            # of ranges 2 and 3, while range 1's finishes
-            late = (args[0] > 40 * BLOCK_ROWS if caller == "sweep"
-                    else args[2] >= 2 * montecarlo.BLOCK_PATHS)
-            if os.getpid() != pid and late:
+            # the helpers of ranges 2 and 3, while range 1's finishes
+            if os.getpid() != pid and args[2] >= 2 * montecarlo.BLOCK_PATHS:
                 os._exit(1)
 
         self.patch_work(monkeypatch, caller, dies_in_helper)
@@ -599,12 +570,63 @@ class TestParallelSweep:
         assert len(forks) == 3
         assert_no_child_left()
 
-    @pytest.mark.parametrize("caller", ["sweep", "simulate"])
+    @pytest.mark.parametrize("caller", WORK)
     def test_without_fork_the_caller_does_all_the_work(self, monkeypatch, forks, caller):
         serial = self.results(monkeypatch, caller, 1)
         monkeypatch.delattr(os, "fork")
         assert self.results(monkeypatch, caller, 4) == serial
         assert forks == []
+
+
+class TestFarField:
+    """The sweep's far bands against the dense sweep, which `FAR_MARGIN` = inf gives.
+
+    Interpolating a panel's far band keeps the discretization, so p moves
+    only by roundoff; a panel near a breakpoint of X hands its band down.
+    """
+
+    KINKED = BoundaryCurve.sampled([0.0, 0.5, 1.3, 2.0, 4.0], [1.0, 1.2, 1.1, 1.5, 1.6])
+    PROBLEMS = {
+        "linear": (POINT, BoundaryCurve.linear(1.0, 0.5)),
+        "power": (POINT, BoundaryCurve.power(1.0, 0.5, 0.75)),
+        "kinked": (POINT, KINKED),
+        "bump": (SourceSpec.uniform_bump(0.0, 0.25), BoundaryCurve.linear(1.0, 0.5)),
+        "constant": (POINT, BoundaryCurve.constant(1.0)),
+    }
+
+    def sweeps(self, monkeypatch, problem, N, curve=None):
+        """The marching solve of a problem, then that of the dense sweep."""
+        src, default = self.PROBLEMS[problem]
+        grid = TimeGrid(T=4.0, N=N, q=2.0)
+        fast = solve_marching(src, curve or default, grid)
+        monkeypatch.setattr(fptkit.solver, "FAR_MARGIN", math.inf)
+        return fast, solve_marching(src, curve or default, grid)
+
+    @pytest.mark.parametrize("problem, N", [("linear", 4096), ("power", 4096), ("kinked", 4096),
+                                            ("bump", 4096), ("linear", 4000)])
+    def test_p_moves_only_by_roundoff(self, monkeypatch, problem, N):
+        # N = 4000 leaves the last panel of every level but the first incomplete
+        fast, dense = self.sweeps(monkeypatch, problem, N)
+        assert np.max(np.abs(fast.p - dense.p)) <= 1e-14
+        assert fast.residual_summary["kernel_pairs"] < dense.residual_summary["kernel_pairs"]
+
+    def test_constant_boundary_is_bit_identical(self, monkeypatch):
+        # kappa vanishes off the diagonal, so every far product is an exact zero
+        fast, dense = self.sweeps(monkeypatch, "constant", 4096)
+        assert np.array_equal(fast.p, dense.p) and np.array_equal(fast.F, dense.F)
+
+    def test_a_knot_in_every_panel_assembles_every_pair(self, monkeypatch):
+        nodes = TimeGrid(T=4.0, N=1024, q=2.0).nodes
+        curve = BoundaryCurve.sampled(nodes, 1.0 + 0.5 * nodes + 0.1 * np.sin(3.0 * nodes))
+        fast, dense = self.sweeps(monkeypatch, "linear", 1024, curve)
+        assert fast.residual_summary["kernel_pairs"] == dense.residual_summary["kernel_pairs"]
+        assert np.array_equal(fast.p, dense.p)
+
+    @pytest.mark.parametrize("N, most", [(4096, 10 ** 6), (16384, 5 * 10 ** 6)])
+    def test_pairs_grow_like_n_log_n(self, N, most):
+        src, curve = self.PROBLEMS["linear"]
+        est = solve_marching(src, curve, TimeGrid(T=4.0, N=N, q=2.0))
+        assert est.residual_summary["kernel_pairs"] <= most
 
 
 class TestCdf:
@@ -794,6 +816,19 @@ class TestSerialization:
         (tmp_path / "density.csv").write_text("\n".join(rows) + "\n")
         with pytest.raises(ValueError, match="content_sha256"):
             DensityEstimate.from_files(tmp_path / "density.csv", tmp_path / "run.json")
+
+    def test_csv_bytes_are_those_of_a_row_by_row_write(self, tmp_path):
+        # 17 significant digits, whatever the value: zeros of either sign,
+        # subnormals and values near the top of the double range
+        grid = TimeGrid(T=1.0, N=8, q=1.0)
+        p = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, 0.1, 1e300,
+                      123456789.0, 1e-5])
+        F = np.array([0.0, 0.0, 5e-324, 1e-310, 0.1, 0.25, 1 / 3, 0.5, 1.0])
+        est = DensityEstimate(grid=grid, p=p, F=F, method="marching")
+        est.to_csv(tmp_path / "d.csv")
+        expected = "t,p,F\n" + "".join(f"{t:.17g},{a:.17g},{b:.17g}\n"
+                                       for t, a, b in zip(grid.nodes, p, F))
+        assert (tmp_path / "d.csv").read_bytes() == expected.encode()
 
     def test_csv_header(self, tmp_path):
         grid = TimeGrid(T=1.0, N=8, q=1.0)
