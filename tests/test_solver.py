@@ -498,9 +498,9 @@ class TestParallelSweep:
     # the callers of `solver.forked`, and the work their helpers do, in the calling process too
     WORK = {"simulate": (montecarlo, "_simulate_range")}
 
-    def solve(self, monkeypatch, threads):
+    def solve(self, monkeypatch, threads, N=N):
         monkeypatch.setenv("FPT_THREADS", str(threads))
-        grid = TimeGrid(T=4.0, N=self.N, q=2.0)
+        grid = TimeGrid(T=4.0, N=N, q=2.0)
         return solve_many(BoundaryCurve.linear(1.0, 0.5), grid, self.REQUESTS)
 
     def results(self, monkeypatch, caller, threads):
@@ -528,6 +528,10 @@ class TestParallelSweep:
                 assert est.residual_summary == ref.residual_summary
                 assert est.fingerprint == ref.fingerprint
                 assert est.content_sha256() == ref.content_sha256()
+        assert forks == []
+
+    def test_small_sweeps_fork_nothing(self, monkeypatch, forks):
+        self.solve(monkeypatch, 4, N=1024)
         assert forks == []
 
     @pytest.mark.parametrize("caller", WORK)
