@@ -368,12 +368,10 @@ def cmd_green(cfg: dict, x_range, t_range, resolution) -> None:
     fld = GreenField(curve=curve, src=src, density=est)
     xs = np.linspace(x_lo, x_hi, nx)
     ts = np.linspace(t_lo, t_hi, nt)
+    vals = np.concatenate([green_eval(fld, xs, float(t)) for t in ts])
+    rows = np.column_stack((np.tile(xs, nt), np.repeat(ts, nx), vals))
     with open(out / "green.csv", "w") as fh:
-        fh.write("x,t,G\n")
-        for t in ts:
-            vals = green_eval(fld, xs, float(t))
-            for x, v in zip(xs, vals):
-                fh.write(f"{x:.17g},{t:.17g},{v:.17g}\n")
+        fh.write("x,t,G\n" + "%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------

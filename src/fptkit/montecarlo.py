@@ -47,7 +47,7 @@ and walked blocks join the frontier until it holds `FRONTIER_INTERVALS`
 pending intervals.  That keeps each Philox call a few thousand words long,
 where numpy's per-call cost no longer dominates.  Admission stops at that
 bound, but nothing caps the frontier: the last block admitted and splitting
-grow it past the bound (to 22,660 intervals for 8192 paths started 0.1
+grow it past the bound (to 22,156 intervals for 8192 paths started 0.1
 below a constant boundary, dt = 1e-4, seed 5).  `PHILOX_CHUNK` bounds only
 the Philox scratch, drawing a step's words that many at a time.  A path's
 pending intervals always share one tree level, its drop rule reads only its
@@ -55,28 +55,29 @@ own earliest crossing, and paths never interact, so the schedule cannot
 change the hits or `n_draws`.
 
 Reproducibility is a hard contract.  Every number path i uses is a fixed
-word of numpy's own `Philox(key=[seed, i]).random_raw()` stream, computed
-here by a vectorized Philox4x64-10 (word j is lane j % 4 at counter
-j // 4 + 1; counter-based random access after Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11):
+64-bit word of its own counter-addressed stream (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11): word j is half h = j % 2 of
+block j // 2 of Philox4x32-10, keyed by the seed's 32-bit halves (lo, hi)
+at counter (block lo, block hi, i lo, i hi), and reads
+(lane 2h+1 << 32) | lane 2h.  Each block is computed on its own, so words
+are drawn in any order:
 
 * words [0, K): the coarse increments Z_j;
 * word K + m: the midpoint normal of fine node m;
 * word K + n + 1 + k: the bridge uniform u_k of substep k.
 
 A uniform is (w >> 11) 2^-53.  A normal is the Box-Muller transform (Box
-and Muller, Ann. Math. Statist. 29, 1958) of its word's lane pair: words
-2 floor(j/2) and 2 floor(j/2) + 1, lanes 0, 1 or 2, 3 of word j's Philox
-block, whose words w_even, w_odd give
+and Muller, Ann. Math. Statist. 29, 1958) of its block's two words
+w_even, w_odd:
 
     R = sqrt(-2 ln(((w_even >> 11) + 1/2) 2^-53)),   θ = 2π (w_odd >> 11) 2^-53,
 
-and the normal is R cos θ for an even lane and R sin θ for an odd one.  Word
-j's normal thus reads its partner word too, whatever draws it: the coarse
-walk, which uses all four lanes of each block, or the refinement, which
-reads the partner from the block it computes anyway.  A path is a pure
-function of (seed, i), whatever the refinement order, block size, frontier
-size or worker count.
+and the normal is R cos θ for an even word and R sin θ for an odd one.
+Word j's normal thus reads its partner word too, whatever draws it: the
+coarse walk, which uses both words of each block, or the refinement,
+which computes the whole block anyway.  A path is a pure function of
+(seed, i), whatever the refinement order, block size, frontier size or
+worker count.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ BLOCK_PATHS = 256
 #: depend on it)
 FRONTIER_INTERVALS = 4096
 
-#: words per Philox call of the refinement: bounds the call's dozen scratch
+#: words per Philox call of the refinement: bounds the call's five lane
 #: arrays, however large the frontier (results do not depend on it)
 PHILOX_CHUNK = 8192
 
@@ -112,8 +113,8 @@ _HALF_LOG_INV_EPS = 0.5 * 53.0 * math.log(2.0)
 
 _U64 = np.uint64
 _LO32 = _U64(0xFFFFFFFF)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_M = (_U64(0xD2511F53), _U64(0xCD9E8D57))
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 #: 2π 2^-53: the Box-Muller angle of one unit of a 53-bit word
 _ANGLE_ULP = 2.0 * math.pi * 2.0 ** -53
 
@@ -214,70 +215,58 @@ def _time_axis(cfg: McConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mulhi(m: int, x, out, s, t, q) -> None:
-    """out = high 64 bits of the 128-bit products m * x; s, t, q are scratch.
+def _philox(seed: int, path, block) -> list:
+    """The 4 lanes of Philox4x32-10, each a uint64 array holding 32 bits.
 
-    Schoolbook product on 32-bit halves (x = xh 2^32 + xl, m = mh 2^32 + ml);
-    no partial sum overflows 64 bits.
+    The key is the seed's 32-bit halves (lo, hi) and the counter is
+    (block lo, block hi, path lo, path hi), `path` and `block` broadcast
+    together.  Each 32 x 32-bit product is exact in one uint64 multiply.
     """
-    ml, mh = _U64(m & 0xFFFFFFFF), _U64(m >> 32)
-    np.bitwise_and(x, _LO32, out=s)       # xl
-    np.multiply(s, ml, out=t)
-    t >>= _U64(32)                        # carry out of xl ml
-    s *= mh                               # xl mh
-    np.right_shift(x, _U64(32), out=out)  # xh
-    np.multiply(out, ml, out=q)
-    t += q                                # xh ml + carry
-    np.bitwise_and(t, _LO32, out=q)
-    s += q                                # xl mh + low half of xh ml + carry
-    out *= mh                             # xh mh
-    t >>= _U64(32)
-    s >>= _U64(32)
-    out += t
-    out += s
+    block, path = np.broadcast_arrays(np.asarray(block, dtype=_U64), np.asarray(path, dtype=_U64))
+    c = [block & _LO32, block >> _U64(32), path & _LO32, path >> _U64(32)]
+    t = np.empty_like(c[0])
+    k0, k1 = seed & 0xFFFFFFFF, seed >> 32
+    for _ in range(10):
+        # lanes (c0, c1, c2, c3) become (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1,
+        # lo(M0 c0)), in the buffers (t, c2, c1, c0); c3's buffer is the next t
+        c0, c1, c2, c3 = c
+        c0 *= _PHILOX_M[0]
+        c2 *= _PHILOX_M[1]
+        np.right_shift(c2, _U64(32), out=t)
+        t ^= c1
+        t ^= _U64(k0)
+        np.right_shift(c0, _U64(32), out=c1)
+        c1 ^= c3
+        c1 ^= _U64(k1)
+        c2 &= _LO32
+        c0 &= _LO32
+        c, t = [t, c2, c1, c0], c3
+        k0, k1 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF, (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
+    return c
 
 
-def _philox(seed: int, path: np.ndarray, counter: np.ndarray) -> tuple:
-    """The 4 lanes of Philox4x64-10 with key (seed, path) at counter (counter, 0, 0, 0)."""
-    c0 = np.array(counter, dtype=_U64)
-    c1, c2, c3 = (np.zeros_like(c0) for _ in range(3))
-    hi0, hi1, s, t, q = (np.empty_like(c0) for _ in range(5))
-    k0, k1 = seed, np.array(path, dtype=_U64)
-    m0, m1 = _PHILOX_M
-    for r in range(10):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFFFFFFFFFF
-            k1 += _U64(_PHILOX_W[1])
-        _mulhi(m0, c0, hi0, s, t, q)
-        _mulhi(m1, c2, hi1, s, t, q)
-        hi1 ^= c1
-        hi1 ^= _U64(k0)
-        hi0 ^= c3
-        hi0 ^= k1
-        np.multiply(c2, _U64(m1), out=c1)
-        np.multiply(c0, _U64(m0), out=c3)
-        c0, c2, hi1, hi0 = hi1, hi0, c0, c2
-    return c0, c1, c2, c3
+def _join(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 64-bit words (hi << 32) | lo of two lanes, in hi's buffer."""
+    hi <<= _U64(32)
+    hi |= lo
+    return hi
 
 
 def _variates(seed: int, path: np.ndarray, word: np.ndarray, n_uniform: int,
               n_cos: int) -> np.ndarray:
-    """Word `word` of `Philox(key=[seed, path]).random_raw()` as a uniform or a normal.
+    """Word `word` of path `path`'s stream as a uniform or a normal.
 
     The first `n_uniform` words become uniforms and the rest normals, of
-    which the first `n_cos` must lie in even lanes and the others in odd
-    ones.  Word j is lane j % 4 of the block at counter j // 4 + 1 and pairs
-    with lane (j % 4) ^ 1; the blocks are computed `PHILOX_CHUNK` words at a
-    time.
+    which the first `n_cos` must be even words and the others odd ones.
+    Word j is half j % 2 of block j // 2 and pairs with the block's other
+    half; the blocks are computed `PHILOX_CHUNK` words at a time.
     """
     word = word.astype(_U64)
     even, odd = np.empty_like(word), np.empty_like(word)
     for a in range(0, len(word), PHILOX_CHUNK):
         part = slice(a, a + PHILOX_CHUNK)
-        lanes = _philox(seed, path[part], (word[part] >> _U64(2)) + _U64(1))
-        upper = (word[part] & _U64(2)).astype(bool)
-        even[part] = np.where(upper, lanes[2], lanes[0])
-        odd[part] = np.where(upper, lanes[3], lanes[1])
+        l0, l1, l2, l3 = _philox(seed, path[part], word[part] >> _U64(1))
+        even[part], odd[part] = _join(l0, l1), _join(l2, l3)
     x = even.view(np.float64)
     head = slice(0, n_uniform)
     x[head] = _uniforms(np.where((word[head] & _U64(1)).astype(bool), odd[head], even[head]))
@@ -292,24 +281,22 @@ def _variates(seed: int, path: np.ndarray, word: np.ndarray, n_uniform: int,
 def _leading_normals(seed: int, paths: np.ndarray, n: int) -> np.ndarray:
     """The normals of words [0, n) of every path's stream, shape (len(paths), n).
 
-    All four lanes of each block are used: each lane pair gives R cos θ to
-    its even lane and R sin θ to its odd one.
+    Each block gives two: R cos θ to its even word and R sin θ to its odd one.
     """
-    n_ctr = -(-n // 4)
-    path, counter = np.broadcast_arrays(paths[:, None], np.arange(1, n_ctr + 1, dtype=_U64))
-    w0, w1, w2, w3 = _philox(seed, path, counter)
-    r, theta = _polar(np.stack((w0, w2), axis=-1), np.stack((w1, w3), axis=-1))
+    n_blocks = -(-n // 2)
+    l0, l1, l2, l3 = _philox(seed, paths[:, None], np.arange(n_blocks, dtype=_U64))
+    r, theta = _polar(_join(l0, l1), _join(l2, l3))
     z = np.empty(r.shape + (2,))
     np.cos(theta, out=z[..., 0])
     np.sin(theta, out=z[..., 1])
     z *= r[..., None]
-    return z.reshape(len(paths), 4 * n_ctr)[:, :n]
+    return z.reshape(len(paths), 2 * n_blocks)[:, :n]
 
 
 def _polar(even: np.ndarray, odd: np.ndarray) -> tuple:
-    """Box-Muller R and θ of lane pairs (w_even, w_odd), in place: float64 views of the words.
+    """Box-Muller R and θ of word pairs (w_even, w_odd), in place: float64 views of the words.
 
-    R cos θ is the normal of the even lane and R sin θ that of the odd one
+    R cos θ is the normal of the even word and R sin θ that of the odd one
     (module docstring); every caller applies one trig function per normal
     and multiplies by R, so a normal has the same bits whoever draws it.
     """
@@ -474,16 +461,16 @@ def _refine_level(plan: _Plan, seed: int, i0: int, bridge: bool, first: np.ndarr
     tg, xg = plan.tgrid, plan.xgrid
     n_coarse = len(plan.coarse) - 1
     split, (tp, tk, bound) = _triage(plan, bridge, first, front)
-    # the split intervals whose midpoint word is in an even lane, then the others
+    # the split intervals whose midpoint word is even, then the others
     rows = np.flatnonzero(split)
-    odd_lane = ((n_coarse + (front[1][rows] + front[2][rows]) // 2) % 2).astype(bool)
-    rows = rows[np.argsort(odd_lane, kind="stable")]
+    odd_word = ((n_coarse + (front[1][rows] + front[2][rows]) // 2) % 2).astype(bool)
+    rows = rows[np.argsort(odd_word, kind="stable")]
     p, lo, hi, blo, bhi = (a[rows] for a in front)
     front.clear()
     m = (lo + hi) // 2
     x = _variates(seed, i0 + np.concatenate((tp, p)),
                   np.concatenate((n_coarse + plan.n_steps + 1 + tk, n_coarse + m)),
-                  len(tk), len(m) - np.count_nonzero(odd_lane))
+                  len(tk), len(m) - np.count_nonzero(odd_word))
 
     # leaves: the fine scheme's substep test
     hit = x[:len(tk)] < bound

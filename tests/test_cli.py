@@ -526,6 +526,23 @@ class TestGreen:
         assert rows[0] == "x,t,G"
         assert len(rows) == 1 + 2500
 
+    def test_csv_bytes_are_those_of_a_row_by_row_write(self, tmp_path, monkeypatch):
+        # 17 significant digits, whatever the value: zeros of either sign,
+        # subnormals and values near the top of the double range
+        special = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, 1e300])
+
+        def fake_green(fld, xs, t):
+            return special * t
+
+        monkeypatch.setattr(fptkit.cli, "green_eval", fake_green)
+        code = run(["green", *LINEAR_ARGS, "--x-min", "-1", "--x-max", "1.5", "--t-min", "0.5",
+                    "--t-max", "4", "--nx", "6", "--nt", "4", "--out", str(tmp_path)])
+        assert code == 0
+        xs, ts = np.linspace(-1.0, 1.5, 6), np.linspace(0.5, 4.0, 4)
+        expected = "x,t,G\n" + "".join(f"{x:.17g},{t:.17g},{v:.17g}\n" for t in ts
+                                       for x, v in zip(xs, fake_green(None, xs, float(t))))
+        assert (tmp_path / "green.csv").read_bytes() == expected.encode()
+
     def test_time_zero_rejected(self, tmp_path, capsys):
         code = run(["green", *LINEAR_ARGS, "--x-min", "-2", "--x-max", "2",
                     "--t-min", "0", "--t-max", "2", "--out", str(tmp_path)])

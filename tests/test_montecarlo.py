@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -25,7 +26,39 @@ CONST = BoundaryCurve.constant(1.0)
 
 TRUE_CDF_1 = 2.0 * psi(1.0)  # reflection principle: P(hit 1 by t=1) = 0.31731...
 
-GOLDEN_HITS_SHA256 = "96caa9cfa0d3ccccb5817affd2706fc791a08c01dc9565f5ba07faa877509dba"
+# the hits of `TestRefinement::test_golden_stream`, drawn from Philox4x32-10
+# keyed by the seed's 32-bit halves at counter (block lo, block hi, path lo,
+# path hi), word j being half j % 2 of block j // 2
+GOLDEN_HITS_SHA256 = "d9b3843b59b0a31799f964eaee0863fc80d96db6d6bd15dfe80deb6bac6f3123"
+
+MASK32 = 0xFFFFFFFF
+
+
+def _philox4x32(ctr, key):
+    """Philox4x32-10 (Salmon et al., SC'11) on Python ints, or object arrays of them."""
+    (c0, c1, c2, c3), (k0, k1) = ctr, key
+    for _ in range(10):
+        p0, p1 = 0xD2511F53 * c0, 0xCD9E8D57 * c2
+        c0, c1, c2, c3 = (p1 >> 32) ^ c1 ^ k0, p1 & MASK32, (p0 >> 32) ^ c3 ^ k1, p0 & MASK32
+        k0, k1 = (k0 + 0x9E3779B9) & MASK32, (k1 + 0xBB67AE85) & MASK32
+    return c0, c1, c2, c3
+
+
+@functools.lru_cache(maxsize=None)
+def _stream_words(seed, n_paths, n_words):
+    """Words [0, n_words) of paths 0..n_paths-1, one row per path, read-only.
+
+    Word j of path i is half h = j % 2 of the block at counter
+    (j // 2, i) under key seed: (lane 2h+1 << 32) | lane 2h.
+    """
+    path, block = np.meshgrid(np.arange(n_paths, dtype=object),
+                              np.arange(-(-n_words // 2), dtype=object), indexing="ij")
+    l0, l1, l2, l3 = _philox4x32((block & MASK32, block >> 32, path & MASK32, path >> 32),
+                                 (seed & MASK32, seed >> 32))
+    words = np.stack(((l1 << 32) | l0, (l3 << 32) | l2), axis=-1).astype(np.uint64)
+    words = words.reshape(n_paths, -1)[:, :n_words]
+    words.flags.writeable = False
+    return words
 
 
 class _EcdfStub:
@@ -170,11 +203,11 @@ class TestSimulate:
 def _fine_scheme_hits(src, curve, cfg):
     """Hit times of the fine scheme on full paths, one fine node at a time.
 
-    Every word comes from numpy's own `Philox(key=[seed, i]).random_raw()`:
-    words [0, K) are the coarse increments, word K + m the Lévy midpoint
-    normal of node m and word K + n + 1 + k the bridge uniform of substep k.
-    Words 2j and 2j + 1 give the Box-Muller pair R cos θ, R sin θ.  Every
-    node is built, so no interval is skipped.
+    Every word of path i comes from `_stream_words`, the plain-int
+    Philox4x32-10 above: words [0, K) are the coarse increments, word K + m
+    the Lévy midpoint normal of node m and word K + n + 1 + k the bridge
+    uniform of substep k.  Words 2j and 2j + 1 give the Box-Muller pair
+    R cos θ, R sin θ.  Every node is built, so no interval is skipped.
     """
     n = math.ceil(cfg.T / cfg.dt - 1e-9)
     t = np.minimum(np.arange(n + 1) * cfg.dt, cfg.T)
@@ -184,10 +217,7 @@ def _fine_scheme_hits(src, curve, cfg):
     K = len(coarse) - 1
 
     n_words = 2 * ((K + 2 * n + 2) // 2)
-    words = np.stack([
-        np.random.Philox(key=np.array([cfg.seed, i], dtype=np.uint64)).random_raw(n_words)
-        for i in range(cfg.n_paths)
-    ])
+    words = _stream_words(cfg.seed, cfg.n_paths, n_words)
     u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
     r = np.sqrt(-2.0 * np.log(((words[:, 0::2] >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53))
     theta = 2.0 * math.pi * u[:, 1::2]
@@ -254,15 +284,69 @@ class TestRefinement:
         assert run.summary()["n_draws"] == run.n_draws
 
 
+class TestPhilox:
+    """The counter-addressed generator against published and independent values."""
+
+    @staticmethod
+    def lanes(seed, path, block):
+        """`montecarlo._philox` at one (seed, path, block), as Python ints."""
+        got = montecarlo._philox(seed, np.array([path], dtype=np.uint64),
+                                 np.array([block], dtype=np.uint64))
+        return tuple(int(lane[0]) for lane in got)
+
+    # Random123's Philox4x32-10 known answers: counter c0..c3, key k0, k1 -> lanes
+    @pytest.mark.parametrize("ctr, key, lanes", [
+        ((0, 0, 0, 0), (0, 0), (0x6627E8D5, 0xE169C58D, 0xBC57AC4C, 0x9B00DBD8)),
+        ((MASK32,) * 4, (MASK32,) * 2, (0x408F276D, 0x41C83B0E, 0xA20BC7C6, 0x6D5451FD)),
+        ((0x243F6A88, 0x85A308D3, 0x13198A2E, 0x03707344), (0xA4093822, 0x299F31D0),
+         (0xD16CFE09, 0x94FDCCEB, 0x5001E420, 0x24126EA1)),
+    ], ids=["zeros", "ones", "pi"])
+    def test_known_answers(self, ctr, key, lanes):
+        seed, path, block = key[0] | key[1] << 32, ctr[2] | ctr[3] << 32, ctr[0] | ctr[1] << 32
+        assert self.lanes(seed, path, block) == lanes
+        assert _philox4x32(ctr, key) == lanes
+
+    def test_matches_plain_int_philox(self):
+        rng = np.random.default_rng(20261019)
+        triples = [(2 ** 64 - 1, 2 ** 64 - 1, 2 ** 64 - 1), (2 ** 64 - 1, 0, 2 ** 32),
+                   (0, 2 ** 32, 2 ** 32 - 1)]
+        triples += [tuple(int(v) for v in rng.integers(0, 2 ** 64, 3, dtype=np.uint64))
+                    for _ in range(50)]
+        for seed, path, block in triples:
+            ctr = (block & MASK32, block >> 32, path & MASK32, path >> 32)
+            assert self.lanes(seed, path, block) == _philox4x32(ctr, (seed & MASK32, seed >> 32))
+
+    @staticmethod
+    def uniforms():
+        """The 53-bit uniforms of words [0, 2^8) of paths [0, 2^12), one row per path."""
+        path, word = (a.ravel() for a in np.meshgrid(np.arange(2 ** 12, dtype=np.uint64),
+                                                     np.arange(2 ** 8), indexing="ij"))
+        return montecarlo._variates(20261018, path, word, len(word), 0).reshape(2 ** 12, -1)
+
+    def test_neighbouring_paths_and_blocks_are_uncorrelated(self):
+        # paths i, i + 1 at one word, and blocks b, b + 1 (words j, j + 2) of one path
+        u = self.uniforms()
+        for a, b in ((u[:-1], u[1:]), (u[:, :-2], u[:, 2:])):
+            assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) <= 4.0 / math.sqrt(a.size)
+
+    def test_uniforms_are_uniform(self):
+        # 2^20 uniforms pooled over paths and words: KS distance within the
+        # 99.9% Kolmogorov bound
+        u = np.sort(self.uniforms().ravel())
+        k = len(u)
+        ks = max(np.max(np.arange(1, k + 1) / k - u), np.max(u - np.arange(k) / k))
+        assert ks <= 1.95 / math.sqrt(k)
+
+
 class TestNormals:
-    """Box-Muller on the lane pairs of each Philox block."""
+    """Box-Muller on the two words of each Philox block."""
 
     def test_coarse_walk_and_refinement_draw_the_same_bits(self):
         paths = np.arange(3, 200, dtype=np.uint64)
         n = 37  # odd: the last word's partner lies past the words the walk keeps
         coarse = montecarlo._leading_normals(20261018, paths, n)
         path, word = (a.ravel() for a in np.meshgrid(paths, np.arange(n), indexing="ij"))
-        order = np.argsort(word % 2, kind="stable")  # the refinement's order: even lanes first
+        order = np.argsort(word % 2, kind="stable")  # the refinement's order: even words first
         refined = np.empty(len(word))
         refined[order] = montecarlo._variates(20261018, path[order], word[order], 0,
                                               np.count_nonzero(word % 2 == 0))
