@@ -16,14 +16,13 @@ from .kernels import (
     psi,
     segment_weight,
 )
-from .montecarlo import McConfig, McRun, ks_distance, simulate
+from .montecarlo import McConfig, McRun, cpu_workers, ks_distance, simulate
 from .solver import (
     DensityEstimate,
     SolverError,
     SourceSpec,
     TimeGrid,
     check_problem,
-    cpu_workers,
     problem_fingerprint,
     solve_many,
     solve_marching,

@@ -30,14 +30,13 @@ import numpy as np
 from .boundary import BoundaryCurve
 from .green import GreenField, green_eval
 from .kernels import gaussian, gaussian_dx
-from .montecarlo import McConfig, ks_distance, simulate
+from .montecarlo import McConfig, cpu_workers, ks_distance, simulate
 from .solver import (
     DensityEstimate,
     SolverError,
     SourceSpec,
     TimeGrid,
     check_problem,
-    cpu_workers,
     problem_fingerprint,
     solve_many,
     solve_marching,
@@ -272,7 +271,7 @@ def run_validation_suite(suite: str, fld: GreenField) -> list:
 
     `all` runs every suite that applies to the source, so it omits `delta`
     (a point-source study) for smeared sources and for point sources whose
-    widest bump would reach the boundary start.
+    widest bump would reach the boundary start or whose bumps cannot be built.
     """
     curve, src, grid = fld.curve, fld.src, fld.density.grid
     T = grid.T
@@ -322,8 +321,12 @@ def run_validation_suite(suite: str, fld: GreenField) -> list:
 
 
 def _delta_applies(curve, src) -> bool:
-    """Whether the `delta` study fits: a point source with every bump below X_0."""
-    return src.kind == "point" and src.r0 + max(DELTA_WIDTHS) / 2.0 < curve.x0
+    """Whether the `delta` study fits: a point source whose bumps can be built below X_0."""
+    try:
+        bumps = [SourceSpec.uniform_bump(src.r0, w) for w in DELTA_WIDTHS]
+    except ValueError:
+        return False
+    return src.kind == "point" and all(b.support_upper < curve.x0 for b in bumps)
 
 
 def cmd_validate(cfg: dict, suite: str) -> None:
@@ -331,8 +334,8 @@ def cmd_validate(cfg: dict, suite: str) -> None:
         raise ConfigError(f"unknown validation suite {suite!r}; choose from {SUITES}")
     curve, src, grid = build_problem(cfg)
     if suite == "delta" and not _delta_applies(curve, src):
-        raise ConfigError(f"delta suite requires a point source at least"
-                          f" {max(DELTA_WIDTHS) / 2} below the boundary start X_0")
+        raise ConfigError(f"delta suite requires a point source at least {max(DELTA_WIDTHS) / 2}"
+                          f" below the boundary start X_0, whose bumps have distinct ends")
     out = _outdir(cfg)
     # validate the artifact already in the output directory, if any
     est = _solved_density(out, curve, src, grid.T)

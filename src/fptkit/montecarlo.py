@@ -37,9 +37,10 @@ at every node.  A path far from the boundary costs about K draws instead
 of 2n.
 
 Schedule.  Each worker takes one contiguous range of paths, the calling
-process the first and a `solver.forked` helper, which inherits the plan by
-fork (it is never pickled), each other one; without `os.fork` the calling
-process runs every range.  Within a range one loop refines a frontier:
+process the first and a `_forked` helper, which inherits the plan by fork
+(it is never pickled), each other one.  Paths are independent, so a helper
+only marks its range done; the calling process runs any range left unmarked
+(every one without `os.fork`).  Within a range one loop refines a frontier:
 every step takes each pending interval of every admitted path one tree
 level down, with one Philox call for all of them.  Paths are walked on the
 coarse grid `BLOCK_PATHS` at a time, which bounds the walk's working set,
@@ -82,16 +83,20 @@ worker count.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import mmap
 import operator
 import os
+import signal
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .solver import DensityEstimate, SourceSpec, check_problem, forked, sorted_union
+from .solver import DensityEstimate, SourceSpec, check_problem, sorted_union
 
 #: paths per coarse walk: bounds the walk's working set and is the step in
 #: which paths join the refinement frontier (results do not depend on it)
@@ -205,9 +210,11 @@ class McRun:
 
 
 def _time_axis(cfg: McConfig) -> np.ndarray:
-    n_steps = int(math.ceil(cfg.T / cfg.dt - 1e-9))
-    t = np.minimum(np.arange(n_steps + 1) * cfg.dt, cfg.T)
-    return t
+    steps = cfg.T / cfg.dt - 1e-9
+    if not steps < np.iinfo(np.intp).max // 8:  # inf at a subnormal dt; beyond any float64 array
+        raise MemoryError(f"T/dt = {cfg.T / cfg.dt:.3g} time steps")
+    n_steps = int(math.ceil(steps))
+    return np.minimum(np.arange(n_steps + 1) * cfg.dt, cfg.T)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +517,78 @@ def _triage(plan: _Plan, bridge: bool, first: np.ndarray, front):
     return ~leaf & _must_split(d0, d1, tg[hi] - tg[lo]), (p[test], k, bound)
 
 
+def cpu_workers() -> int:
+    """Processes a parallel stage may use: at most 4, at most the CPUs in this
+    process's affinity mask, and at most the FPT_THREADS environment variable.
+
+    The one CPU policy of the package: it sizes `fpt simulate`'s path
+    ranges, and changes no result.
+    """
+    cap = os.environ.get("FPT_THREADS")
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    default = min(4, cpus or 1)
+    if cap is None:
+        return default
+    try:
+        return max(1, min(default, int(cap)))
+    except ValueError:
+        return default
+
+
+@contextlib.contextmanager
+def _forked(helpers, nbytes, work):
+    """Up to `helpers` forked processes sharing `nbytes` of anonymous memory.
+
+    Helper k = 1..helpers runs `work(k, shared)`, then sets its done byte.
+    Yields (shared, finished): `finished(k)` reaps helper k and tells
+    whether it set its byte, so a helper that died or was never started
+    (none is without `os.fork`) reads False.  Every helper not yet reaped is
+    killed and reaped when the block ends, however it ends.  Memory that
+    cannot be mapped raises MemoryError.
+    """
+    try:
+        region = mmap.mmap(-1, nbytes + helpers + 1)  # then a done byte per k = 0..helpers
+    except OSError as exc:
+        raise MemoryError(f"cannot map {nbytes} bytes of shared memory ({exc.strerror})") from None
+    shared = memoryview(region)[:nbytes]
+    pids = {}
+
+    def finished(k):
+        if k in pids:
+            # already gone where SIGCHLD is ignored; waitpid(pid) waits for no other child
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pids[k], 0)
+            del pids[k]
+        return region[nbytes + k] == 1
+
+    try:
+        for k in range(1, helpers + 1 if hasattr(os, "fork") else 1):
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on a fork while threads (OpenBLAS's) run;
+                    # the helpers take no lock they hold: numpy ufuncs, then os._exit
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                break
+            if pid == 0:
+                try:
+                    work(k, shared)
+                    region[nbytes + k] = 1
+                finally:
+                    os._exit(0)
+            pids[k] = pid
+        yield shared, finished
+    finally:
+        for pid in pids.values():
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def simulate(
     src: SourceSpec,
     curve: BoundaryCurve,
@@ -522,7 +601,7 @@ def simulate(
     its Philox words, and the merged hit times are sorted, so the output is
     byte-identical for any `workers`.  Each worker refines one contiguous
     range of whole `BLOCK_PATHS` blocks: this process the first, and a
-    `forked` helper each other one, unless it dies or cannot be forked.
+    `_forked` helper each other one, unless it dies or cannot be forked.
     """
     if src.kind != "point":
         raise ValueError("Monte Carlo oracle simulates point sources only")
@@ -535,19 +614,18 @@ def simulate(
     cuts = [min(cfg.n_paths, BLOCK_PATHS * (n_blocks * k // n_ranges))
             for k in range(n_ranges + 1)]
 
-    def run_range(k, shared, done_w, _):
+    def run_range(k, shared):
         # each path's first crossing, then each range's words drawn
         out = np.frombuffer(shared, dtype=np.int64)
-        out[cuts[k]:cuts[k + 1]], out[cfg.n_paths + k] = _simulate_range(
-            plan, cfg.seed, cuts[k], cuts[k + 1], src.r0, cfg.bridge_correction)
-        if done_w is not None:
-            os.write(done_w, b"\0")
+        with np.errstate(over="ignore"):  # gaps past ~1e154 multiply to inf: no split, no hit
+            out[cuts[k]:cuts[k + 1]], out[cfg.n_paths + k] = _simulate_range(
+                plan, cfg.seed, cuts[k], cuts[k + 1], src.r0, cfg.bridge_correction)
 
-    with forked(n_ranges - 1, 8 * (cfg.n_paths + n_ranges), run_range) as (shared, pipes):
+    with _forked(n_ranges - 1, 8 * (cfg.n_paths + n_ranges), run_range) as (shared, finished):
         for k in range(n_ranges):
             # range 0, and the range of any helper that did not finish
-            if not (k in pipes and os.read(pipes[k][0], 1)):
-                run_range(k, shared, None, None)
+            if not finished(k):
+                run_range(k, shared)
     first, draws = np.split(np.frombuffer(shared, dtype=np.int64), [cfg.n_paths])
     hits = np.sort(tgrid[first[first <= plan.n_steps]])
     return McRun(config=cfg, hit_times=hits, n_censored=int(np.sum(first > plan.n_steps)),

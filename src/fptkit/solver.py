@@ -74,15 +74,10 @@ rule, `DensityEstimate.history`.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import hashlib
 import json
 import math
-import mmap
-import os
-import signal
 import sys
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -115,83 +110,6 @@ _TAIL_RATIO = 2.0 ** 0.25
 
 class SolverError(RuntimeError):
     """A solve could not be completed (grid too coarse, no convergence, no density)."""
-
-
-def cpu_workers() -> int:
-    """Processes a parallel stage may use: at most 4, at most the CPUs in this
-    process's affinity mask, and at most the FPT_THREADS environment variable.
-
-    The one CPU policy of the package: it sizes `fpt simulate`'s path
-    ranges, and changes no result.
-    """
-    cap = os.environ.get("FPT_THREADS")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count()
-    default = min(4, cpus or 1)
-    if cap is None:
-        return default
-    try:
-        return max(1, min(default, int(cap)))
-    except ValueError:
-        return default
-
-
-@contextlib.contextmanager
-def forked(helpers, nbytes, work):
-    """Up to `helpers` forked processes sharing `nbytes` of anonymous memory.
-
-    Helper k = 1..helpers runs `work(k, shared, out_w, in_r)` on its ends of
-    two pipes, then exits.  Yields (shared, {k: (out_r, in_w)}): a helper
-    that could not be started is missing, and one that dies shows as EOF on
-    its out_r.  Without `os.fork` none is started.  Every helper is killed
-    and reaped when the block ends, however it ends.  Memory that cannot be
-    mapped raises MemoryError.
-    """
-    try:
-        shared = mmap.mmap(-1, max(nbytes, 1))  # mmap rejects a length of 0
-    except OSError as exc:
-        raise MemoryError(f"cannot map {nbytes} bytes of shared memory ({exc.strerror})") from None
-    pids, opened, pipes = [], [], {}
-    try:
-        for k in range(1, helpers + 1 if hasattr(os, "fork") else 1):
-            try:
-                out_r, out_w = os.pipe()
-                opened += (out_r, out_w)
-                in_r, in_w = os.pipe()
-                opened += (in_r, in_w)
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns on a fork while threads (OpenBLAS's) run;
-                    # the helpers take no lock they hold: numpy ufuncs, then os._exit
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    for fd in opened:
-                        if fd not in (out_w, in_r):
-                            os.close(fd)
-                    work(k, shared, out_w, in_r)
-                    code = 0
-                finally:
-                    os._exit(code)
-            pids.append(pid)
-            for fd in (out_w, in_r):
-                os.close(fd)
-                opened.remove(fd)
-            pipes[k] = out_r, in_w
-        yield shared, pipes
-    finally:
-        for pid in pids:
-            # already gone where SIGCHLD is ignored, which reaps children at exit
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for fd in opened:
-            os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -750,7 +668,8 @@ def solve_many(
             raise ValueError(f"unknown solve method {method!r}")
         jobs.append((src, step))
         summaries.append(summary)
-    ps, pairs = _block_sweep(curve, grid, jobs)
+    with np.errstate(over="ignore"):  # a boundary step past ~1e154 squares to inf: kappa = 0
+        ps, pairs = _block_sweep(curve, grid, jobs)
     return [_estimate(src, curve, grid, p, method, summary() | {"kernel_pairs": pairs})
             for (src, method), p, summary in zip(requests, ps, summaries)]
 

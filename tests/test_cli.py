@@ -386,7 +386,17 @@ class TestSimulate:
         assert run([*self.SIM, "--out", str(out1)]) == 0
         monkeypatch.delenv("FPT_THREADS")
         assert run([*self.SIM, "--out", str(out2)]) == 0
-        assert (out1 / "hits.csv").read_bytes() == (out2 / "hits.csv").read_bytes()
+        for name in ("hits.csv", "mc.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("dt", ["1e-30", "5e-324"])
+    def test_time_axis_too_long_exits_2(self, tmp_path, capsys, dt):
+        # T/dt steps do not fit in any array, or T/dt is inf
+        code = run([*self.SIM, "--dt", dt, "--out", str(tmp_path)])
+        assert code == 2
+        assert_one_line(capsys.readouterr().err,
+                        "invalid configuration: the run does not fit in memory")
+        assert not (tmp_path / "hits.csv").exists()
 
 
 class TestValidate:
@@ -437,6 +447,17 @@ class TestValidate:
         assert_one_line(capsys.readouterr().err, "invalid configuration: delta suite")
         assert not (tmp_path / "d").exists()
         assert run(["validate", *near, "--suite", "all", "--out", str(tmp_path / "a")]) == 0
+        doc = json.loads((tmp_path / "a" / "validate.json").read_text())
+        assert "delta_convergence" not in [r["name"] for r in doc["reports"]]
+
+    def test_delta_suite_needs_bumps_that_can_be_built(self, tmp_path, capsys):
+        # around r0 = -1e16 the narrowest bump's ends r0 -+ 1/64 round to r0
+        far = ["--r0=-1e16", "--N", "64"]
+        code = run(["validate", *far, "--suite", "delta", "--out", str(tmp_path / "d")])
+        assert code == 2
+        assert_one_line(capsys.readouterr().err, "invalid configuration: delta suite")
+        assert not (tmp_path / "d").exists()
+        assert run(["validate", *far, "--suite", "all", "--out", str(tmp_path / "a")]) == 0
         doc = json.loads((tmp_path / "a" / "validate.json").read_text())
         assert "delta_convergence" not in [r["name"] for r in doc["reports"]]
 
@@ -630,6 +651,22 @@ def test_unreadable_density_exits_4_without_artifacts(tmp_path, capsys, cmd, wri
     assert run([*cmd, *problem, "--out", str(tmp_path)]) == 4
     assert_one_line(capsys.readouterr().err, "artifact mismatch:")
     assert not (tmp_path / written).exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--b", "1e200", "--N", "64"],
+    ["simulate", "--b", "1e200", "--n-paths", "10", "--dt", "0.01"],
+    ["simulate", "--r0=-1e300", "--n-paths", "10", "--dt", "0.01"],
+], ids=["solve-steep", "simulate-steep", "simulate-far"])
+def test_overflowing_squares_are_silent(tmp_path, capsys, args):
+    # a boundary step or a gap of ~1e200 squares to inf: a kernel factor of
+    # exactly 0, or a bridge interval that is not split; no path hits
+    assert run([*args, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    if args[0] == "solve":
+        assert not np.loadtxt(tmp_path / "density.csv", delimiter=",", skiprows=1)[:, 1].any()
+    else:
+        assert (tmp_path / "hits.csv").read_text() == "t\n"
 
 
 def test_out_of_memory_exits_2(tmp_path):

@@ -1,6 +1,10 @@
 import functools
 import hashlib
 import math
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -14,6 +18,7 @@ from fptkit import (
     McRun,
     SourceSpec,
     TimeGrid,
+    cpu_workers,
     ks_distance,
     psi,
     simulate,
@@ -409,6 +414,123 @@ class TestSchedule:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2**20
+
+
+class TestCpuWorkers:
+    @pytest.mark.parametrize("affinity, cpu_count, cap, expected", [
+        ({0}, 8, None, 1),
+        ({0, 1, 2}, 64, None, 3),
+        (set(range(16)), 16, None, 4),
+        ({0, 1}, 8, "3", 2),
+        ({0, 1, 2}, 8, "1", 1),
+        (None, 2, None, 2),
+        (None, None, None, 1),
+    ])
+    def test_workers_follow_cpu_affinity(self, monkeypatch, affinity, cpu_count, cap,
+                                         expected):
+        # a cpuset or taskset mask, not the machine's CPU count, caps the processes
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity),
+                                raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        if cap is None:
+            monkeypatch.delenv("FPT_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("FPT_THREADS", cap)
+        assert cpu_workers() == expected
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestHelpers:
+    """`simulate` forks a helper for each range but the first, and runs the
+    range of any helper that did not finish it itself; no helper outlives
+    the call.
+    """
+
+    MC = McConfig(n_paths=4 * montecarlo.BLOCK_PATHS, dt=1e-3, T=1.0, seed=3)
+
+    def results(self, workers):
+        """The simulation's hits and draws on `workers` workers."""
+        run = simulate(POINT, BoundaryCurve.linear(1.0, 0.5), self.MC, workers=workers)
+        return run.hit_times.tobytes(), run.n_draws
+
+    def patch_work(self, monkeypatch, fault):
+        """Call `fault(*args)` before each range's `_simulate_range`, in every process."""
+        work = montecarlo._simulate_range
+
+        def patched(*args):
+            fault(*args)
+            return work(*args)
+
+        monkeypatch.setattr(montecarlo, "_simulate_range", patched)
+
+    def test_an_error_in_the_caller_reaps_the_helpers(self, monkeypatch, forks):
+        pid = os.getpid()
+
+        def fails_in_caller(*args):
+            if os.getpid() == pid:
+                raise RuntimeError("the caller's share failed")
+
+        self.patch_work(monkeypatch, fails_in_caller)
+        with pytest.raises(RuntimeError, match="caller's share"):
+            self.results(2)
+        assert len(forks) == 1
+        assert_no_child_left()
+
+    def test_ignored_sigchld_reaps_the_helpers_itself(self, forks):
+        serial = self.results(1)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            parallel = self.results(2)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert parallel == serial
+        assert len(forks) == 1
+
+    def test_ignored_sigchld_waits_for_no_other_child(self, forks):
+        # where SIGCHLD is ignored, a wait for any child blocks until every
+        # child has exited: the unrelated one would hold simulate for 20 s
+        serial = self.results(1)
+        other = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(20)"])
+        try:
+            previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+            try:
+                parallel = self.results(4)
+            finally:
+                signal.signal(signal.SIGCHLD, previous)
+            assert other.poll() is None
+        finally:
+            other.kill()
+            other.wait()
+        assert parallel == serial
+        assert len(forks) == 3
+        assert_no_child_left()
+
+    def test_a_dead_helper_leaves_its_blocks_to_the_caller(self, monkeypatch, forks):
+        serial = self.results(1)
+        pid = os.getpid()
+
+        def dies_in_helper(*args):
+            # the helpers of ranges 2 and 3, while range 1's finishes
+            if os.getpid() != pid and args[2] >= 2 * montecarlo.BLOCK_PATHS:
+                os._exit(1)
+
+        self.patch_work(monkeypatch, dies_in_helper)
+        assert self.results(4) == serial
+        assert len(forks) == 3
+        assert_no_child_left()
+
+    def test_without_fork_the_caller_does_all_the_work(self, monkeypatch, forks):
+        serial = self.results(1)
+        monkeypatch.delattr(os, "fork")
+        assert self.results(4) == serial
+        assert forks == []
 
 
 class TestKsDistance:

@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -16,26 +15,22 @@ from fptkit import (
     BoundaryCurve,
     DensityEstimate,
     GreenField,
-    McConfig,
     SolverError,
     SourceSpec,
     TimeGrid,
     closed_form_linear,
-    cpu_workers,
     gaussian_dx,
     master_residual,
     mass_conservation,
     problem_fingerprint,
     psi,
     segment_weight,
-    simulate,
     solve_many,
     solve_marching,
     solve_picard,
     source_term,
 )
 import fptkit.solver
-from fptkit import montecarlo
 from fptkit.solver import BLOCK_ROWS, sorted_union
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -453,71 +448,20 @@ class TestSolveMany:
                        [(POINT, "newton")])
 
 
-class TestCpuWorkers:
-    @pytest.mark.parametrize("affinity, cpu_count, cap, expected", [
-        ({0}, 8, None, 1),
-        ({0, 1, 2}, 64, None, 3),
-        (set(range(16)), 16, None, 4),
-        ({0, 1}, 8, "3", 2),
-        ({0, 1, 2}, 8, "1", 1),
-        (None, 2, None, 2),
-        (None, None, None, 1),
-    ])
-    def test_workers_follow_cpu_affinity(self, monkeypatch, affinity, cpu_count, cap,
-                                         expected):
-        # a cpuset or taskset mask, not the machine's CPU count, caps the processes
-        if affinity is None:
-            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        else:
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity),
-                                raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-        if cap is None:
-            monkeypatch.delenv("FPT_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("FPT_THREADS", cap)
-        assert cpu_workers() == expected
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestParallelSweep:
-    """`solver.forked` runs the parallel stages: `simulate`, whose helpers each
-    simulate one range of paths.  The block sweep runs in the calling
-    process for any `FPT_THREADS`.
+    """The block sweep runs in the calling process for any `FPT_THREADS`:
+    only `simulate` forks (`tests/test_montecarlo.py::TestHelpers`).
     """
 
     N = 1536
     REQUESTS = [(POINT, "marching"), (POINT, "picard"),
                 (SourceSpec.uniform_bump(0.0, 0.25), "marching"),
                 (SourceSpec.uniform_bump(0.0, 0.25), "picard")]
-    MC = McConfig(n_paths=4 * montecarlo.BLOCK_PATHS, dt=1e-3, T=1.0, seed=3)
-    # the callers of `solver.forked`, and the work their helpers do, in the calling process too
-    WORK = {"simulate": (montecarlo, "_simulate_range")}
 
     def solve(self, monkeypatch, threads, N=N):
         monkeypatch.setenv("FPT_THREADS", str(threads))
         grid = TimeGrid(T=4.0, N=N, q=2.0)
         return solve_many(BoundaryCurve.linear(1.0, 0.5), grid, self.REQUESTS)
-
-    def results(self, monkeypatch, caller, threads):
-        """The simulation's hits and draws on `threads` workers."""
-        run = simulate(POINT, BoundaryCurve.linear(1.0, 0.5), self.MC, workers=threads)
-        return run.hit_times.tobytes(), run.n_draws
-
-    def patch_work(self, monkeypatch, caller, fault):
-        """Call `fault(*args)` before each call of the caller's work, in every process."""
-        module, name = self.WORK[caller]
-        work = getattr(module, name)
-
-        def patched(*args):
-            fault(*args)
-            return work(*args)
-
-        monkeypatch.setattr(module, name, patched)
 
     def test_results_do_not_depend_on_the_worker_count(self, monkeypatch, forks):
         serial = self.solve(monkeypatch, 1)
@@ -532,53 +476,6 @@ class TestParallelSweep:
 
     def test_small_sweeps_fork_nothing(self, monkeypatch, forks):
         self.solve(monkeypatch, 4, N=1024)
-        assert forks == []
-
-    @pytest.mark.parametrize("caller", WORK)
-    def test_an_error_in_the_caller_reaps_the_helpers(self, monkeypatch, forks, caller):
-        pid = os.getpid()
-
-        def fails_in_caller(*args):
-            if os.getpid() == pid:
-                raise SolverError("the caller's share failed")
-
-        self.patch_work(monkeypatch, caller, fails_in_caller)
-        with pytest.raises(SolverError, match="caller's share"):
-            self.results(monkeypatch, caller, 2)
-        assert len(forks) == 1
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("caller", WORK)
-    def test_ignored_sigchld_reaps_the_helpers_itself(self, monkeypatch, forks, caller):
-        serial = self.results(monkeypatch, caller, 1)
-        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
-        try:
-            parallel = self.results(monkeypatch, caller, 2)
-        finally:
-            signal.signal(signal.SIGCHLD, previous)
-        assert parallel == serial
-        assert len(forks) == 1
-
-    @pytest.mark.parametrize("caller", WORK)
-    def test_a_dead_helper_leaves_its_blocks_to_the_caller(self, monkeypatch, forks, caller):
-        serial = self.results(monkeypatch, caller, 1)
-        pid = os.getpid()
-
-        def dies_in_helper(*args):
-            # the helpers of ranges 2 and 3, while range 1's finishes
-            if os.getpid() != pid and args[2] >= 2 * montecarlo.BLOCK_PATHS:
-                os._exit(1)
-
-        self.patch_work(monkeypatch, caller, dies_in_helper)
-        assert self.results(monkeypatch, caller, 4) == serial
-        assert len(forks) == 3
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("caller", WORK)
-    def test_without_fork_the_caller_does_all_the_work(self, monkeypatch, forks, caller):
-        serial = self.results(monkeypatch, caller, 1)
-        monkeypatch.delattr(os, "fork")
-        assert self.results(monkeypatch, caller, 4) == serial
         assert forks == []
 
 
