@@ -33,6 +33,7 @@ from .validation import (
     ResidualReport,
     closed_form_linear,
     delta_convergence,
+    dirichlet_residual,
     heat_residual,
     jump_check,
     mass_conservation,
@@ -57,6 +58,7 @@ __all__ = [
     "closed_form_linear",
     "cpu_workers",
     "delta_convergence",
+    "dirichlet_residual",
     "estimate_holder",
     "gaussian",
     "gaussian_dx",

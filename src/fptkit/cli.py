@@ -29,7 +29,6 @@ import numpy as np
 
 from .boundary import BoundaryCurve
 from .green import GreenField, green_eval
-from .kernels import gaussian, gaussian_dx
 from .montecarlo import McConfig, cpu_workers, ks_distance, simulate
 from .solver import (
     DensityEstimate,
@@ -282,26 +281,8 @@ def run_validation_suite(suite: str, fld: GreenField) -> list:
             times=(T / 8.0, T / 4.0, T / 2.0, T), tolerance=2e-3,
         ))
     if suite in ("heat", "all"):
-        rng = np.random.default_rng(7)
-        kernel_pts = [(float(x), float(t)) for x, t in
-                      zip(rng.uniform(-2.0, 2.0, 10), rng.uniform(0.5, 2.0, 10))]
-        reports.append(validation.heat_residual(
-            lambda x, t: gaussian(x, t, 0.0, 0.0), kernel_pts,
-            dx=1e-3, dt_fd=1e-3, tolerance=1e-6, name="heat_kernel",
-        ))
-        reports.append(validation.heat_residual(
-            lambda x, t: gaussian_dx(x, t, 0.0, 0.0), [(-1.0, 1.0)],
-            dx=1e-3, dt_fd=1e-3, tolerance=1e-6, name="heat_dipole_fixture",
-        ))
-        probe_t = rng.uniform(0.3 * T, T, 20)
-        probes = []
-        for t in probe_t:
-            xt = float(curve.value(t))
-            probes.append((xt - (0.5 + rng.uniform(0.0, 2.0)) * np.sqrt(t), float(t)))
-        reports.append(validation.heat_residual(
-            lambda x, t: green_eval(fld, x, t),
-            probes, dx=float(np.sqrt(T) / 40.0), dt_fd=float(T / 200.0),
-            tolerance=1e-2, name="green_interior",
+        reports.append(validation.dirichlet_residual(
+            fld, times=(T / 8.0, T / 4.0, T / 2.0, T), tolerance=2e-3,
         ))
     if suite in ("mass", "all"):
         reports.append(validation.mass_conservation(

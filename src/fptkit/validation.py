@@ -9,8 +9,10 @@ through quantities the solvers do *not* use directly:
   for every level z >= X_t (for a smeared source h the left-hand side
   is int h(xi) Psi((z - xi)/sqrt(t)) dxi), the right-hand side by the
   one rule for time integrals against p, `DensityEstimate.history`;
+* `dirichlet_residual` - the Green function must vanish on the boundary;
 * `heat_residual` - finite-difference heat-equation residual of any
-  space-time field;
+  space-time field (no suite runs it: G^X solves the heat equation off
+  the boundary for every p);
 * `mass_conservation` - survival probability and hitting CDF must sum
   to one: the hitting identity at z = X_t, with the CDF for int p;
 * `jump_check` - the boundary flux of the Green function must reproduce
@@ -23,13 +25,13 @@ through quantities the solvers do *not* use directly:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .green import GreenField, boundary_flux, hitting_integral, survival
-from .kernels import smeared_psi
+from .green import GreenField, boundary_flux, green_eval, hitting_integral, survival
+from .kernels import smeared_gaussian, smeared_psi
 from .solver import DensityEstimate, SourceSpec, TimeGrid, solve_many
 
 
@@ -49,15 +51,7 @@ class ResidualReport:
         object.__setattr__(self, "passed", bool(self.sup_residual <= self.tolerance))
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "points": list(self.points),
-            "residuals": list(self.residuals),
-            "sup_residual": self.sup_residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _sup_report(name: str, points: list, residuals: list, tolerance: float) -> ResidualReport:
@@ -120,6 +114,22 @@ def heat_residual(
     return _sup_report(name, pts, res, tolerance)
 
 
+def dirichlet_residual(fld: GreenField, times, tolerance: float = 2e-3) -> ResidualReport:
+    """The Dirichlet condition: |G^X(X_t, t)| relative to max(G_h(X_t, t), 1e-3).
+
+    G_h is the source's free evolution (`kernels.smeared_gaussian`), so
+    p = 0 reads 1 wherever G_h >= 1e-3; `green_eval` at x = X_t includes
+    the history rule's tau = t term.
+    """
+    pts = [float(t) for t in times]
+    res = []
+    for t in pts:
+        xt = float(fld.curve.value(t))
+        free = smeared_gaussian(xt, t, fld.src.r0, fld.src.width)
+        res.append(abs(green_eval(fld, xt, t)) / max(free, 1e-3))
+    return _sup_report("dirichlet_condition", pts, res, tolerance)
+
+
 def mass_conservation(
     fld: GreenField,
     times,
@@ -170,12 +180,16 @@ def delta_convergence(
     assembled once for all of them; each p is bit-identical to its own
     `solve_marching`.  Passes when the norm sequence is strictly
     decreasing along shrinking widths and the last/first ratio is within
-    `ratio_tolerance`.  A width of exactly 0 short-circuits to the point
+    `ratio_tolerance` (< 1), or when every norm is 0: each bump's density
+    is then the point density.  Any other sequence fails with residual
+    max(last/first, 1).  A width of exactly 0 short-circuits to the point
     solve (norm 0); a bump reaching X_0 fails that call's `check_problem`
     before anything is assembled.
     """
     if not 0.0 < eta < 0.5:
         raise ValueError("eta must lie in (0, 1/2)")
+    if not ratio_tolerance < 1.0:
+        raise ValueError("ratio_tolerance must be < 1")
     if any(w < 0.0 for w in widths):
         raise ValueError("bump widths must be >= 0")
     sources = [SourceSpec.point(r0)]
@@ -193,7 +207,7 @@ def delta_convergence(
         norms.append(float(np.max(weight * np.abs(est.p[1:] - point_est.p[1:]))))
     decreasing = all(b < a for a, b in zip(norms, norms[1:]))
     ratio = (norms[-1] / norms[0]) if norms and norms[0] > 0.0 else 0.0
-    sup = ratio if decreasing else math.inf
+    sup = ratio if decreasing or not any(norms) else max(ratio, 1.0)
     return ResidualReport(
         name="delta_convergence",
         points=tuple(float(w) for w in widths),

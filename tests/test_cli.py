@@ -62,6 +62,14 @@ def assert_one_line(err, prefix):
     assert err.startswith(prefix) and err.count("\n") == 1
 
 
+def strict_json(path):
+    """The JSON document in `path`; NaN and Infinity, which JSON lacks, raise ValueError."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 class TestSolve:
     def test_happy_path_writes_three_files(self, tmp_path):
         code = run(["solve", *LINEAR_ARGS, "--method", "both", "--out", str(tmp_path)])
@@ -479,6 +487,52 @@ class TestValidate:
         assert_one_line(capsys.readouterr().err, "validation failed:")
         doc = json.loads((tmp_path / "validate.json").read_text())
         assert doc["all_passed"] is False
+
+    @pytest.mark.parametrize("factor", [lambda t: 1.0 + 0.05 * math.sin(math.pi * t / 2.0),
+                                        lambda t: 0.0], ids=["perturbed", "zero"])
+    def test_heat_suite_fails_on_a_wrong_density(self, tmp_path, capsys, factor):
+        # G^X = G - int G(., t; X_tau, tau) p(tau) dtau solves the heat equation
+        # off the boundary for every p; the Dirichlet condition holds only for
+        # the solution.  The factor is 1 + 0.05 sin(2 pi t / T) at T = 4, or 0
+        args = [*LINEAR_ARGS, "--N", "2048", "--out", str(tmp_path)]
+        assert run(["solve", *args, "--method", "marching"]) == 0
+        assert run(["validate", *args, "--suite", "heat"]) == 0
+        [report] = strict_json(tmp_path / "validate.json")["reports"]
+        assert report["name"] == "dirichlet_condition"
+        assert report["passed"] and report["sup_residual"] <= 2e-3
+        rows = (tmp_path / "density.csv").read_text().splitlines()
+        out = [rows[0]]
+        for line in rows[1:]:
+            t, p, F = line.split(",")
+            out.append(f"{t},{factor(float(t)) * float(p):.17g},{F}")
+        (tmp_path / "density.csv").write_text("\n".join(out) + "\n")
+        reseal(tmp_path)
+        capsys.readouterr()
+        assert run(["validate", *args, "--suite", "heat"]) == 5
+        assert_one_line(capsys.readouterr().err, "validation failed: dirichlet_condition")
+        [report] = strict_json(tmp_path / "validate.json")["reports"]
+        assert not report["passed"] and report["sup_residual"] > 1e-2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args", [["--r0=-1e16"], ["--b", "1e200"], ["--T", "1e-6"]],
+                             ids=["far-source", "steep", "short"])
+    def test_heat_suite_reads_zero_where_the_free_kernel_underflows(self, tmp_path, args):
+        # G_h(X_t, t) underflows to 0 and so does G^X(X_t, t): 0 / 1e-3, no warning
+        assert run(["validate", *args, "--N", "64", "--suite", "heat",
+                    "--out", str(tmp_path)]) == 0
+        [report] = strict_json(tmp_path / "validate.json")["reports"]
+        assert report["residuals"] == [0.0] * 4
+
+    def test_all_suites_pass_where_every_density_is_zero(self, tmp_path, capsys):
+        # a boundary step of 1e200 leaves no first passage in [0, T]: every bump's
+        # density is the point density, so the delta study passes with norms of 0
+        assert run(["validate", "--b", "1e200", "--N", "64", "--suite", "all",
+                    "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == ""
+        doc = strict_json(tmp_path / "validate.json")
+        delta = doc["reports"][-1]
+        assert delta["name"] == "delta_convergence" and delta["sup_residual"] == 0.0
+        assert doc["all_passed"] is True
 
     def test_corrupt_density_rejected(self, tmp_path, capsys):
         # one NaN cell fails the artifact's checks: exit 4, no validate.json

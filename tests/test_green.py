@@ -37,9 +37,12 @@ def linear_field():
     return GreenField(curve=curve, src=POINT, density=est)
 
 
-def images(x, t, a=1.0, r0=0.0):
-    """Method-of-images Green function for the constant boundary."""
-    return gaussian(x, t, r0) - gaussian(x, t, 2.0 * a - r0)
+def images(x, t, a=1.0, r0=0.0, b=0.0):
+    """Method-of-images Green function for the boundary X_t = a + b t:
+
+        G^X(x, t) = G(x, t; r0, 0) - exp(-2 b (a - r0)) G(x, t; 2a - r0, 0).
+    """
+    return gaussian(x, t, r0) - math.exp(-2.0 * b * (a - r0)) * gaussian(x, t, 2.0 * a - r0)
 
 
 class TestGreenEval:
@@ -55,6 +58,25 @@ class TestGreenEval:
             vals = green_eval(const_field, xs, float(t))
             worst = max(worst, float(np.max(np.abs(vals - images(xs, t)))))
         assert worst <= 5e-4
+
+    def test_linear_images_error_falls_with_N(self, linear_field):
+        # sup over 81 x in [X_t - 4 sqrt(t), X_t] at t = 0.5, 1, 2, 4, relative to
+        # G(X_t, t; 0, 0): 1.18e-4, 7.12e-5 and 5.03e-5 at N = 1024, 2048, 4096
+        curve = linear_field.curve
+        errs = []
+        for N in (1024, 2048, 4096):
+            fld = linear_field if N == 2048 else GreenField(
+                curve=curve, src=POINT,
+                density=solve_marching(POINT, curve, TimeGrid(T=4.0, N=N, q=2.0)))
+            worst = 0.0
+            for t in (0.5, 1.0, 2.0, 4.0):
+                xt = float(curve.value(t))
+                xs = np.linspace(xt - 4.0 * math.sqrt(t), xt, 81)
+                gap = np.max(np.abs(green_eval(fld, xs, t) - images(xs, t, b=0.5)))
+                worst = max(worst, float(gap) / gaussian(xt, t))
+            errs.append(worst)
+        assert errs[0] <= 2e-4
+        assert all(fine <= coarse / 1.2 for coarse, fine in zip(errs, errs[1:])), errs
 
     def test_vanishes_on_boundary(self, linear_field):
         xt = float(linear_field.curve.value(1.0))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from fptkit import (
     TimeGrid,
     closed_form_linear,
     delta_convergence,
+    dirichlet_residual,
     gaussian,
     gaussian_dx,
     green_eval,
@@ -153,6 +155,27 @@ class TestHeatResidual:
             )
 
 
+class TestDirichletResidual:
+    def test_converges_at_order_two(self, linear_case):
+        # 2.97e-6 at N = 1024 and 7.44e-7 at N = 2048, relative to G(X_t, t; 0, 0)
+        curve, _, est = linear_case
+        coarse = solve_marching(POINT, curve, TimeGrid(T=4.0, N=1024, q=2.0))
+        times = (0.5, 1.0, 2.0, 4.0)
+        errs = [dirichlet_residual(GreenField(curve=curve, src=POINT, density=e), times)
+                for e in (coarse, est)]
+        assert errs[0].name == "dirichlet_condition" and errs[0].points == times
+        assert errs[1].sup_residual <= 2e-6
+        assert errs[0].sup_residual >= 3.0 * errs[1].sup_residual
+
+    def test_zero_density_reads_one(self, linear_case):
+        # G^X is then the free kernel, which the residual is measured against
+        curve, grid, est = linear_case
+        zero = DensityEstimate(grid=grid, p=0.0 * est.p, F=0.0 * est.F, method="marching",
+                               fingerprint=est.fingerprint)
+        rep = dirichlet_residual(GreenField(curve=curve, src=POINT, density=zero), (1.0, 4.0))
+        assert rep.residuals == (1.0, 1.0) and not rep.passed
+
+
 class TestMassConservation:
     def test_constant_boundary(self):
         curve = BoundaryCurve.constant(1.0)
@@ -259,6 +282,23 @@ class TestDeltaConvergence:
         rep = delta_convergence(curve, 0.0, widths=(0.0,), eta=0.25, grid=grid)
         assert rep.residuals == (0.0,)
 
+    def test_all_zero_norms_pass(self):
+        # a boundary step of 1e200 leaves no first passage: every density is 0
+        curve = BoundaryCurve.linear(1.0, 1e200)
+        grid = TimeGrid(T=4.0, N=64, q=2.0)
+        rep = delta_convergence(curve, 0.0, widths=(0.25, 0.125), eta=0.25, grid=grid)
+        assert rep.residuals == (0.0, 0.0)
+        assert rep.passed and rep.sup_residual == 0.0
+
+    def test_growing_norms_fail_with_a_finite_residual(self):
+        # widening bumps move p further from the point density
+        curve = BoundaryCurve.linear(1.0, 0.5)
+        grid = TimeGrid(T=4.0, N=64, q=2.0)
+        rep = delta_convergence(curve, 0.0, widths=(0.125, 0.25), eta=0.25, grid=grid)
+        assert not rep.details["monotone_decreasing"] and not rep.passed
+        assert rep.sup_residual == rep.details["ratio_last_to_first"] > 1.0
+        json.dumps(rep.to_dict(), allow_nan=False)
+
     def test_support_clearance_enforced(self):
         curve = BoundaryCurve.linear(1.0, 0.5)
         grid = TimeGrid(T=1.0, N=64, q=2.0)
@@ -270,6 +310,14 @@ class TestDeltaConvergence:
         grid = TimeGrid(T=1.0, N=64, q=2.0)
         with pytest.raises(ValueError, match="eta"):
             delta_convergence(curve, 0.0, widths=(0.25,), eta=0.7, grid=grid)
+
+    def test_ratio_tolerance_below_one(self):
+        # a sequence that does not decrease reads at least 1, so 1 could pass it
+        curve = BoundaryCurve.linear(1.0, 0.5)
+        grid = TimeGrid(T=1.0, N=64, q=2.0)
+        with pytest.raises(ValueError, match="ratio_tolerance"):
+            delta_convergence(curve, 0.0, widths=(0.25,), eta=0.25, grid=grid,
+                              ratio_tolerance=1.0)
 
 
 class TestReportShape:
