@@ -49,7 +49,6 @@ class BoundaryCurve:
     """
 
     kind: str
-    horizon: float
     a: float = 0.0
     b: float = 0.0
     theta: float = 1.0
@@ -88,17 +87,17 @@ class BoundaryCurve:
     @classmethod
     def constant(cls, a: float) -> "BoundaryCurve":
         """X_t = a."""
-        return cls(kind="constant", horizon=math.inf, a=a)
+        return cls(kind="constant", a=a)
 
     @classmethod
     def linear(cls, a: float, b: float) -> "BoundaryCurve":
         """X_t = a + b t."""
-        return cls(kind="linear", horizon=math.inf, a=a, b=b)
+        return cls(kind="linear", a=a, b=b)
 
     @classmethod
     def power(cls, a: float, b: float, theta: float) -> "BoundaryCurve":
         """X_t = a + b t^theta with theta in (1/2, 1], Hölder-theta on [0, inf)."""
-        return cls(kind="power", horizon=math.inf, a=a, b=b, theta=theta)
+        return cls(kind="power", a=a, b=b, theta=theta)
 
     @classmethod
     def sampled(cls, times, values) -> "BoundaryCurve":
@@ -107,8 +106,7 @@ class BoundaryCurve:
         x = np.ascontiguousarray(values, dtype=float)
         t.flags.writeable = False
         x.flags.writeable = False
-        return cls(kind="sampled", horizon=float(t[-1]) if len(t) else 0.0,
-                   knots_t=t, knots_x=x)
+        return cls(kind="sampled", knots_t=t, knots_x=x)
 
     @classmethod
     def from_csv(cls, path) -> "BoundaryCurve":
@@ -138,6 +136,11 @@ class BoundaryCurve:
     def gamma(self) -> float:
         """Hölder exponent of the curve: theta, which is 1 for the Lipschitz families."""
         return self.theta
+
+    @property
+    def horizon(self) -> float:
+        """End of the curve's domain [0, horizon]: a `sampled` curve's last knot, else inf."""
+        return float(self.knots_t[-1]) if self.kind == "sampled" else math.inf
 
     @property
     def x0(self) -> float:

@@ -41,6 +41,10 @@ from .solver import DensityEstimate, SourceSpec, problem_fingerprint
 #: green` lattice; 0.5 to 4 MB ran equally fast
 EMISSION_BLOCK_BYTES = 2 * 2**20
 
+#: `boundary_flux`'s stencil step at time t: max(FLUX_MIN_STEP, FLUX_STEP sqrt(t))
+FLUX_STEP = 1e-3
+FLUX_MIN_STEP = 1e-4
+
 
 @dataclass(frozen=True, eq=False)
 class GreenField:
@@ -130,7 +134,7 @@ def survival(field: GreenField, t: float) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def boundary_flux(field: GreenField, t: float, eps: float | None = None) -> float:
+def boundary_flux(field: GreenField, t: float) -> float:
     """Density recovered from the boundary: -1/2 d/dx G^X at x = X_t^-.
 
     One-sided second-order difference using offsets {0, eps, 2 eps}
@@ -139,8 +143,7 @@ def boundary_flux(field: GreenField, t: float, eps: float | None = None) -> floa
     """
     if not 0.0 < t <= field.horizon:
         raise ValueError(f"flux defined for 0 < t <= {field.horizon}")
-    if eps is None:
-        eps = max(1e-4, math.sqrt(t) * 1e-3)
+    eps = max(FLUX_MIN_STEP, math.sqrt(t) * FLUX_STEP)
     xt = float(field.curve.value(t))
     f = green_eval(field, np.array([xt, xt - eps, xt - 2.0 * eps]), t)
     deriv = (3.0 * f[0] - 4.0 * f[1] + f[2]) / (2.0 * eps)

@@ -15,13 +15,13 @@ where kappa is the boundary's difference quotient times a bounded
 exponential.  gamma > 1/2 is the existence hypothesis, not the kernel's
 singularity: every curve we ship is piecewise C^1, so kappa is piecewise
 smooth and tends to -X'(t) / sqrt(2 pi) on the diagonal, which takes the
-curve's exact left derivative `BoundaryCurve.slope`; the graded grid
-absorbs the rough t = 0 end of `power` curves.  The weight is
-integrated exactly against a piecewise-linear interpolant of kappa * p
-(product integration) on the graded grid.  That yields one
-lower-triangular system (I - A) p = g, in which A depends only on the
-curve and the grid and the source enters only g.  Every solve runs one
-block sweep, `_block_sweep`: rows of A come from one assembler,
+curve's exact left derivative `BoundaryCurve.slope` (a `sampled` curve's
+cell chord); the graded grid absorbs the rough t = 0 end of `power`
+curves.  The weight is integrated exactly against a piecewise-linear
+interpolant of kappa * p (product integration) on the graded grid.  That
+yields one lower-triangular system (I - A) p = g, in which A depends only
+on the curve and the grid and the source enters only g.  Every solve runs
+one block sweep, `_block_sweep`: rows of A come from one assembler,
 `_quadrature_rows`, `BLOCK_ROWS` rows at a time in time order, and each
 piece is assembled once for every job on that (curve, grid) -
 `solve_many` runs several sources and methods in one sweep,
@@ -93,6 +93,10 @@ MIN_DIAGONAL = 0.1
 
 #: rows of the quadrature matrix assembled at a time
 BLOCK_ROWS = 16
+
+#: Picard ends a block at a sup-norm step <= PICARD_TOL, or fails after PICARD_MAX_ITER
+PICARD_TOL = 1e-10
+PICARD_MAX_ITER = 200
 
 #: a panel of blocks whose rows span [a, b] interpolates its far band,
 #: tau <= a - FAR_MARGIN (b - a), unless a breakpoint of X lies within
@@ -205,19 +209,22 @@ class SourceSpec:
 
 @dataclass(eq=False)
 class DensityEstimate:
-    """Grid-indexed first-passage density with its accumulated CDF."""
+    """Grid-indexed first-passage density p with its CDF F, the trapezoid rule's int p."""
 
     grid: TimeGrid
     p: np.ndarray
-    F: np.ndarray
     method: str
     fingerprint: str = ""
     residual_summary: dict | None = None
+    F: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.grid.nodes)
-        if len(self.p) != n or len(self.F) != n:
-            raise ValueError("p and F must have one value per grid node")
+        if len(self.p) != n:
+            raise ValueError("p must have one value per grid node")
+        self.F = np.zeros(n)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite F is rejected below
+            self.F[1:] = np.cumsum(0.5 * (self.p[1:] + self.p[:-1]) * np.diff(self.grid.nodes))
         if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.F))):
             raise ValueError("density estimate has non-finite p or F values")
         if self.p[0] != 0.0:
@@ -296,7 +303,7 @@ class DensityEstimate:
 
     @classmethod
     def from_files(cls, csv_path, json_path) -> "DensityEstimate":
-        """Rehydrate an estimate from its CSV + JSON pair, checking `content_sha256`."""
+        """Rehydrate an estimate from its CSV + JSON pair, checking `content_sha256` and F."""
         with open(json_path) as fh:
             meta = json.load(fh)
         g = meta.get("grid") if isinstance(meta, dict) else None
@@ -311,11 +318,13 @@ class DensityEstimate:
         grid = TimeGrid(T=g["T"], N=g["N"], q=g["q"])
         if not np.allclose(data[:, 0], grid.nodes, rtol=0.0, atol=1e-12):
             raise ValueError("density CSV nodes do not match the grid metadata")
-        est = cls(grid=grid, p=data[:, 1], F=data[:, 2], method=meta["method"],
+        est = cls(grid=grid, p=data[:, 1], method=meta["method"],
                   fingerprint=meta.get("fingerprint", ""),
                   residual_summary=meta.get("residual_summary"))
         if meta.get("content_sha256") != est.content_sha256():
             raise ValueError("density CSV values do not match the content_sha256 in the metadata")
+        if not np.array_equal(data[:, 2], est.F):
+            raise ValueError("density CSV F column is not the trapezoid CDF of its p column")
         return est
 
 
@@ -485,11 +494,15 @@ def _discrete_system(curve, grid):
 
     The diagonal is the limit -X'(t_i) / sqrt(2 pi) from the curve's exact
     left derivative; a difference quotient would cost every row O(h^(3/2)).
+    A `sampled` curve takes the cell's chord (X_{t_i} - X_{t_{i-1}}) / h_i: the slope
+    inside a knot piece, and over knots the mean slope the row's other kappa see.
     """
     ts = grid.nodes
+    xs = np.asarray(curve.value(ts))
+    slope = np.diff(xs) / np.diff(ts) if curve.kind == "sampled" else curve.slope(ts[1:])
     kdiag = np.zeros(len(ts))
-    kdiag[1:] = -curve.slope(ts[1:]) / SQRT_TWO_PI
-    return ts, np.asarray(curve.value(ts)), kdiag
+    kdiag[1:] = -slope / SQRT_TWO_PI
+    return ts, xs, kdiag
 
 
 def _source_vector(src, curve, ts):
@@ -498,18 +511,6 @@ def _source_vector(src, curve, ts):
     g = np.zeros(len(ts))
     g[1:] = source_term(src, curve, ts[1:])
     return g
-
-
-def _estimate(src, curve, grid, p, method, summary):
-    """Wrap a solved p with its trapezoid-rule CDF; a p that is no density is a SolverError."""
-    F = np.zeros(len(p))
-    F[1:] = np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(grid.nodes))
-    try:
-        return DensityEstimate(grid=grid, p=p, F=F, method=method,
-                               fingerprint=problem_fingerprint(src, curve, grid),
-                               residual_summary=summary)
-    except ValueError as exc:
-        raise SolverError(f"{method} solution fails the density checks ({exc}); refine the grid") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +552,8 @@ def _block_sweep(curve, grid, jobs):
     ts, xs, kdiag = _discrete_system(curve, grid)
     n = len(ts)
     ps = [np.zeros(n) for _ in jobs]
-    breaks = [0.0, *(curve.knots_t[1:-1].tolist() if curve.kind == "sampled" else ())]
+    # not t = 0: a panel within reach of it has a - reach <= 0, so c1 <= c0 skips it
+    breaks = curve.knots_t[1:-1].tolist() if curve.kind == "sampled" else []
     theta = (np.arange(CHEBYSHEV_TIMES) + 0.5) * (math.pi / CHEBYSHEV_TIMES)
     levels = ((n - 2) // BLOCK_ROWS).bit_length()  # the top panel holds every block
     # limit[l]: where the bands of the current level-l panel and its ancestors end
@@ -608,7 +610,7 @@ def _marching_step():
     return substitute, lambda: {"min_diagonal": min_diag}
 
 
-def _picard_step(max_iter, tol):
+def _picard_step():
     """Block step of `solve_picard` and a function returning its residual summary."""
     windows = []
 
@@ -617,19 +619,19 @@ def _picard_step(max_iter, tol):
         q = rhs.copy()
         prev_diff = None
         max_ratio = 0.0
-        for iterations in range(1, max_iter + 1):
+        for iterations in range(1, PICARD_MAX_ITER + 1):
             q_next = rhs + M @ q
             diff = float(np.max(np.abs(q_next - q)))
-            if prev_diff is not None and prev_diff > 10.0 * tol:
+            if prev_diff is not None and prev_diff > 10.0 * PICARD_TOL:
                 max_ratio = max(max_ratio, diff / prev_diff)
             q = q_next
-            if diff <= tol:
+            if diff <= PICARD_TOL:
                 break
             prev_diff = diff
         else:
             raise SolverError(
                 f"Picard window {len(windows)} ([{t_start:.6g}, {t_end:.6g}]) did not"
-                f" converge in {max_iter} iterations (last contraction ratio {max_ratio:.3g})"
+                f" converge in {PICARD_MAX_ITER} iterations (last contraction ratio {max_ratio:.3g})"
             )
         windows.append({
             "t_start": t_start, "t_end": t_end,
@@ -643,17 +645,11 @@ def _picard_step(max_iter, tol):
     }
 
 
-def solve_many(
-    curve: BoundaryCurve,
-    grid: TimeGrid,
-    requests: list[tuple[SourceSpec, str]],
-    max_iter: int = 200,
-    tol: float = 1e-10,
-) -> list[DensityEstimate]:
+def solve_many(curve: BoundaryCurve, grid: TimeGrid,
+               requests: list[tuple[SourceSpec, str]]) -> list[DensityEstimate]:
     """Solve several requests `(src, method)` on one (curve, grid) in one block sweep.
 
-    `method` is "marching" or "picard" (`max_iter` and `tol` are Picard's,
-    as in `solve_picard`).  Every block of the quadrature matrix is
+    `method` is "marching" or "picard".  Every block of the quadrature matrix is
     assembled once for all requests, and each returned estimate, one per
     request and in order, is bit-identical to the separate `solve_*` call.
     A failure in any request raises for the whole call.
@@ -663,15 +659,23 @@ def solve_many(
         if method == "marching":
             step, summary = _marching_step()
         elif method == "picard":
-            step, summary = _picard_step(max_iter, tol)
+            step, summary = _picard_step()
         else:
             raise ValueError(f"unknown solve method {method!r}")
         jobs.append((src, step))
         summaries.append(summary)
     with np.errstate(over="ignore"):  # a boundary step past ~1e154 squares to inf: kappa = 0
         ps, pairs = _block_sweep(curve, grid, jobs)
-    return [_estimate(src, curve, grid, p, method, summary() | {"kernel_pairs": pairs})
-            for (src, method), p, summary in zip(requests, ps, summaries)]
+    ests = []
+    for (src, method), p, summary in zip(requests, ps, summaries):
+        try:
+            ests.append(DensityEstimate(grid=grid, p=p, method=method,
+                                        fingerprint=problem_fingerprint(src, curve, grid),
+                                        residual_summary=summary() | {"kernel_pairs": pairs}))
+        except ValueError as exc:
+            raise SolverError(
+                f"{method} solution fails the density checks ({exc}); refine the grid") from exc
+    return ests
 
 
 def solve_marching(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> DensityEstimate:
@@ -686,19 +690,14 @@ def solve_marching(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> Den
     return solve_many(curve, grid, [(src, "marching")])[0]
 
 
-def solve_picard(
-    src: SourceSpec,
-    curve: BoundaryCurve,
-    grid: TimeGrid,
-    max_iter: int = 200,
-    tol: float = 1e-10,
-) -> DensityEstimate:
+def solve_picard(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> DensityEstimate:
     """Picard iteration for the density equation, one window per block of rows.
 
     Each block of `BLOCK_ROWS` rows is fixed-point iterated,
     q <- rhs + M q, with the history over earlier blocks frozen, until
-    successive sup-norm differences fall below `tol`.  M is lower
-    triangular, so this converges whenever every |A_ii| < 1 (see the
-    module docstring); memory is O(BLOCK_ROWS N), as for marching.
+    successive sup-norm differences fall to `PICARD_TOL` (at most
+    `PICARD_MAX_ITER` iterations).  M is lower triangular, so this converges
+    whenever every |A_ii| < 1 (see the module docstring); memory is
+    O(BLOCK_ROWS N), as for marching.
     """
-    return solve_many(curve, grid, [(src, "picard")], max_iter=max_iter, tol=tol)[0]
+    return solve_many(curve, grid, [(src, "picard")])[0]

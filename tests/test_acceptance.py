@@ -115,9 +115,7 @@ def test_criterion_5_master_equation_residual(linear_marching):
     )
     exact_p = np.zeros(len(GRID_4096.nodes))
     exact_p[1:] = closed_form_linear(1.0, 0.5, 0.0, GRID_4096.nodes[1:])
-    F = np.zeros(len(GRID_4096.nodes))
-    F[1:] = np.cumsum(0.5 * (exact_p[1:] + exact_p[:-1]) * np.diff(GRID_4096.nodes))
-    injected = DensityEstimate(grid=GRID_4096, p=exact_p, F=F, method="marching")
+    injected = DensityEstimate(grid=GRID_4096, p=exact_p, method="marching")
     rep_exact = master_residual(
         injected, LINEAR, POINT,
         z_offsets=(0.0, 0.5, 1.0), times=(0.5, 1.0, 2.0, 4.0), tolerance=1e-8,

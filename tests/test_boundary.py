@@ -107,11 +107,11 @@ class TestConstruction:
         # constant and linear evaluate as the power curve a + b t^theta
         knots = {"knots_t": np.array([0.0, 1.0]), "knots_x": np.array([1.0, 1.5])}
         with pytest.raises(ValueError, match="theta 1"):
-            BoundaryCurve(kind=kind, horizon=1.0, a=1.0, b=0.5 * (kind != "constant"),
+            BoundaryCurve(kind=kind, a=1.0, b=0.5 * (kind != "constant"),
                           theta=0.75, **(knots if kind == "sampled" else {}))
         if kind == "constant":
             with pytest.raises(ValueError, match="b 0"):
-                BoundaryCurve(kind=kind, horizon=1.0, a=1.0, b=0.5)
+                BoundaryCurve(kind=kind, a=1.0, b=0.5)
 
     def test_sampled_knot_validation(self):
         with pytest.raises(ValueError, match="start at t = 0"):

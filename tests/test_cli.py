@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -48,14 +49,24 @@ def scale_density_cell(path, factor=1.5):
     path.write_text("\n".join(rows) + "\n")
 
 
-def reseal(out):
-    """Record the edited density.csv's content hash in run.json, as a consistent edit would."""
+def seal(out):
+    """Record density.csv's p and F columns in run.json's content hash, as a consistent edit would."""
     doc = json.loads((out / "run.json").read_text())
     data = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
-    est = DensityEstimate(grid=TimeGrid(**doc["grid"]), p=data[:, 1], F=data[:, 2],
-                          method=doc["method"])
-    doc["content_sha256"] = est.content_sha256()
+    h = hashlib.sha256()
+    for col in (data[:, 1], data[:, 2]):
+        h.update(col.astype("<f8").tobytes())
+    doc["content_sha256"] = h.hexdigest()
     (out / "run.json").write_text(json.dumps(doc))
+
+
+def reseal(out):
+    """Rewrite density.csv's F column as the trapezoid CDF of its edited p column, then seal it."""
+    doc = json.loads((out / "run.json").read_text())
+    data = np.loadtxt(out / "density.csv", delimiter=",", skiprows=1)
+    est = DensityEstimate(grid=TimeGrid(**doc["grid"]), p=data[:, 1], method=doc["method"])
+    est.to_csv(out / "density.csv")
+    seal(out)
 
 
 def assert_one_line(err, prefix):
@@ -304,6 +315,28 @@ def test_non_finite_parameters_rejected(tmp_path, capsys, cmd, params):
     err = capsys.readouterr().err
     assert err.startswith("invalid configuration:") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, args", [
+    ("simulate", ["--n-paths", "200", "--dt", "0.01"]),
+    ("validate", ["--suite", "mass"]),
+])
+def test_density_whose_F_is_not_the_cdf_of_its_p_rejected(tmp_path, capsys, command, args):
+    # F is the trapezoid CDF of p.  A sealed density.csv whose F column takes
+    # the right-endpoint rule instead exits 4 before anything is written;
+    # simulate would compare the hits against that F in ks.json
+    problem = ["--boundary", "constant", "--a", "1", "--r0", "0", "--T", "1", "--N", "256"]
+    assert run(["solve", *problem, "--out", str(tmp_path)]) == 0
+    t, p, _ = np.loadtxt(tmp_path / "density.csv", delimiter=",", skiprows=1).T
+    F = np.concatenate(([0.0], np.cumsum(p[1:] * np.diff(t))))
+    (tmp_path / "density.csv").write_text(
+        "t,p,F\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in zip(t, p, F)))
+    seal(tmp_path)
+    capsys.readouterr()
+    assert run([command, *problem, *args, "--out", str(tmp_path)]) == 4
+    assert_one_line(capsys.readouterr().err, "artifact mismatch:")
+    for name in ("ks.json", "hits.csv", "validate.json"):
+        assert not (tmp_path / name).exists()
 
 
 class TestSimulate:

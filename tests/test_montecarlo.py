@@ -212,7 +212,7 @@ def _fine_scheme_hits(src, curve, cfg):
     Philox4x32-10 above: words [0, K) are the coarse increments, word K + m
     the Lévy midpoint normal of node m and word K + n + 1 + k the bridge
     uniform of substep k.  Words 2j and 2j + 1 give the Box-Muller pair
-    R cos θ, R sin θ.  Every node is built, so no interval is skipped.
+    R cos θ, R cos(θ - π/2).  Every node is built, so no interval is skipped.
     """
     n = math.ceil(cfg.T / cfg.dt - 1e-9)
     t = np.minimum(np.arange(n + 1) * cfg.dt, cfg.T)
@@ -226,7 +226,8 @@ def _fine_scheme_hits(src, curve, cfg):
     u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
     r = np.sqrt(-2.0 * np.log(((words[:, 0::2] >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53))
     theta = 2.0 * math.pi * u[:, 1::2]
-    z = np.stack((r * np.cos(theta), r * np.sin(theta)), axis=-1).reshape(cfg.n_paths, -1)
+    z = np.stack((r * np.cos(theta), r * np.cos(theta - math.pi / 2)),
+                 axis=-1).reshape(cfg.n_paths, -1)
 
     b = np.empty((cfg.n_paths, n + 1))
     b[:, 0] = src.r0
@@ -326,7 +327,7 @@ class TestPhilox:
         """The 53-bit uniforms of words [0, 2^8) of paths [0, 2^12), one row per path."""
         path, word = (a.ravel() for a in np.meshgrid(np.arange(2 ** 12, dtype=np.uint64),
                                                      np.arange(2 ** 8), indexing="ij"))
-        return montecarlo._variates(20261018, path, word, len(word), 0).reshape(2 ** 12, -1)
+        return montecarlo._variates(20261018, path, word, len(word)).reshape(2 ** 12, -1)
 
     def test_neighbouring_paths_and_blocks_are_uncorrelated(self):
         # paths i, i + 1 at one word, and blocks b, b + 1 (words j, j + 2) of one path
@@ -351,11 +352,23 @@ class TestNormals:
         n = 37  # odd: the last word's partner lies past the words the walk keeps
         coarse = montecarlo._leading_normals(20261018, paths, n)
         path, word = (a.ravel() for a in np.meshgrid(paths, np.arange(n), indexing="ij"))
-        order = np.argsort(word % 2, kind="stable")  # the refinement's order: even words first
-        refined = np.empty(len(word))
-        refined[order] = montecarlo._variates(20261018, path[order], word[order], 0,
-                                              np.count_nonzero(word % 2 == 0))
+        refined = montecarlo._variates(20261018, path, word, 0)
         assert refined.tobytes() == coarse.ravel().tobytes()
+
+    def test_a_word_does_not_depend_on_the_other_words_of_its_call(self):
+        # uniforms and normals of paths 0..49, words 0..39, drawn all at once,
+        # then shuffled and split into calls of mixed parity and kind
+        path, word = (a.ravel() for a in np.meshgrid(np.arange(50, dtype=np.uint64),
+                                                     np.arange(40), indexing="ij"))
+        uniform = np.arange(len(word)) % 3 == 0
+        ref = np.empty(len(word))
+        ref[uniform] = montecarlo._variates(5, path[uniform], word[uniform], len(path[uniform]))
+        ref[~uniform] = montecarlo._variates(5, path[~uniform], word[~uniform], 0)
+        rng = np.random.default_rng(3)
+        for call in np.array_split(rng.permutation(len(word)), 7):
+            call = np.concatenate((call[uniform[call]], call[~uniform[call]]))
+            got = montecarlo._variates(5, path[call], word[call], np.count_nonzero(uniform[call]))
+            assert got.tobytes() == ref[call].tobytes()
 
     def test_normals_are_standard_normal(self):
         # 2^20 normals: KS distance to Phi within the 99.9% Kolmogorov bound
@@ -565,6 +578,23 @@ class TestKsDistance:
             est = solve_marching(POINT, curve, TimeGrid(T=T, N=1024, q=2.0))
             assert ks_distance(run, est) <= bound
 
+    def test_rough_sampled_boundary_cross_check(self):
+        # X = 1 + 0.3 sum_{k<14} 2^-0.7k (cos(2^k t) - 1) on 2^14 + 1 knots over
+        # [0, 4] is rough at every scale above the knot spacing, which is the MC
+        # step.  MC reads F(4) = 0.84905 +- 0.00253; marching at N = 1024 reads
+        # 0.84734 with the cell's chord on the diagonal, and read 0.88277, 13
+        # standard errors off, with the slope of the knot piece ending at t_i
+        t = np.linspace(0.0, 4.0, 2 ** 14 + 1)
+        k = np.arange(14)[:, None]
+        curve = BoundaryCurve.sampled(
+            t, 1.0 + 0.3 * np.sum(2.0 ** (-0.7 * k) * (np.cos(2.0 ** k * t) - 1.0), axis=0))
+        n_paths = 20_000
+        run = simulate(POINT, curve, McConfig(n_paths=n_paths, dt=2.0 ** -12, T=4.0, seed=11),
+                       workers=2)
+        est = solve_marching(POINT, curve, TimeGrid(T=4.0, N=1024, q=1.0))
+        mc = run.ecdf(4.0)
+        assert abs(est.cdf(4.0) - mc) <= 3.0 * math.sqrt(mc * (1.0 - mc) / n_paths)
+
 
 class TestSerialization:
     def test_hits_csv(self, base_run, tmp_path):
@@ -578,7 +608,7 @@ class TestSerialization:
         # near the top of the double range
         hits = np.array([5e-324, 2.2250738585072014e-308 / 3, 0.1, 1 / 3, 1.0, 1e300])
         run = McRun(config=McConfig(n_paths=7, dt=1.0, T=1e300, seed=0), hit_times=hits,
-                    n_censored=1, n_draws=0)
+                    n_draws=0)
         run.hits_to_csv(tmp_path / "hits.csv")
         expected = "t\n" + "".join(f"{t:.17g}\n" for t in hits)
         assert (tmp_path / "hits.csv").read_bytes() == expected.encode()

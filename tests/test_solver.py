@@ -133,7 +133,7 @@ def dense_reference(src, curve, grid):
     kappa p on each segment [t_j, t_{j+1}]: the moments come from
     `segment_weight`, kappa at tau < t_i from `gaussian_dx`, and kappa at
     tau = t_i is its limit -X'(t_i) / sqrt(2 pi), with X' the curve's left
-    derivative `slope`.
+    derivative `slope`, or for a `sampled` curve the cell's chord.
     """
     ts = grid.nodes
     xs = curve.value(ts)
@@ -142,7 +142,10 @@ def dense_reference(src, curve, grid):
     for i in range(1, n):
         t = ts[i]
         kappa = [gaussian_dx(xs[i], t, xs[j], ts[j]) * math.sqrt(t - ts[j]) for j in range(i)]
-        kappa.append(-curve.slope(t) / SQRT_2PI)
+        if curve.kind == "sampled":
+            kappa.append(-(xs[i] - xs[i - 1]) / (t - ts[i - 1]) / SQRT_2PI)
+        else:
+            kappa.append(-curve.slope(t) / SQRT_2PI)
         for j in range(i):
             a, b = ts[j], ts[j + 1]
             m0 = segment_weight(-0.5, t, a, b)
@@ -186,13 +189,14 @@ class TestKernel:
     @pytest.mark.parametrize("N", [16, 32])
     @pytest.mark.parametrize("src_name", REFERENCE_SOURCES)
     @pytest.mark.parametrize("curve_name", REFERENCE_CURVES)
-    def test_matches_double_loop_reference(self, curve_name, src_name, N):
+    def test_matches_double_loop_reference(self, curve_name, src_name, N, monkeypatch):
         src, curve = REFERENCE_SOURCES[src_name], REFERENCE_CURVES[curve_name]
         grid = TimeGrid(T=2.0, N=N, q=2.0)
         ref = dense_reference(src, curve, grid)
         assert np.max(np.abs(solve_marching(src, curve, grid).p - ref)) <= 1e-12
         # Picard stops within its iteration tolerance of the same solution
-        assert np.max(np.abs(solve_picard(src, curve, grid, tol=1e-14).p - ref)) <= 1e-12
+        monkeypatch.setattr(fptkit.solver, "PICARD_TOL", 1e-14)
+        assert np.max(np.abs(solve_picard(src, curve, grid).p - ref)) <= 1e-12
 
 
 class TestMarching:
@@ -403,12 +407,10 @@ class TestPicard:
         assert len(est.residual_summary["windows"]) > 1
         assert peak < (N + 1) ** 2 * 8 / 4
 
-    def test_nonconvergence_reports_window(self):
+    def test_nonconvergence_reports_window(self, monkeypatch):
+        monkeypatch.setattr(fptkit.solver, "PICARD_MAX_ITER", 1)
         with pytest.raises(SolverError, match="window 0"):
-            solve_picard(
-                POINT, BoundaryCurve.linear(1.0, 0.5), TimeGrid(T=4.0, N=64, q=2.0),
-                max_iter=1,
-            )
+            solve_picard(POINT, BoundaryCurve.linear(1.0, 0.5), TimeGrid(T=4.0, N=64, q=2.0))
 
 
 class TestSolveMany:
@@ -436,11 +438,12 @@ class TestSolveMany:
             assert est.residual_summary == alone.residual_summary
             assert est.fingerprint == alone.fingerprint
 
-    def test_picard_settings_reach_every_picard_job(self):
+    def test_picard_settings_reach_every_picard_job(self, monkeypatch):
         grid = TimeGrid(T=4.0, N=64, q=2.0)
+        monkeypatch.setattr(fptkit.solver, "PICARD_MAX_ITER", 1)
         with pytest.raises(SolverError, match="window 0"):
             solve_many(BoundaryCurve.linear(1.0, 0.5), grid,
-                       [(POINT, "marching"), (POINT, "picard")], max_iter=1)
+                       [(POINT, "marching"), (POINT, "picard")])
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown solve method"):
@@ -562,31 +565,38 @@ class TestEstimateInvariants:
         grid = TimeGrid(T=1.0, N=8, q=1.0)
         p = np.full(9, 0.1)
         with pytest.raises(ValueError, match="vanish"):
-            DensityEstimate(grid=grid, p=p, F=np.zeros(9), method="marching")
+            DensityEstimate(grid=grid, p=p, method="marching")
 
     def test_rejects_decreasing_cdf(self):
+        # a dip within the negative-value tolerance still lowers F by 3e-10
         grid = TimeGrid(T=1.0, N=8, q=1.0)
         p = np.zeros(9)
-        F = np.zeros(9)
-        F[-1] = -0.5
+        p[3] = -5e-9
         with pytest.raises(ValueError, match="non-decreasing"):
-            DensityEstimate(grid=grid, p=p, F=F, method="marching")
+            DensityEstimate(grid=grid, p=p, method="marching")
 
     def test_rejects_negative_density(self):
         grid = TimeGrid(T=1.0, N=8, q=1.0)
         p = np.zeros(9)
         p[3] = -1e-6
         with pytest.raises(ValueError, match="negative"):
-            DensityEstimate(grid=grid, p=p, F=np.zeros(9), method="marching")
+            DensityEstimate(grid=grid, p=p, method="marching")
 
     @pytest.mark.parametrize("column", ["p", "F"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite(self, column, value):
+    def test_rejects_non_finite(self, column, value, tmp_path):
+        # F derives from p, so only a density.csv can carry a non-finite F
         grid = TimeGrid(T=1.0, N=8, q=1.0)
-        arrays = {"p": np.zeros(9), "F": np.zeros(9)}
-        arrays[column][5] = value
-        with pytest.raises(ValueError, match="non-finite"):
-            DensityEstimate(grid=grid, method="marching", **arrays)
+        est = DensityEstimate(grid=grid, p=np.zeros(9), method="marching")
+        est.to_csv(tmp_path / "d.csv")
+        est.to_json(tmp_path / "d.json")
+        rows = (tmp_path / "d.csv").read_text().splitlines()
+        cells = rows[6].split(",")
+        cells["tpF".index(column)] = repr(value)
+        rows[6] = ",".join(cells)
+        (tmp_path / "d.csv").write_text("\n".join(rows) + "\n")
+        with pytest.raises(ValueError, match="non-finite" if column == "p" else "F column"):
+            DensityEstimate.from_files(tmp_path / "d.csv", tmp_path / "d.json")
 
 
 class TestHistory:
@@ -720,19 +730,18 @@ class TestSerialization:
 
     def test_csv_bytes_are_those_of_a_row_by_row_write(self, tmp_path):
         # 17 significant digits, whatever the value: zeros of either sign,
-        # subnormals and values near the top of the double range
-        grid = TimeGrid(T=1.0, N=8, q=1.0)
-        p = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1 / 3, 0.1, 1e300,
-                      123456789.0, 1e-5])
-        F = np.array([0.0, 0.0, 5e-324, 1e-310, 0.1, 0.25, 1 / 3, 0.5, 1.0])
-        est = DensityEstimate(grid=grid, p=p, F=F, method="marching")
+        # subnormals, and node times near the top of the double range
+        grid = TimeGrid(T=1e300, N=8, q=1.0)
+        p = np.array([0.0, -0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e-305, 1e-300 / 3,
+                      1e-301, 123456789e-309, 1e-300])
+        est = DensityEstimate(grid=grid, p=p, method="marching")
         est.to_csv(tmp_path / "d.csv")
         expected = "t,p,F\n" + "".join(f"{t:.17g},{a:.17g},{b:.17g}\n"
-                                       for t, a, b in zip(grid.nodes, p, F))
+                                       for t, a, b in zip(grid.nodes, p, est.F))
         assert (tmp_path / "d.csv").read_bytes() == expected.encode()
 
     def test_csv_header(self, tmp_path):
         grid = TimeGrid(T=1.0, N=8, q=1.0)
-        est = DensityEstimate(grid=grid, p=np.zeros(9), F=np.zeros(9), method="picard")
+        est = DensityEstimate(grid=grid, p=np.zeros(9), method="picard")
         est.to_csv(tmp_path / "d.csv")
         assert (tmp_path / "d.csv").read_text().splitlines()[0] == "t,p,F"

@@ -31,10 +31,8 @@ def inject_exact_density(a, b, grid):
     """DensityEstimate holding the linear-boundary closed form at the nodes."""
     p = np.zeros(len(grid.nodes))
     p[1:] = closed_form_linear(a, b, 0.0, grid.nodes[1:])
-    F = np.zeros(len(grid.nodes))
-    F[1:] = np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(grid.nodes))
     fingerprint = problem_fingerprint(POINT, BoundaryCurve.linear(a, b), grid)
-    return DensityEstimate(grid=grid, p=p, F=F, method="marching",
+    return DensityEstimate(grid=grid, p=p, method="marching",
                            fingerprint=fingerprint)
 
 
@@ -95,7 +93,7 @@ class TestMasterResidual:
     def test_detects_corrupted_density(self, linear_case):
         # scaling p by 1.1 introduces a visible mass error
         curve, grid, est = linear_case
-        bad = DensityEstimate(grid=grid, p=1.1 * est.p, F=est.F, method="marching")
+        bad = DensityEstimate(grid=grid, p=1.1 * est.p, method="marching")
         rep = master_residual(
             bad, curve, POINT, z_offsets=(0.0,), times=(2.0, 4.0), tolerance=2e-3,
         )
@@ -170,7 +168,7 @@ class TestDirichletResidual:
     def test_zero_density_reads_one(self, linear_case):
         # G^X is then the free kernel, which the residual is measured against
         curve, grid, est = linear_case
-        zero = DensityEstimate(grid=grid, p=0.0 * est.p, F=0.0 * est.F, method="marching",
+        zero = DensityEstimate(grid=grid, p=0.0 * est.p, method="marching",
                                fingerprint=est.fingerprint)
         rep = dirichlet_residual(GreenField(curve=curve, src=POINT, density=zero), (1.0, 4.0))
         assert rep.residuals == (1.0, 1.0) and not rep.passed
