@@ -195,13 +195,6 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
-def _write_run_json(path: Path, cfg: dict, est: DensityEstimate) -> None:
-    doc = {"config": cfg, **est.metadata()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
-
-
 def _solved_density(out: Path, curve, src, T: float) -> DensityEstimate | None:
     """The density artifact pair in `out`, or None if it holds none; raises ArtifactMismatch
     if the pair fails its checks or belongs to another problem or horizon T (N is free)."""
@@ -234,7 +227,7 @@ def cmd_solve(cfg: dict) -> None:
     ests = solve_many(curve, grid, [(src, m) for m in methods])
     primary = ests[0]
     primary.to_csv(out / "density.csv")
-    _write_run_json(out / "run.json", cfg, primary)
+    primary.to_json(out / "run.json", cfg)
     if method == "both":
         picard = ests[1]
         diff = float(np.max(np.abs(primary.p - picard.p)))

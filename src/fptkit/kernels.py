@@ -83,9 +83,8 @@ def psi(z):
     time; the C library's erfc keeps its relative accuracy deep into the
     tail, until the result itself underflows.
     """
-    z = np.asarray(z, dtype=float)
-    val = np.empty_like(z)
-    _erfc(z / math.sqrt(2.0), out=val, casting="unsafe")
+    val = np.asarray(np.asarray(z, dtype=float) / math.sqrt(2.0))
+    _erfc(val, out=val, casting="unsafe")
     val *= 0.5
     return val if val.ndim else float(val)
 

@@ -29,7 +29,8 @@ bridge refinement:
   tabulated once per call, by midpoint (`_Plan`).
 * A one-step interval (leaf) applies the fine scheme's substep test.
 * Intervals that start at or after a path's earliest known crossed node
-  are dropped: they cannot hold the first crossing.
+  are dropped (by `_triage`, and by the coarse walk): they cannot hold the
+  first crossing.
 
 Every skipped interval changes the result with probability at most 2^-53,
 so the hits equal those of the full fine path built by Lévy construction
@@ -446,8 +447,6 @@ def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge:
             front = [np.concatenate(pair) for pair in zip(front, (p + row, *ends))]
             n_draws += len(rows) * n_coarse
             row += len(rows)
-        keep = front[1] < first[front[0]]
-        front = [a[keep] for a in front]
         if len(front[0]):
             n_draws += _refine_level(plan, seed, i0, bridge, first, front)
         elif row == len(first):
@@ -491,23 +490,23 @@ def _refine_level(plan: _Plan, seed: int, i0: int, bridge: bool, first: np.ndarr
 def _triage(plan: _Plan, bridge: bool, first: np.ndarray, front):
     """Which intervals of `front` to split, and the leaves to test.
 
-    Lowers `first` at every leaf whose right end has crossed.  Returns the
-    mask of intervals to split and, for each leaf to test, its path row,
-    its substep k and the bridge crossing probability in that substep.
+    Drops every interval that starts at or after its path's `first` (a leaf
+    whose right end crossed set `first` there when that end was drawn).
+    Returns the mask of intervals to split and, for each leaf to test, its
+    path row, its substep k and the bridge crossing probability in it.
     """
     tg, xg = plan.tgrid, plan.xgrid
     p, lo, hi, blo, bhi = front
     d0, d1 = xg[lo] - blo, xg[hi] - bhi
+    alive = lo < first[p]
     leaf = hi - lo == 1
-    test = leaf & (d1 > 0.0) & bridge
-    hit = leaf & (d1 <= 0.0)
-    np.minimum.at(first, p[hit], hi[hit])
+    test = leaf & alive & (d1 > 0.0) & bridge
     k = lo[test]
     bound = np.exp(-2.0 * d0[test] * d1[test] / (tg[k + 1] - tg[k]))
     sag = plan.sag[(lo + hi) // 2]
     d0 -= sag
     d1 -= sag
-    return ~leaf & _must_split(d0, d1, tg[hi] - tg[lo]), (p[test], k, bound)
+    return ~leaf & alive & _must_split(d0, d1, tg[hi] - tg[lo]), (p[test], k, bound)
 
 
 def cpu_workers() -> int:

@@ -207,9 +207,11 @@ class SourceSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DensityEstimate:
-    """Grid-indexed first-passage density p with its CDF F, the trapezoid rule's int p."""
+    """Grid-indexed first-passage density p with its CDF F, the trapezoid rule's int p.
+
+    Frozen, with p (a float64 copy) and F read-only, so F stays the CDF of p."""
 
     grid: TimeGrid
     p: np.ndarray
@@ -220,11 +222,14 @@ class DensityEstimate:
 
     def __post_init__(self):
         n = len(self.grid.nodes)
-        if len(self.p) != n:
+        p = np.array(self.p, dtype=float)
+        if len(p) != n:
             raise ValueError("p must have one value per grid node")
-        self.F = np.zeros(n)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite F is rejected below
-            self.F[1:] = np.cumsum(0.5 * (self.p[1:] + self.p[:-1]) * np.diff(self.grid.nodes))
+            F = np.append(0.0, np.cumsum(0.5 * (p[1:] + p[:-1]) * np.diff(self.grid.nodes)))
+        p.flags.writeable = F.flags.writeable = False
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "F", F)
         if not (np.all(np.isfinite(self.p)) and np.all(np.isfinite(self.F))):
             raise ValueError("density estimate has non-finite p or F values")
         if self.p[0] != 0.0:
@@ -296,9 +301,11 @@ class DensityEstimate:
             "residual_summary": self.residual_summary,
         }
 
-    def to_json(self, path) -> None:
+    def to_json(self, path, config: dict | None = None) -> None:
+        """Write `metadata()`, under the run's `config` when one is given (`run.json`)."""
+        doc = self.metadata() if config is None else {"config": config, **self.metadata()}
         with open(path, "w") as fh:
-            json.dump(self.metadata(), fh, indent=2, sort_keys=True)
+            json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
     @classmethod

@@ -85,7 +85,7 @@ def master_residual(
     pts, res = [], []
     for t in map(float, times):
         z = float(curve.value(t)) + offsets
-        integral = hitting_integral(est, curve, t, z)[0]
+        integral = hitting_integral(est, curve, t, z)
         pts += [(t, float(o)) for o in offsets]
         res += [float(r) for r in np.abs(smeared_psi(z, t, src.r0, src.width) - integral)]
     return _sup_report("master_equation", pts, res, tolerance)

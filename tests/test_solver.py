@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -581,6 +582,21 @@ class TestEstimateInvariants:
         p[3] = -1e-6
         with pytest.raises(ValueError, match="negative"):
             DensityEstimate(grid=grid, p=p, method="marching")
+
+    def test_is_frozen(self):
+        # a new p would leave the old F, and to_csv/to_json an artifact that
+        # from_files refuses; the caller's array stays writable
+        grid = TimeGrid(T=1.0, N=8, q=1.0)
+        p = np.linspace(0.0, 0.1, 9)
+        est = DensityEstimate(grid=grid, p=p, method="marching")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            est.p = 2.0 * est.p
+        with pytest.raises(ValueError, match="read-only"):
+            est.p[1] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            est.F[1] = 0.0
+        p[1] = 0.0
+        assert est.p[1] == 0.0125 and est.p.dtype == np.float64
 
     @pytest.mark.parametrize("column", ["p", "F"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
