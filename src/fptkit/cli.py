@@ -8,7 +8,8 @@ given its resolved config (Monte Carlo included, via the seed).
 Exit codes are a fixed external contract:
 
     0  success
-    2  configuration invalid
+    2  configuration invalid (a non-finite float value included), or an
+       output file that cannot be written
     3  solver failure (diagonal dominance lost / no convergence / the
        solution fails the density checks), from any solve of the run
     4  a density artifact that fails its checks or belongs to another problem
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -39,6 +41,8 @@ from .solver import (
     problem_fingerprint,
     solve_many,
     solve_marching,
+    write_csv,
+    write_json,
 )
 from . import validation
 
@@ -140,13 +144,15 @@ def _read_config(filename: str) -> dict:
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults <- config file <- command-line flags."""
+    """Defaults <- config file <- command-line flags; every float value must be finite."""
     values = _read_config(args.config) if args.config else {}
     cfg = {}
-    for path, (_, default, _) in CONFIG.items():
+    for path, (kind, default, _) in CONFIG.items():
         value = getattr(args, ".".join(path), None)
         if value is None:
             value = values.get(path, default)
+        if kind is float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"{'.'.join(path)} must be finite, got {value!r}")
         *section, key = path
         (cfg.setdefault(section[0], {}) if section else cfg)[key] = value
     return cfg
@@ -231,10 +237,8 @@ def cmd_solve(cfg: dict) -> None:
     if method == "both":
         picard = ests[1]
         diff = float(np.max(np.abs(primary.p - picard.p)))
-        with open(out / "method_diff.json", "w") as fh:
-            json.dump({"sup_nodewise_diff": diff,
-                       "picard_summary": picard.residual_summary}, fh, indent=2)
-            fh.write("\n")
+        write_json(out / "method_diff.json",
+                   {"sup_nodewise_diff": diff, "picard_summary": picard.residual_summary})
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -251,11 +255,8 @@ def cmd_simulate(cfg: dict) -> None:
     run.hits_to_csv(out / "hits.csv")
     run.to_json(out / "mc.json")
     if est is not None:
-        d = ks_distance(run, est)
-        with open(out / "ks.json", "w") as fh:
-            json.dump({"ks_distance": d, "n_paths": mc_cfg.n_paths,
-                       "solver_method": est.method}, fh, indent=2)
-            fh.write("\n")
+        write_json(out / "ks.json", {"ks_distance": ks_distance(run, est),
+                                     "n_paths": mc_cfg.n_paths, "solver_method": est.method})
 
 
 def run_validation_suite(suite: str, fld: GreenField) -> list:
@@ -321,9 +322,7 @@ def cmd_validate(cfg: dict, suite: str) -> None:
         "all_passed": all(r.passed for r in reports),
         "reports": [r.to_dict() for r in reports],
     }
-    with open(out / "validate.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "validate.json", doc)
     if not doc["all_passed"]:
         failing = [r.name for r in reports if not r.passed]
         raise ValidationFailed(f"{', '.join(failing)} (see validate.json)")
@@ -346,9 +345,7 @@ def cmd_green(cfg: dict, x_range, t_range, resolution) -> None:
     xs = np.linspace(x_lo, x_hi, nx)
     ts = np.linspace(t_lo, t_hi, nt)
     vals = np.concatenate([green_eval(fld, xs, float(t)) for t in ts])
-    rows = np.column_stack((np.tile(xs, nt), np.repeat(ts, nx), vals))
-    with open(out / "green.csv", "w") as fh:
-        fh.write("x,t,G\n" + "%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
+    write_csv(out / "green.csv", "x,t,G", np.tile(xs, nt), np.repeat(ts, nx), vals)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +413,9 @@ def main(argv=None) -> int:
         reason, code = f"artifact mismatch: {exc}", EXIT_MISMATCH
     except ValidationFailed as exc:
         reason, code = f"validation failed: {exc}", EXIT_VALIDATION
+    except OSError as exc:
+        # every read maps its own OSError; what is left is an artifact write
+        reason, code = f"invalid configuration: cannot write output: {exc}", EXIT_CONFIG
     print(" ".join(reason.split()), file=sys.stderr)
     return code
 

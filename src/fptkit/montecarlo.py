@@ -50,11 +50,10 @@ pending intervals.  That keeps each Philox call a few thousand words long,
 where numpy's per-call cost no longer dominates.  Admission stops at that
 bound, but nothing caps the frontier: the last block admitted and splitting
 grow it past the bound (to 22,156 intervals for 8192 paths started 0.1
-below a constant boundary, dt = 1e-4, seed 5).  `PHILOX_CHUNK` bounds only
-the Philox scratch, drawing a step's words that many at a time.  A path's
-pending intervals always share one tree level, its drop rule reads only its
-own earliest crossing, and paths never interact, so the schedule cannot
-change the hits or `n_draws`.
+below a constant boundary, dt = 1e-4, seed 5).  A path's pending intervals
+always share one tree level, its drop rule reads only its own earliest
+crossing, and paths never interact, so the schedule cannot change the hits
+or `n_draws`.
 
 Reproducibility is a hard contract.  Every number path i uses is a fixed
 64-bit word of its own counter-addressed stream (Salmon et al., "Parallel
@@ -85,7 +84,6 @@ size, frontier size or worker count.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import mmap
 import operator
@@ -97,7 +95,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import BoundaryCurve
-from .solver import DensityEstimate, SourceSpec, check_problem, sorted_union
+from .solver import DensityEstimate, SourceSpec, check_problem, sorted_union, write_csv, write_json
 
 #: paths per coarse walk: bounds the walk's working set and is the step in
 #: which paths join the refinement frontier (results do not depend on it)
@@ -108,10 +106,6 @@ BLOCK_PATHS = 256
 #: per-call cost; splitting can grow the frontier past it (results do not
 #: depend on it)
 FRONTIER_INTERVALS = 4096
-
-#: words per Philox call of the refinement: bounds the call's five lane
-#: arrays, however large the frontier (results do not depend on it)
-PHILOX_CHUNK = 8192
 
 #: an interval is refined while exp(-2 e0 e1 / Δ) > 2^-53, i.e. while
 #: e0 e1 < _HALF_LOG_INV_EPS * Δ
@@ -205,13 +199,10 @@ class McRun:
         }
 
     def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.summary(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.summary())
 
     def hits_to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t\n" + "%.17g\n" * len(self.hit_times) % tuple(self.hit_times.tolist()))
+        write_csv(path, "t", self.hit_times)
 
 
 def _time_axis(cfg: McConfig) -> np.ndarray:
@@ -269,15 +260,11 @@ def _variates(seed: int, path: np.ndarray, word: np.ndarray, n_uniform: int) -> 
 
     The first `n_uniform` words become uniforms and the rest normals, each
     word whatever the others.  Word j is half j % 2 of block j // 2 and
-    pairs with the block's other half; the blocks are computed
-    `PHILOX_CHUNK` words at a time.
+    pairs with the block's other half, all in one Philox call.
     """
     word = word.astype(_U64)
-    even, odd = np.empty_like(word), np.empty_like(word)
-    for a in range(0, len(word), PHILOX_CHUNK):
-        part = slice(a, a + PHILOX_CHUNK)
-        l0, l1, l2, l3 = _philox(seed, path[part], word[part] >> _U64(1))
-        even[part], odd[part] = _join(l0, l1), _join(l2, l3)
+    l0, l1, l2, l3 = _philox(seed, path, word >> _U64(1))
+    even, odd = _join(l0, l1), _join(l2, l3)
     x = even.view(np.float64)
     head = slice(0, n_uniform)
     words = np.where((word[head] & _U64(1)).astype(bool), odd[head], even[head])

@@ -280,10 +280,8 @@ class DensityEstimate:
     # -- serialization --------------------------------------------------
 
     def to_csv(self, path) -> None:
-        """Write `t,p,F` rows at 17 significant digits (double round-trip)."""
-        rows = np.column_stack((self.grid.nodes, self.p, self.F))
-        with open(path, "w") as fh:
-            fh.write("t,p,F\n" + "%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
+        """Write `t,p,F` rows (`density.csv`)."""
+        write_csv(path, "t,p,F", self.grid.nodes, self.p, self.F)
 
     def content_sha256(self) -> str:
         """SHA-256 of the p and F values as little-endian doubles."""
@@ -303,10 +301,8 @@ class DensityEstimate:
 
     def to_json(self, path, config: dict | None = None) -> None:
         """Write `metadata()`, under the run's `config` when one is given (`run.json`)."""
-        doc = self.metadata() if config is None else {"config": config, **self.metadata()}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        meta = self.metadata()
+        write_json(path, meta if config is None else {"config": config, **meta})
 
     @classmethod
     def from_files(cls, csv_path, json_path) -> "DensityEstimate":
@@ -346,6 +342,22 @@ def sorted_union(a, b) -> np.ndarray:
     keep[:1] = True
     np.not_equal(u[1:], u[:-1], out=keep[1:])
     return u[keep]
+
+
+def write_json(path, doc) -> None:
+    """Write `doc` as every JSON artifact is written: indent 2, sorted keys, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """Write the line `header`, then one row per index of the equal-length
+    `columns`, each value at 17 significant digits (a double round-trip)."""
+    rows = np.column_stack(columns)
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n" + row * len(rows) % tuple(rows.ravel().tolist()))
 
 
 def problem_fingerprint(src: SourceSpec, curve: BoundaryCurve, grid: TimeGrid) -> str:

@@ -297,6 +297,9 @@ NON_FINITE = {
     "b_inf": ["--boundary", "linear", "--b=inf"],
     "theta_nan": ["--boundary", "power", "--theta=nan"],
     "bump_center_-inf": ["--bump-center=-inf", "--bump-width=0.5"],
+    # keys the boundary never reads: they would land in run.json as NaN or Infinity
+    "theta_nan_linear": ["--boundary", "linear", "--theta=nan"],
+    "b_inf_constant": ["--boundary", "constant", "--b=inf"],
 }
 COMMANDS = {
     "solve": ["solve"],
@@ -358,13 +361,19 @@ class TestSimulate:
         assert "T/10" in capsys.readouterr().err
 
     def test_ks_written_after_solve(self, tmp_path):
-        solve_args = ["solve", "--boundary", "constant", "--a", "1", "--r0", "0",
-                      "--T", "1", "--N", "512", "--method", "marching",
-                      "--out", str(tmp_path)]
-        assert run(solve_args) == 0
+        problem = ["--boundary", "constant", "--a", "1", "--r0", "0", "--T", "1", "--N", "512",
+                   "--out", str(tmp_path)]
+        assert run(["solve", *problem, "--method", "both"]) == 0
         assert run([*self.SIM, "--out", str(tmp_path)]) == 0
         ks = json.loads((tmp_path / "ks.json").read_text())
         assert 0.0 <= ks["ks_distance"] <= 0.05
+        assert run(["validate", *problem]) == 0
+        # every JSON artifact: indent 2, sorted keys, a final newline, no NaN or Infinity
+        names = sorted(p.name for p in tmp_path.glob("*.json"))
+        assert names == ["ks.json", "mc.json", "method_diff.json", "run.json", "validate.json"]
+        for name in names:
+            text = (tmp_path / name).read_text()
+            assert text == json.dumps(strict_json(tmp_path / name), indent=2, sort_keys=True) + "\n"
 
     def test_horizon_mismatch(self, tmp_path, capsys):
         solve_args = ["solve", "--boundary", "constant", "--a", "1", "--r0", "0",
@@ -722,6 +731,42 @@ def test_malformed_run_json_exits_4_without_artifacts(tmp_path, capsys, cmd, wri
     assert run([*cmd, *problem, "--out", str(tmp_path)]) == 4
     assert_one_line(capsys.readouterr().err, "artifact mismatch:")
     assert not (tmp_path / written).exists()
+
+
+@pytest.mark.parametrize("cmd, written", [
+    (["solve"], "density.csv"),
+    (["solve", "--method", "both"], "method_diff.json"),
+    (["simulate", "--n-paths", "64"], "hits.csv"),
+    (["simulate", "--n-paths", "64"], "mc.json"),
+    (["validate", "--suite", "mass"], "validate.json"),
+    (["green", "--x-min=-1", "--x-max=0", "--t-min=0.5", "--t-max=1", "--nx=3", "--nt=2"],
+     "green.csv"),
+], ids=["density", "method_diff", "hits", "mc", "validate", "green"])
+def test_unwritable_artifact_exits_2(tmp_path, capsys, cmd, written):
+    # an artifact path that is a directory cannot be opened for writing
+    (tmp_path / written).mkdir()
+    assert run([*cmd, "--N", "64", "--out", str(tmp_path)]) == 2
+    assert_one_line(capsys.readouterr().err, "invalid configuration: cannot write output:")
+    assert (tmp_path / written).is_dir()
+
+
+@pytest.mark.parametrize("cmd, text", [
+    (["solve"], '{"mc": {"dt": 1e400}}'),
+    (["validate"], '{"boundary": {"theta": NaN}}'),
+    (["green", "--x-min=-1", "--x-max=0", "--t-min=0.5", "--t-max=1"],
+     '{"boundary": {"kind": "constant", "b": -Infinity}}'),
+], ids=["solve-dt", "validate-theta", "green-b"])
+def test_non_finite_config_file_value_exits_2(tmp_path, capsys, cmd, text):
+    # json.load takes NaN, Infinity and 1e400; a key the run never reads
+    # would otherwise land in run.json as NaN or Infinity
+    (tmp_path / "cfg.json").write_text(text)
+    out = tmp_path / "out"
+    code = run([*cmd, "--config", str(tmp_path / "cfg.json"), "--N", "64", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert_one_line(err, "invalid configuration:")
+    assert "must be finite" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd, written", [

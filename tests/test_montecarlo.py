@@ -403,15 +403,6 @@ class TestSchedule:
                     assert run.hit_times.tobytes() == ref.hit_times.tobytes()
                     assert run.n_draws == ref.n_draws
 
-    def test_hits_and_draws_do_not_depend_on_philox_chunk(self, monkeypatch):
-        cfg = McConfig(n_paths=300, dt=1e-3, T=1.0, seed=13)
-        ref = simulate(SourceSpec.point(0.5), CONST, cfg)
-        for chunk in (64, 10 ** 6):
-            monkeypatch.setattr(montecarlo, "PHILOX_CHUNK", chunk)
-            run = simulate(SourceSpec.point(0.5), CONST, cfg)
-            assert run.hit_times.tobytes() == ref.hit_times.tobytes()
-            assert run.n_draws == ref.n_draws
-
     @pytest.mark.parametrize("curve, r0", [
         (BoundaryCurve.linear(1.0, 0.5), 0.0),
         (CONST, 0.9),
