@@ -16,14 +16,18 @@ Exit codes are a fixed external contract:
     5  validation suite failed
 
 Every command reports a failure by raising, and `main` alone turns the
-exception into its exit code and one stderr line.
+exception into its exit code and one stderr line.  A command writes all of
+its artifacts or none of them (`_artifacts`).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -201,6 +205,32 @@ def _outdir(cfg: dict) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _artifacts(out: Path):
+    """Yields `path(name)`: a temporary path in `out` to write artifact `name` to.
+
+    When the block ends without error, every artifact is renamed to its
+    name, after checking that no name is a directory, so a write that fails
+    leaves none of the set.  No temporary outlives the block.
+    """
+    staged = {}
+
+    def path(name):
+        staged[name] = out / f".{name}.{os.getpid()}.tmp"
+        return staged[name]
+
+    try:
+        yield path
+        for name in staged:
+            if (out / name).is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(out / name))
+        for name, tmp in staged.items():
+            os.replace(tmp, out / name)
+    finally:
+        for tmp in staged.values():
+            tmp.unlink(missing_ok=True)
+
+
 def _solved_density(out: Path, curve, src, T: float) -> DensityEstimate | None:
     """The density artifact pair in `out`, or None if it holds none; raises ArtifactMismatch
     if the pair fails its checks or belongs to another problem or horizon T (N is free)."""
@@ -232,13 +262,14 @@ def cmd_solve(cfg: dict) -> None:
     methods = ("marching", "picard") if method == "both" else (method,)
     ests = solve_many(curve, grid, [(src, m) for m in methods])
     primary = ests[0]
-    primary.to_csv(out / "density.csv")
-    primary.to_json(out / "run.json", cfg)
-    if method == "both":
-        picard = ests[1]
-        diff = float(np.max(np.abs(primary.p - picard.p)))
-        write_json(out / "method_diff.json",
-                   {"sup_nodewise_diff": diff, "picard_summary": picard.residual_summary})
+    with _artifacts(out) as path:
+        primary.to_csv(path("density.csv"))
+        primary.to_json(path("run.json"), cfg)
+        if method == "both":
+            picard = ests[1]
+            diff = float(np.max(np.abs(primary.p - picard.p)))
+            write_json(path("method_diff.json"),
+                       {"sup_nodewise_diff": diff, "picard_summary": picard.residual_summary})
 
 
 def cmd_simulate(cfg: dict) -> None:
@@ -252,11 +283,12 @@ def cmd_simulate(cfg: dict) -> None:
     out = _outdir(cfg)
     est = _solved_density(out, curve, src, grid.T)
     run = simulate(src, curve, mc_cfg, workers=cpu_workers())
-    run.hits_to_csv(out / "hits.csv")
-    run.to_json(out / "mc.json")
-    if est is not None:
-        write_json(out / "ks.json", {"ks_distance": ks_distance(run, est),
-                                     "n_paths": mc_cfg.n_paths, "solver_method": est.method})
+    with _artifacts(out) as path:
+        run.hits_to_csv(path("hits.csv"))
+        run.to_json(path("mc.json"))
+        if est is not None:
+            write_json(path("ks.json"), {"ks_distance": ks_distance(run, est),
+                                         "n_paths": mc_cfg.n_paths, "solver_method": est.method})
 
 
 def run_validation_suite(suite: str, fld: GreenField) -> list:
@@ -322,7 +354,8 @@ def cmd_validate(cfg: dict, suite: str) -> None:
         "all_passed": all(r.passed for r in reports),
         "reports": [r.to_dict() for r in reports],
     }
-    write_json(out / "validate.json", doc)
+    with _artifacts(out) as path:
+        write_json(path("validate.json"), doc)
     if not doc["all_passed"]:
         failing = [r.name for r in reports if not r.passed]
         raise ValidationFailed(f"{', '.join(failing)} (see validate.json)")
@@ -345,7 +378,8 @@ def cmd_green(cfg: dict, x_range, t_range, resolution) -> None:
     xs = np.linspace(x_lo, x_hi, nx)
     ts = np.linspace(t_lo, t_hi, nt)
     vals = np.concatenate([green_eval(fld, xs, float(t)) for t in ts])
-    write_csv(out / "green.csv", "x,t,G", np.tile(xs, nt), np.repeat(ts, nx), vals)
+    with _artifacts(out) as path:
+        write_csv(path("green.csv"), "x,t,G", np.tile(xs, nt), np.repeat(ts, nx), vals)
 
 
 # ---------------------------------------------------------------------------

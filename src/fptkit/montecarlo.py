@@ -49,23 +49,33 @@ and walked blocks join the frontier until it holds `FRONTIER_INTERVALS`
 pending intervals.  That keeps each Philox call a few thousand words long,
 where numpy's per-call cost no longer dominates.  Admission stops at that
 bound, but nothing caps the frontier: the last block admitted and splitting
-grow it past the bound (to 22,156 intervals for 8192 paths started 0.1
+grow it past the bound (to 24,592 intervals for 8192 paths started 0.1
 below a constant boundary, dt = 1e-4, seed 5).  A path's pending intervals
 always share one tree level, its drop rule reads only its own earliest
 crossing, and paths never interact, so the schedule cannot change the hits
 or `n_draws`.
 
-Reproducibility is a hard contract.  Every number path i uses is a fixed
-64-bit word of its own counter-addressed stream (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11): word j is half h = j % 2 of
-block j // 2 of Philox4x32-10, keyed by the seed's 32-bit halves (lo, hi)
-at counter (block lo, block hi, i lo, i hi), and reads
-(lane 2h+1 << 32) | lane 2h.  Each block is computed on its own, so words
-are drawn in any order:
+Reproducibility is a hard contract.  Path i draws from two streams, both
+functions of (seed, i) alone.  Its K coarse increments Z_j are row
+i % 256 of
 
-* words [0, K): the coarse increments Z_j;
-* word K + m: the midpoint normal of fine node m;
-* word K + n + 1 + k: the bridge uniform u_k of substep k.
+    RandomState(PCG64(SeedSequence([seed, i // 256]))).standard_normal((rows, K)),
+
+NumPy's legacy sampler (a polar Box-Muller in C, no trigonometry) on the
+PCG64 stream.  NEP 19 freezes both, so the rows are the same across NumPy
+releases.  The draw fills rows in order, so row r does not depend on how
+many rows are drawn: a walk draws the rows it needs of each stream block of
+256 paths (`_STREAM_PATHS`, not `BLOCK_PATHS`), which with the default
+schedule is one whole block.  Every refinement number is a fixed 64-bit
+word of a counter-addressed stream (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC'11): word j is half h = j % 2 of block
+j // 2 of Philox4x32-10, keyed by the seed's 32-bit halves (lo, hi) at
+counter (block lo, block hi, i lo, i hi), and reads (lane 2h+1 << 32) |
+lane 2h.  Each block is computed on its own, so words are drawn in any
+order:
+
+* word m: the midpoint normal of fine node m;
+* word n + 1 + k: the bridge uniform u_k of substep k.
 
 A uniform is (w >> 11) 2^-53.  A normal is the Box-Muller transform (Box
 and Muller, Ann. Math. Statist. 29, 1958) of its block's two words
@@ -74,11 +84,10 @@ w_even, w_odd:
     R = sqrt(-2 ln(((w_even >> 11) + 1/2) 2^-53)),   θ = 2π (w_odd >> 11) 2^-53,
 
 and word j's normal is R cos(θ - (j % 2) π/2), R sin θ up to rounding
-for an odd j.  It reads its partner word too, whatever draws it, and in any
-order or mix of words: the coarse walk, which uses both words of each
-block, or the refinement, which computes the whole block anyway.  A path
-is a pure function of (seed, i), whatever the refinement order, block
-size, frontier size or worker count.
+for an odd j.  It reads its partner word too, whatever draws it, so its
+bits do not depend on the other words of the call.  A path is a pure
+function of (seed, i), whatever the refinement order, block size,
+frontier size or worker count.
 """
 
 from __future__ import annotations
@@ -106,6 +115,10 @@ BLOCK_PATHS = 256
 #: per-call cost; splitting can grow the frontier past it (results do not
 #: depend on it)
 FRONTIER_INTERVALS = 4096
+
+#: paths per stream block of the coarse increments: part of the stream's
+#: definition (module docstring), unlike BLOCK_PATHS
+_STREAM_PATHS = 256
 
 #: an interval is refined while exp(-2 e0 e1 / Δ) > 2^-53, i.e. while
 #: e0 e1 < _HALF_LOG_INV_EPS * Δ
@@ -151,8 +164,9 @@ class McConfig:
 class McRun:
     """Sorted hit-time samples plus the implied empirical CDF.
 
-    `n_draws` counts the Philox words the simulation consumed; like the
-    hits it is a function of the config alone.
+    `n_draws` counts the variates the simulation drew: K coarse increments
+    per path and one per refinement word.  Like the hits it is a function
+    of the config alone.
     """
 
     config: McConfig
@@ -260,53 +274,48 @@ def _variates(seed: int, path: np.ndarray, word: np.ndarray, n_uniform: int) -> 
 
     The first `n_uniform` words become uniforms and the rest normals, each
     word whatever the others.  Word j is half j % 2 of block j // 2 and
-    pairs with the block's other half, all in one Philox call.
+    pairs with the block's other half, all in one Philox call; the results
+    are float64 views of the words' buffers.
     """
     word = word.astype(_U64)
     l0, l1, l2, l3 = _philox(seed, path, word >> _U64(1))
     even, odd = _join(l0, l1), _join(l2, l3)
+    even >>= _U64(11)
+    odd >>= _U64(11)
     x = even.view(np.float64)
     head = slice(0, n_uniform)
-    words = np.where((word[head] & _U64(1)).astype(bool), odd[head], even[head])
-    x[head] = (words >> _U64(11)) * 2.0 ** -53
-    r, theta = _polar(even[n_uniform:], odd[n_uniform:])
+    x[head] = np.where((word[head] & _U64(1)).astype(bool), odd[head], even[head]) * 2.0 ** -53
+    # Box-Muller: R from the even word, θ less (j % 2) π/2 from the odd one
+    r = x[n_uniform:]
+    np.add(even[n_uniform:], 0.5, out=r)
+    r *= 2.0 ** -53
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = odd.view(np.float64)[n_uniform:]
+    np.multiply(odd[n_uniform:], _ANGLE_ULP, out=theta)
     theta -= (word[n_uniform:] & _U64(1)) * (0.5 * math.pi)
     np.cos(theta, out=theta)
     r *= theta
     return x
 
 
-def _leading_normals(seed: int, paths: np.ndarray, n: int) -> np.ndarray:
-    """The normals of words [0, n) of every path's stream, shape (len(paths), n): two per block."""
-    n_blocks = -(-n // 2)
-    l0, l1, l2, l3 = _philox(seed, paths[:, None], np.arange(n_blocks, dtype=_U64))
-    r, theta = _polar(_join(l0, l1), _join(l2, l3))
-    z = np.empty(r.shape + (2,))
-    np.cos(theta, out=z[..., 0])
-    theta -= 0.5 * math.pi
-    np.cos(theta, out=z[..., 1])
-    z *= r[..., None]
-    return z.reshape(len(paths), 2 * n_blocks)[:, :n]
+def _coarse_normals(seed: int, i0: int, i1: int, n: int) -> np.ndarray:
+    """The coarse increments Z_0..Z_{n-1} of paths i0..i1-1, one row per path.
 
-
-def _polar(even: np.ndarray, odd: np.ndarray) -> tuple:
-    """Box-Muller R and θ of word pairs (w_even, w_odd), in place: float64 views of the words.
-
-    Word j's normal is R cos(θ - (j % 2) π/2) (module docstring); every
-    caller takes θ less 0 or π/2, one cosine and one product with R, so a
-    normal has the same bits whoever draws it.
+    Path i's are row i % `_STREAM_PATHS` of the legacy `standard_normal`
+    draw of stream block i // `_STREAM_PATHS` (module docstring).  A block
+    draws only the rows up to the last one needed; a range that spans
+    blocks draws from each and joins the rows.  `np.random` is first
+    touched here, so importing the package does not load it.
     """
-    r = even.view(np.float64)
-    even >>= _U64(11)
-    np.add(even, 0.5, out=r)
-    r *= 2.0 ** -53
-    np.log(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta = odd.view(np.float64)
-    odd >>= _U64(11)
-    np.multiply(odd, _ANGLE_ULP, out=theta)
-    return r, theta
+    parts = []
+    for block in range(i0 // _STREAM_PATHS, -(-i1 // _STREAM_PATHS)):
+        base = block * _STREAM_PATHS
+        rng = np.random.RandomState(np.random.PCG64(np.random.SeedSequence([seed, block])))
+        z = rng.standard_normal((min(i1, base + _STREAM_PATHS) - base, n))
+        parts.append(z[max(i0 - base, 0):])
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -384,18 +393,18 @@ def _must_split(e0, e1, span):
     return split
 
 
-def _coarse_level(plan: _Plan, seed: int, paths: np.ndarray, r0: float):
-    """First crossed coarse node of every path (n + 1 if none), and its busy intervals.
+def _coarse_level(plan: _Plan, seed: int, i0: int, i1: int, r0: float):
+    """First crossed coarse node of paths i0..i1-1 (n + 1 if none), and their busy intervals.
 
     Busy intervals are those that may hold the first crossing, returned as
     (path row, fine nodes lo < hi, B at both ends).  The walk works in the
-    buffers it allocates: the words become the normals, then the scaled
-    increments, and the gap to the boundary becomes e1 of `_must_split`.
+    buffers it allocates: the normals become the scaled increments, and the
+    gap to the boundary becomes e1 of `_must_split`.
     """
     tg, xg, coarse = plan.tgrid, plan.xgrid, plan.coarse
-    z = _leading_normals(seed, paths, len(coarse) - 1)
+    z = _coarse_normals(seed, i0, i1, len(coarse) - 1)
     z *= np.sqrt(np.diff(tg[coarse]))
-    b = np.empty((len(paths), len(coarse)))
+    b = np.empty((i1 - i0, len(coarse)))
     b[:, 0] = r0
     np.cumsum(z, axis=1, out=b[:, 1:])
     b[:, 1:] += r0
@@ -417,7 +426,7 @@ def _coarse_level(plan: _Plan, seed: int, paths: np.ndarray, r0: float):
 
 
 def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge: bool):
-    """First fine crossing index (n + 1 if none) of paths i0..i1-1, and words drawn.
+    """First fine crossing index (n + 1 if none) of paths i0..i1-1, and variates drawn.
 
     Paths join the frontier `BLOCK_PATHS` at a time, after their coarse
     walk, until it holds `FRONTIER_INTERVALS` intervals (see the module
@@ -429,11 +438,11 @@ def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge:
     row, n_draws = 0, 0
     while True:
         while row < len(first) and len(front[0]) < FRONTIER_INTERVALS:
-            rows = np.arange(i0 + row, min(i0 + row + BLOCK_PATHS, i1), dtype=_U64)
-            first[row:row + len(rows)], (p, *ends) = _coarse_level(plan, seed, rows, r0)
+            end = min(row + BLOCK_PATHS, len(first))
+            first[row:end], (p, *ends) = _coarse_level(plan, seed, i0 + row, i0 + end, r0)
             front = [np.concatenate(pair) for pair in zip(front, (p + row, *ends))]
-            n_draws += len(rows) * n_coarse
-            row += len(rows)
+            n_draws += (end - row) * n_coarse
+            row = end
         if len(front[0]):
             n_draws += _refine_level(plan, seed, i0, bridge, first, front)
         elif row == len(first):
@@ -449,14 +458,13 @@ def _refine_level(plan: _Plan, seed: int, i0: int, bridge: bool, first: np.ndarr
     freed before the words are drawn.
     """
     tg, xg = plan.tgrid, plan.xgrid
-    n_coarse = len(plan.coarse) - 1
     split, (tp, tk, bound) = _triage(plan, bridge, first, front)
     rows = np.flatnonzero(split)  # five gathers by the mask itself cost ~10% of a far run
     p, lo, hi, blo, bhi = (a[rows] for a in front)
     front.clear()
     m = (lo + hi) // 2
     x = _variates(seed, i0 + np.concatenate((tp, p)),
-                  np.concatenate((n_coarse + plan.n_steps + 1 + tk, n_coarse + m)), len(tk))
+                  np.concatenate((plan.n_steps + 1 + tk, m)), len(tk))
 
     # leaves: the fine scheme's substep test
     hit = x[:len(tk)] < bound
@@ -577,7 +585,7 @@ def simulate(
     """Simulate first-passage times of Brownian paths started at the point source.
 
     Deterministic given (seed, n_paths, dt): path i is a pure function of
-    its Philox words, and the merged hit times are sorted, so the output is
+    (seed, i), and the merged hit times are sorted, so the output is
     byte-identical for any `workers`.  Each worker refines one contiguous
     range of whole `BLOCK_PATHS` blocks: this process the first, and a
     `_forked` helper each other one, unless it dies or cannot be forked.
@@ -594,7 +602,7 @@ def simulate(
             for k in range(n_ranges + 1)]
 
     def run_range(k, shared):
-        # each path's first crossing, then each range's words drawn
+        # each path's first crossing, then each range's variates drawn
         out = np.frombuffer(shared, dtype=np.int64)
         with np.errstate(over="ignore"):  # gaps past ~1e154 multiply to inf: no split, no hit
             out[cuts[k]:cuts[k + 1]], out[cfg.n_paths + k] = _simulate_range(

@@ -735,19 +735,22 @@ def test_malformed_run_json_exits_4_without_artifacts(tmp_path, capsys, cmd, wri
 
 @pytest.mark.parametrize("cmd, written", [
     (["solve"], "density.csv"),
+    (["solve"], "run.json"),
     (["solve", "--method", "both"], "method_diff.json"),
     (["simulate", "--n-paths", "64"], "hits.csv"),
     (["simulate", "--n-paths", "64"], "mc.json"),
     (["validate", "--suite", "mass"], "validate.json"),
     (["green", "--x-min=-1", "--x-max=0", "--t-min=0.5", "--t-max=1", "--nx=3", "--nt=2"],
      "green.csv"),
-], ids=["density", "method_diff", "hits", "mc", "validate", "green"])
+], ids=["density", "run", "method_diff", "hits", "mc", "validate", "green"])
 def test_unwritable_artifact_exits_2(tmp_path, capsys, cmd, written):
-    # an artifact path that is a directory cannot be opened for writing
+    # an artifact path that is a directory cannot be written; the command
+    # leaves none of its other artifacts and no temporary file behind
     (tmp_path / written).mkdir()
     assert run([*cmd, "--N", "64", "--out", str(tmp_path)]) == 2
     assert_one_line(capsys.readouterr().err, "invalid configuration: cannot write output:")
     assert (tmp_path / written).is_dir()
+    assert [p.name for p in tmp_path.iterdir()] == [written]
 
 
 @pytest.mark.parametrize("cmd, text", [
@@ -866,6 +869,27 @@ print(codes, sorted(name for name in sys.modules
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[0, 0, 0, 0] []"
+
+
+def test_commands_that_do_not_simulate_load_no_numpy_random(tmp_path):
+    # numpy 2 imports numpy.random on first attribute access, 17 ms and 6 MB
+    # per process; only the Monte Carlo walk touches it
+    script = """
+import sys
+import fptkit
+from fptkit.cli import main
+args = ["--N", "64", "--T", "1", "--out", sys.argv[1]]
+codes = [main(["solve", *args]), main(["validate", *args]),
+         main(["green", *args, "--x-min", "-1", "--x-max", "0.5", "--t-min", "0.5",
+               "--t-max", "1", "--nx", "4", "--nt", "4"])]
+print(codes, "numpy.random" in sys.modules)
+"""
+    src_dir = str(Path(fptkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] False"
 
 
 def test_run_json_config_round_trips(tmp_path):

@@ -31,10 +31,12 @@ CONST = BoundaryCurve.constant(1.0)
 
 TRUE_CDF_1 = 2.0 * psi(1.0)  # reflection principle: P(hit 1 by t=1) = 0.31731...
 
-# the hits of `TestRefinement::test_golden_stream`, drawn from Philox4x32-10
-# keyed by the seed's 32-bit halves at counter (block lo, block hi, path lo,
-# path hi), word j being half j % 2 of block j // 2
-GOLDEN_HITS_SHA256 = "d9b3843b59b0a31799f964eaee0863fc80d96db6d6bd15dfe80deb6bac6f3123"
+# the hits of `TestRefinement::test_golden_stream`: coarse increments from
+# NumPy's legacy standard_normal on PCG64 seeded by SeedSequence([seed, i // 256]),
+# refinement words from Philox4x32-10 keyed by the seed's 32-bit halves at
+# counter (block lo, block hi, path lo, path hi), word j being half j % 2 of
+# block j // 2
+GOLDEN_HITS_SHA256 = "6c8aad390fca8978628a44952acd1829085fc080826e669e59f9cb0a3a236f9b"
 
 MASK32 = 0xFFFFFFFF
 
@@ -64,6 +66,20 @@ def _stream_words(seed, n_paths, n_words):
     words = words.reshape(n_paths, -1)[:, :n_words]
     words.flags.writeable = False
     return words
+
+
+def _coarse_increments(seed, n_paths, n):
+    """The coarse normals Z_0..Z_{n-1} of paths 0..n_paths-1 as the stream defines them.
+
+    Path i's are row i % 256 of the legacy standard_normal draw of
+    RandomState(PCG64(SeedSequence([seed, i // 256]))), here always drawn
+    with all 256 rows.
+    """
+    return np.concatenate([
+        np.random.RandomState(np.random.PCG64(np.random.SeedSequence([seed, block])))
+        .standard_normal((256, n))
+        for block in range(-(-n_paths // 256))
+    ])[:n_paths]
 
 
 class _EcdfStub:
@@ -208,21 +224,20 @@ class TestSimulate:
 def _fine_scheme_hits(src, curve, cfg):
     """Hit times of the fine scheme on full paths, one fine node at a time.
 
-    Every word of path i comes from `_stream_words`, the plain-int
-    Philox4x32-10 above: words [0, K) are the coarse increments, word K + m
-    the Lévy midpoint normal of node m and word K + n + 1 + k the bridge
-    uniform of substep k.  Words 2j and 2j + 1 give the Box-Muller pair
-    R cos θ, R cos(θ - π/2).  Every node is built, so no interval is skipped.
+    The coarse increments come from `_coarse_increments`, and every other
+    word of path i from `_stream_words`, the plain-int Philox4x32-10 above:
+    word m is the Lévy midpoint normal of node m and word n + 1 + k the
+    bridge uniform of substep k.  Words 2j and 2j + 1 give the Box-Muller
+    pair R cos θ, R cos(θ - π/2).  Every node is built, so no interval is
+    skipped.
     """
     n = math.ceil(cfg.T / cfg.dt - 1e-9)
     t = np.minimum(np.arange(n + 1) * cfg.dt, cfg.T)
     x = np.asarray(curve.value(t), dtype=float)
     stride = 2 ** max(0, math.floor(math.log2(n)) - 6)
     coarse = np.append(np.arange(0, n, stride), n)
-    K = len(coarse) - 1
 
-    n_words = 2 * ((K + 2 * n + 2) // 2)
-    words = _stream_words(cfg.seed, cfg.n_paths, n_words)
+    words = _stream_words(cfg.seed, cfg.n_paths, 2 * n + 2)
     u = (words >> np.uint64(11)).astype(float) * 2.0 ** -53
     r = np.sqrt(-2.0 * np.log(((words[:, 0::2] >> np.uint64(11)).astype(float) + 0.5) * 2.0 ** -53))
     theta = 2.0 * math.pi * u[:, 1::2]
@@ -231,7 +246,8 @@ def _fine_scheme_hits(src, curve, cfg):
 
     b = np.empty((cfg.n_paths, n + 1))
     b[:, 0] = src.r0
-    b[:, coarse[1:]] = src.r0 + np.cumsum(np.sqrt(np.diff(t[coarse])) * z[:, :K], axis=1)
+    z_coarse = _coarse_increments(cfg.seed, cfg.n_paths, len(coarse) - 1)
+    b[:, coarse[1:]] = src.r0 + np.cumsum(np.sqrt(np.diff(t[coarse])) * z_coarse, axis=1)
     todo = list(zip(coarse[:-1], coarse[1:]))
     while todo:
         lo, hi = todo.pop()
@@ -240,14 +256,14 @@ def _fine_scheme_hits(src, curve, cfg):
         m = (lo + hi) // 2
         span = t[hi] - t[lo]
         b[:, m] = (b[:, lo] + (t[m] - t[lo]) / span * (b[:, hi] - b[:, lo])
-                   + np.sqrt((t[m] - t[lo]) * (t[hi] - t[m]) / span) * z[:, K + m])
+                   + np.sqrt((t[m] - t[lo]) * (t[hi] - t[m]) / span) * z[:, m])
         todo += [(lo, m), (m, hi)]
 
     gap = x - b
     crossed = gap[:, 1:] <= 0.0
     if cfg.bridge_correction:
         arg = np.minimum(-2.0 * gap[:, :-1] * gap[:, 1:] / np.diff(t), 0.0)
-        crossed |= u[:, K + n + 1:K + 2 * n + 1] < np.exp(arg)
+        crossed |= u[:, n + 1:2 * n + 1] < np.exp(arg)
     hit = crossed.any(axis=1)
     return np.sort(t[np.argmax(crossed, axis=1)[hit] + 1])
 
@@ -347,14 +363,6 @@ class TestPhilox:
 class TestNormals:
     """Box-Muller on the two words of each Philox block."""
 
-    def test_coarse_walk_and_refinement_draw_the_same_bits(self):
-        paths = np.arange(3, 200, dtype=np.uint64)
-        n = 37  # odd: the last word's partner lies past the words the walk keeps
-        coarse = montecarlo._leading_normals(20261018, paths, n)
-        path, word = (a.ravel() for a in np.meshgrid(paths, np.arange(n), indexing="ij"))
-        refined = montecarlo._variates(20261018, path, word, 0)
-        assert refined.tobytes() == coarse.ravel().tobytes()
-
     def test_a_word_does_not_depend_on_the_other_words_of_its_call(self):
         # uniforms and normals of paths 0..49, words 0..39, drawn all at once,
         # then shuffled and split into calls of mixed parity and kind
@@ -370,19 +378,60 @@ class TestNormals:
             got = montecarlo._variates(5, path[call], word[call], np.count_nonzero(uniform[call]))
             assert got.tobytes() == ref[call].tobytes()
 
+    @staticmethod
+    def normals():
+        """The normals of words [0, 2^8) of paths [0, 2^12), one row per path."""
+        path, word = (a.ravel() for a in np.meshgrid(np.arange(2 ** 12, dtype=np.uint64),
+                                                     np.arange(2 ** 8), indexing="ij"))
+        return montecarlo._variates(20261018, path, word, 0).reshape(2 ** 12, -1)
+
     def test_normals_are_standard_normal(self):
-        # 2^20 normals: KS distance to Phi within the 99.9% Kolmogorov bound
-        z = montecarlo._leading_normals(20261018, np.arange(2 ** 12, dtype=np.uint64), 2 ** 8)
-        z = np.sort(z.ravel())
-        n = len(z)
-        cdf = ndtr(z)
-        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
-        assert ks <= 1.95 / math.sqrt(n)
+        assert_standard_normal(self.normals())
 
     def test_pair_is_uncorrelated(self):
-        z = montecarlo._leading_normals(20261018, np.arange(2 ** 12, dtype=np.uint64), 2 ** 8)
+        z = self.normals()
         cos, sin = z[:, 0::2].ravel(), z[:, 1::2].ravel()
         assert abs(np.corrcoef(cos, sin)[0, 1]) <= 4.0 / math.sqrt(len(cos))
+
+
+def assert_standard_normal(z):
+    """KS distance of the pooled sample to Phi within the 99.9% Kolmogorov bound."""
+    z = np.sort(z.ravel())
+    n = len(z)
+    cdf = ndtr(z)
+    ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+    assert ks <= 1.95 / math.sqrt(n)
+
+
+class TestCoarseNormals:
+    """The coarse increments: NumPy's legacy standard_normal on PCG64, one
+    stream block per 256 paths."""
+
+    def test_rows_do_not_depend_on_the_range_drawn(self):
+        # paths 250..261 span stream blocks 0 and 1: one call, one call per
+        # block, one per path, and the stream's definition agree
+        whole = montecarlo._coarse_normals(11, 250, 262, 37)
+        by_block = np.concatenate([montecarlo._coarse_normals(11, 250, 256, 37),
+                                   montecarlo._coarse_normals(11, 256, 262, 37)])
+        by_path = np.concatenate([montecarlo._coarse_normals(11, i, i + 1, 37)
+                                  for i in range(250, 262)])
+        assert whole.shape == (12, 37)
+        for got in (by_block, by_path, _coarse_increments(11, 262, 37)[250:]):
+            assert got.tobytes() == whole.tobytes()
+
+    @staticmethod
+    def normals():
+        """The 2^8 coarse normals of each of paths [0, 2^12): 16 stream blocks."""
+        return montecarlo._coarse_normals(20261018, 0, 2 ** 12, 2 ** 8)
+
+    def test_neighbouring_paths_and_blocks_are_uncorrelated(self):
+        # paths i, i + 1, and the same row of stream blocks b, b + 1 (paths i, i + 256)
+        z = self.normals()
+        for a, b in ((z[:-1], z[1:]), (z[:-256], z[256:])):
+            assert abs(np.corrcoef(a.ravel(), b.ravel())[0, 1]) <= 4.0 / math.sqrt(a.size)
+
+    def test_normals_are_standard_normal(self):
+        assert_standard_normal(self.normals())
 
 
 class TestSchedule:
