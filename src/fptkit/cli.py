@@ -79,8 +79,7 @@ class ValidationFailed(RuntimeError):
 
 
 #: Every config key: its path in the config document, its type, its default
-#: and the flag that overrides it (None: file only).  A bool key's flag sets
-#: the opposite of its default.
+#: and the flag that overrides it (None: file only).
 CONFIG = {
     ("boundary", "kind"): (str, "linear", "--boundary"),
     ("boundary", "a"): (float, 1.0, "--a"),
@@ -97,7 +96,6 @@ CONFIG = {
     ("mc", "n_paths"): (int, 10000, "--n-paths"),
     ("mc", "dt"): (float, 1e-3, "--dt"),
     ("mc", "seed"): (int, 42, "--seed"),
-    ("mc", "bridge_correction"): (bool, True, "--no-bridge"),
     ("output", "directory"): (str, ".", "--out"),
 }
 _SECTIONS = {path[0] for path in CONFIG if len(path) == 2}
@@ -406,13 +404,8 @@ def make_parser() -> argparse.ArgumentParser:
         for path, (kind, default, flag) in CONFIG.items():
             if flag is None or command not in _FLAG_COMMANDS.get(path[0], _COMMANDS):
                 continue
-            name = ".".join(path)
-            if kind is bool:
-                p.add_argument(flag, dest=name, action="store_const", const=not default,
-                               help=f"set {name} to {json.dumps(not default)}")
-            else:
-                p.add_argument(flag, dest=name, type=kind,
-                               help=f"{kind.__name__}, default {json.dumps(default)}")
+            p.add_argument(flag, dest=".".join(path), type=kind,
+                           help=f"{kind.__name__}, default {json.dumps(default)}")
     sub.choices["validate"].add_argument("--suite", default="all",
                                          help=f"one of {', '.join(SUITES)}")
     green = sub.choices["green"]

@@ -2,12 +2,13 @@
 
 The estimator ("fine scheme") monitors each Brownian path on the fine grid
 t_k = min(k dt, T), k = 0..n, and declares the first crossing in substep
-(t_k, t_{k+1}] when either B_{t_{k+1}} >= X_{t_{k+1}} or, with the bridge
-correction on, u_k < exp(-2 d_k d_{k+1} / (t_{k+1} - t_k)), where
-d_k = X_{t_k} - B_{t_k} and u_k is uniform.  That probability is exact for
-a Brownian bridge against the boundary linearized over the substep, so
-discrete monitoring does not undercount crossings.  Hit times are recorded
-at substep right endpoints and censored at the horizon.
+(t_k, t_{k+1}] when either B_{t_{k+1}} >= X_{t_{k+1}} or
+u_k < exp(-2 d_k d_{k+1} / (t_{k+1} - t_k)), where d_k = X_{t_k} - B_{t_k}
+and u_k is uniform.  That probability is exact for a Brownian bridge
+against the boundary linearized over the substep, so the scheme counts the
+crossings between fine nodes that monitoring B at the nodes alone misses.
+Hit times are recorded at substep right endpoints and censored at the
+horizon.
 
 The fine path is never built in full.  It is generated by dyadic Brownian-
 bridge refinement:
@@ -99,7 +100,7 @@ import operator
 import os
 import signal
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -140,7 +141,6 @@ class McConfig:
     dt: float
     T: float
     seed: int
-    bridge_correction: bool = True
 
     def __post_init__(self):
         for name in ("n_paths", "seed"):
@@ -160,13 +160,14 @@ class McConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class McRun:
     """Sorted hit-time samples plus the implied empirical CDF.
 
-    `n_draws` counts the variates the simulation drew: K coarse increments
-    per path and one per refinement word.  Like the hits it is a function
-    of the config alone.
+    Frozen, with hit_times a read-only float64 copy, so `ecdf` and
+    `n_censored` stay those of the sample.  `n_draws` counts the variates
+    the simulation drew: K coarse increments per path and one per
+    refinement word.  Like the hits it is a function of the config alone.
     """
 
     config: McConfig
@@ -174,12 +175,15 @@ class McRun:
     n_draws: int
 
     def __post_init__(self):
-        if len(self.hit_times) > self.config.n_paths:
+        hits = np.array(self.hit_times, dtype=float)
+        hits.flags.writeable = False
+        object.__setattr__(self, "hit_times", hits)
+        if len(hits) > self.config.n_paths:
             raise ValueError("a run has at most one hit per path")
-        if len(self.hit_times) and not (
-            np.all(self.hit_times > 0.0) and np.all(self.hit_times <= self.config.T)
-        ):
+        if len(hits) and not (np.all(hits > 0.0) and np.all(hits <= self.config.T)):
             raise ValueError("hit times must lie in (0, T]")
+        if np.any(np.diff(hits) < 0.0):
+            raise ValueError("hit times must be sorted")
 
     @property
     def n_censored(self) -> int:
@@ -200,11 +204,7 @@ class McRun:
             else {}
         )
         return {
-            "n_paths": self.config.n_paths,
-            "dt": self.config.dt,
-            "T": self.config.T,
-            "seed": self.config.seed,
-            "bridge_correction": self.config.bridge_correction,
+            **asdict(self.config),
             "n_hits": int(len(self.hit_times)),
             "n_censored": self.n_censored,
             "n_draws": int(self.n_draws),
@@ -306,8 +306,7 @@ def _coarse_normals(seed: int, i0: int, i1: int, n: int) -> np.ndarray:
     Path i's are row i % `_STREAM_PATHS` of the legacy `standard_normal`
     draw of stream block i // `_STREAM_PATHS` (module docstring).  A block
     draws only the rows up to the last one needed; a range that spans
-    blocks draws from each and joins the rows.  `np.random` is first
-    touched here, so importing the package does not load it.
+    blocks draws from each and joins the rows.
     """
     parts = []
     for block in range(i0 // _STREAM_PATHS, -(-i1 // _STREAM_PATHS)):
@@ -425,7 +424,7 @@ def _coarse_level(plan: _Plan, seed: int, i0: int, i1: int, r0: float):
     return first, (p, lo[c], hi[c], b[p, c], b[p, c + 1])
 
 
-def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge: bool):
+def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float):
     """First fine crossing index (n + 1 if none) of paths i0..i1-1, and variates drawn.
 
     Paths join the frontier `BLOCK_PATHS` at a time, after their coarse
@@ -444,13 +443,12 @@ def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float, bridge:
             n_draws += (end - row) * n_coarse
             row = end
         if len(front[0]):
-            n_draws += _refine_level(plan, seed, i0, bridge, first, front)
+            n_draws += _refine_level(plan, seed, i0, first, front)
         elif row == len(first):
             return first, n_draws
 
 
-def _refine_level(plan: _Plan, seed: int, i0: int, bridge: bool, first: np.ndarray,
-                  front: list) -> int:
+def _refine_level(plan: _Plan, seed: int, i0: int, first: np.ndarray, front: list) -> int:
     """Split or test every interval of `front` once, lowering `first` at each hit.
 
     Replaces the list `front` in place by the halves that still need
@@ -458,7 +456,7 @@ def _refine_level(plan: _Plan, seed: int, i0: int, bridge: bool, first: np.ndarr
     freed before the words are drawn.
     """
     tg, xg = plan.tgrid, plan.xgrid
-    split, (tp, tk, bound) = _triage(plan, bridge, first, front)
+    split, (tp, tk, bound) = _triage(plan, first, front)
     rows = np.flatnonzero(split)  # five gathers by the mask itself cost ~10% of a far run
     p, lo, hi, blo, bhi = (a[rows] for a in front)
     front.clear()
@@ -482,7 +480,7 @@ def _refine_level(plan: _Plan, seed: int, i0: int, bridge: bool, first: np.ndarr
     return len(x)
 
 
-def _triage(plan: _Plan, bridge: bool, first: np.ndarray, front):
+def _triage(plan: _Plan, first: np.ndarray, front):
     """Which intervals of `front` to split, and the leaves to test.
 
     Drops every interval that starts at or after its path's `first` (a leaf
@@ -495,7 +493,7 @@ def _triage(plan: _Plan, bridge: bool, first: np.ndarray, front):
     d0, d1 = xg[lo] - blo, xg[hi] - bhi
     alive = lo < first[p]
     leaf = hi - lo == 1
-    test = leaf & alive & (d1 > 0.0) & bridge
+    test = leaf & alive & (d1 > 0.0)
     k = lo[test]
     bound = np.exp(-2.0 * d0[test] * d1[test] / (tg[k + 1] - tg[k]))
     sag = plan.sag[(lo + hi) // 2]
@@ -600,13 +598,16 @@ def simulate(
     n_ranges = max(1, min(workers, n_blocks))
     cuts = [min(cfg.n_paths, BLOCK_PATHS * (n_blocks * k // n_ranges))
             for k in range(n_ranges + 1)]
+    # the coarse walk's sampler: loaded once here, not by each helper after
+    # the fork, and not by `import fptkit`
+    import numpy.random  # noqa: F401
 
     def run_range(k, shared):
         # each path's first crossing, then each range's variates drawn
         out = np.frombuffer(shared, dtype=np.int64)
         with np.errstate(over="ignore"):  # gaps past ~1e154 multiply to inf: no split, no hit
             out[cuts[k]:cuts[k + 1]], out[cfg.n_paths + k] = _simulate_range(
-                plan, cfg.seed, cuts[k], cuts[k + 1], src.r0, cfg.bridge_correction)
+                plan, cfg.seed, cuts[k], cuts[k + 1], src.r0)
 
     with _forked(n_ranges - 1, 8 * (cfg.n_paths + n_ranges), run_range) as (shared, finished):
         for k in range(n_ranges):

@@ -277,9 +277,12 @@ class TestSolve:
         (["solve"], {"grid": {"N": 64.5}}),
         (["simulate", "--N", "64"], {"mc": {"n_paths": 64.5}}),
         (["simulate", "--N", "64"], {"mc": {"seed": 64.5}}),
+        # mc.bridge_correction is no config key: the bridge correction is always on
         (["simulate", "--N", "64", "--n-paths", "64"], {"mc": {"bridge_correction": "no"}}),
+        (["simulate", "--N", "64", "--n-paths", "64"], {"mc": {"bridge_correction": False}}),
     ], ids=["not_an_object", "output_null", "directory_int", "N_fraction",
-            "n_paths_fraction", "seed_fraction", "bridge_correction_str"])
+            "n_paths_fraction", "seed_fraction", "bridge_correction_str",
+            "bridge_correction_false"])
     def test_malformed_config_file(self, tmp_path, monkeypatch, capsys, cmd, doc):
         # no --out: the file's own output section is under test, so any
         # stray write would land in the working directory
@@ -693,6 +696,7 @@ DEFECTS = {
     "N_abc": (["solve", "--N", "abc"], {}),
     "boundary_unknown": (["solve", "--boundary", "bogus"], {}),
     "method_unknown": (["solve", "--method", "bogus"], {}),
+    "no_bridge_flag": (["simulate", "--n-paths", "64", "--no-bridge"], {}),
 }
 
 
@@ -926,7 +930,6 @@ TYPED = {
     ("mc", "n_paths"): st.integers(-2, 256),
     ("mc", "dt"): st.floats(1e-3, 1.0),
     ("mc", "seed"): st.integers(-1, 2 ** 64),
-    ("mc", "bridge_correction"): st.booleans(),
     ("output", "directory"): st.text(max_size=8),
 }
 BOUNDED = {("grid", "N"), ("grid", "T"), ("mc", "n_paths"), ("mc", "dt")}
@@ -1060,16 +1063,13 @@ def command_lines(draw):
     the scratch directory."""
     command = draw(st.sampled_from(list(COMMAND_ARGS)))
     flags, always, bounded = {}, set(LATTICE), {"--nx", "--nt"}
-    for path, (kind, default, flag) in fptkit.cli.CONFIG.items():
+    for path, (kind, _, flag) in fptkit.cli.CONFIG.items():
         if flag is None or flag == "--out" or SECTION_COMMANDS.get(path[0], command) != command:
             continue
         flags[flag] = TYPED.get(path, NUMBER)
         if kind is int:
             # a JSON config takes 8.0 for an integer, an integer flag does not
             flags[flag] = flags[flag].map(int)
-        if kind is bool:
-            # a bool key's bare flag sets the opposite of its default
-            flags[flag] = flags[flag].map(lambda v, flip=not default: True if v == flip else None)
         if path in BOUNDED:
             always.add(flag)
             bounded.add(flag)
@@ -1092,9 +1092,7 @@ def command_lines(draw):
             value = draw(flags[flag])
         else:
             value = draw(WORKING.get(flag, flags[flag]))
-        if value is True:
-            argv.append(flag)
-        elif value is not None:
+        if value is not None:
             argv.append(f"{flag}={value}")
     return argv
 

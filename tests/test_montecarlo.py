@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import math
@@ -6,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -173,19 +175,6 @@ class TestSimulate:
             assert np.array_equal(run.hit_times, runs[0].hit_times)
             assert run.n_draws == runs[0].n_draws
 
-    def test_bridge_off_undercounts(self):
-        # discrete monitoring misses crossings; the deficit at dt = 1e-2
-        # far exceeds one binomial sigma
-        n = 20_000
-        on = simulate(POINT, CONST, McConfig(n_paths=n, dt=1e-2, T=1.0, seed=42))
-        off = simulate(
-            POINT, CONST,
-            McConfig(n_paths=n, dt=1e-2, T=1.0, seed=42, bridge_correction=False),
-        )
-        sigma = math.sqrt(TRUE_CDF_1 * (1 - TRUE_CDF_1) / n)
-        assert off.ecdf(1.0) < TRUE_CDF_1 - sigma
-        assert off.ecdf(1.0) < on.ecdf(1.0)
-
     def test_dt_refinement_bias_does_not_grow(self):
         # with the bridge correction the dt = 1e-2 error is already at the
         # noise floor; refining dt must not push it out beyond 2 sigma
@@ -261,9 +250,8 @@ def _fine_scheme_hits(src, curve, cfg):
 
     gap = x - b
     crossed = gap[:, 1:] <= 0.0
-    if cfg.bridge_correction:
-        arg = np.minimum(-2.0 * gap[:, :-1] * gap[:, 1:] / np.diff(t), 0.0)
-        crossed |= u[:, n + 1:2 * n + 1] < np.exp(arg)
+    arg = np.minimum(-2.0 * gap[:, :-1] * gap[:, 1:] / np.diff(t), 0.0)
+    crossed |= u[:, n + 1:2 * n + 1] < np.exp(arg)
     hit = crossed.any(axis=1)
     return np.sort(t[np.argmax(crossed, axis=1)[hit] + 1])
 
@@ -279,12 +267,12 @@ class TestRefinement:
         # a dip three fine steps wide inside one coarse interval: only its
         # sag below the chord makes that interval refine
         BoundaryCurve.sampled([0.0, 0.395, 0.3964, 0.3978, 1.2], [1.0, 1.0, 0.1, 1.0, 1.0]),
-    ], ids=["constant", "linear", "power", "power-convex", "sampled-dip"])
-    @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "no-bridge"])
-    def test_matches_full_fine_paths(self, curve, bridge):
+    ], ids=["bridge-constant", "bridge-linear", "bridge-power", "bridge-power-convex",
+            "bridge-sampled-dip"])  # "bridge": the scheme has the bridge correction
+    def test_matches_full_fine_paths(self, curve):
         # dt = 0.0014: n = 715 steps, a short last step and a 3-step last
         # coarse interval, so the tree is ragged
-        cfg = McConfig(n_paths=200, dt=0.0014, T=1.0, seed=7, bridge_correction=bridge)
+        cfg = McConfig(n_paths=200, dt=0.0014, T=1.0, seed=7)
         run = simulate(POINT, curve, cfg)
         expected = _fine_scheme_hits(POINT, curve, cfg)
         assert len(expected) > 20
@@ -437,10 +425,10 @@ class TestCoarseNormals:
 class TestSchedule:
     """How paths are spread over blocks, frontier and workers cannot change results."""
 
-    @pytest.mark.parametrize("bridge", [True, False], ids=["bridge", "no-bridge"])
-    def test_hits_and_draws_do_not_depend_on_schedule(self, monkeypatch, bridge):
-        curve = BoundaryCurve.linear(1.0, 0.5)
-        cfg = McConfig(n_paths=1000, dt=1e-3, T=1.0, seed=13, bridge_correction=bridge)
+    # "bridge": the scheme has the bridge correction
+    @pytest.mark.parametrize("curve", [BoundaryCurve.linear(1.0, 0.5)], ids=["bridge"])
+    def test_hits_and_draws_do_not_depend_on_schedule(self, monkeypatch, curve):
+        cfg = McConfig(n_paths=1000, dt=1e-3, T=1.0, seed=13)
         ref = simulate(POINT, curve, cfg)
         assert 100 < len(ref.hit_times) < 900
         for block in (7, montecarlo.BLOCK_PATHS):
@@ -585,6 +573,36 @@ class TestHelpers:
         assert self.results(4) == serial
         assert forks == []
 
+    def test_helpers_inherit_numpy_random(self, tmp_path):
+        # in a fresh process, simulate loads numpy.random before it forks, so
+        # no helper imports it again (12-23 ms and private pages each)
+        script = """
+import os, sys
+from fptkit import BoundaryCurve, McConfig, SourceSpec, montecarlo, simulate
+work, caller = montecarlo._simulate_range, os.getpid()
+
+def patched(*args):
+    if os.getpid() != caller:
+        with open(sys.argv[1], "a") as fh:
+            fh.write(f"{'numpy.random' in sys.modules}\\n")
+    return work(*args)
+
+montecarlo._simulate_range = patched
+loaded = "numpy.random" in sys.modules
+simulate(SourceSpec.point(0.0), BoundaryCurve.linear(1.0, 0.5),
+         McConfig(n_paths=3 * montecarlo.BLOCK_PATHS, dt=1e-3, T=1.0, seed=3), workers=3)
+print(loaded)
+"""
+        src_dir = str(Path(montecarlo.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+        log = tmp_path / "helpers.txt"
+        proc = subprocess.run([sys.executable, "-c", script, str(log)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+        assert log.read_text() == "True\nTrue\n"
+
 
 class TestKsDistance:
     def test_degenerate_self_test(self, base_run):
@@ -657,3 +675,31 @@ class TestSerialization:
         s = base_run.summary()
         assert s["n_hits"] + s["n_censored"] == s["n_paths"]
         assert 0.0 <= s["ecdf_at_horizon"] <= 1.0
+        assert {f.name: s[f.name] for f in dataclasses.fields(McConfig)} == dataclasses.asdict(
+            base_run.config)
+
+
+class TestRun:
+    """`McRun` holds a sorted, read-only copy of its hit times."""
+
+    CFG = McConfig(n_paths=4, dt=0.1, T=1.0, seed=0)
+
+    def test_rejects_unsorted_hits(self):
+        with pytest.raises(ValueError, match="sorted"):
+            McRun(config=self.CFG, hit_times=[0.9, 0.2, 0.5], n_draws=0)
+
+    def test_hits_cannot_change_after_construction(self):
+        hits = np.array([0.2, 0.5, 0.9])
+        run = McRun(config=self.CFG, hit_times=hits, n_draws=0)
+        hits[:] = 0.1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.hit_times = np.arange(10.0)
+        with pytest.raises(ValueError, match="read-only"):
+            run.hit_times[0] = 0.6
+        assert run.ecdf(0.6) == 0.5
+        assert run.n_censored == 1
+
+    def test_hits_are_float64(self):
+        run = McRun(config=self.CFG, hit_times=[1], n_draws=0)
+        assert run.hit_times.dtype == np.float64
+        assert run.summary()["hit_time_quantiles"]["0.5"] == 1.0
