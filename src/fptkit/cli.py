@@ -79,7 +79,7 @@ class ValidationFailed(RuntimeError):
 
 
 #: Every config key: its path in the config document, its type, its default
-#: and the flag that overrides it (None: file only).
+#: and the flag that overrides it.
 CONFIG = {
     ("boundary", "kind"): (str, "linear", "--boundary"),
     ("boundary", "a"): (float, 1.0, "--a"),
@@ -370,6 +370,8 @@ def cmd_green(cfg: dict, x_range, t_range, resolution) -> None:
         )
     if not (-np.inf < x_lo <= x_hi < np.inf and nx >= 1 and nt >= 1):
         raise ConfigError("green lattice needs finite x_min <= x_max and nx, nt >= 1")
+    if nx * nt >= np.iinfo(np.intp).max // 8:  # beyond any float64 array
+        raise MemoryError(f"a green lattice of nx * nt = {nx} * {nt} values")
     out = _outdir(cfg)
     est = solve_marching(src, curve, grid)
     fld = GreenField(curve=curve, src=src, density=est)
@@ -402,7 +404,7 @@ def make_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(command, help=text)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         for path, (kind, default, flag) in CONFIG.items():
-            if flag is None or command not in _FLAG_COMMANDS.get(path[0], _COMMANDS):
+            if command not in _FLAG_COMMANDS.get(path[0], _COMMANDS):
                 continue
             p.add_argument(flag, dest=".".join(path), type=kind,
                            help=f"{kind.__name__}, default {json.dumps(default)}")

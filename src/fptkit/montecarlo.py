@@ -58,21 +58,23 @@ or `n_draws`.
 
 Reproducibility is a hard contract.  Path i draws from two streams, both
 functions of (seed, i) alone.  Its K coarse increments Z_j are row
-i % 256 of
+i % 256 of its block's
 
     RandomState(PCG64(SeedSequence([seed, i // 256]))).standard_normal((rows, K)),
 
-NumPy's legacy sampler (a polar Box-Muller in C, no trigonometry) on the
-PCG64 stream.  NEP 19 freezes both, so the rows are the same across NumPy
-releases.  The draw fills rows in order, so row r does not depend on how
-many rows are drawn: a walk draws the rows it needs of each stream block of
-256 paths (`_STREAM_PATHS`, not `BLOCK_PATHS`), which with the default
-schedule is one whole block.  Every refinement number is a fixed 64-bit
-word of a counter-addressed stream (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC'11): word j is half h = j % 2 of block
-j // 2 of Philox4x32-10, keyed by the seed's 32-bit halves (lo, hi) at
-counter (block lo, block hi, i lo, i hi), and reads (lane 2h+1 << 32) |
-lane 2h.  Each block is computed on its own, so words are drawn in any
+256 being `BLOCK_PATHS` and rows the block's paths (fewer in a partial
+last block), drawn by the block's coarse walk.  That is NumPy's legacy
+sampler (a polar Box-Muller in C, no trigonometry) on the PCG64 stream.
+NEP 19 freezes both, so the rows are the same across NumPy releases.  The
+draw fills rows in order, so row r does not depend on how many rows are
+drawn, and a partial last block holds the rows a full one would.
+
+Every refinement number is a fixed 64-bit word of a counter-addressed
+stream (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11): word j is half h = j % 2 of Philox block j // 2 of
+Philox4x32-10, keyed by the seed's 32-bit halves (lo, hi) at counter
+(block lo, block hi, i lo, i hi), and reads (lane 2h+1 << 32) | lane 2h.
+Each Philox block is computed on its own, so words are drawn in any
 order:
 
 * word m: the midpoint normal of fine node m;
@@ -87,8 +89,8 @@ w_even, w_odd:
 and word j's normal is R cos(θ - (j % 2) π/2), R sin θ up to rounding
 for an odd j.  It reads its partner word too, whatever draws it, so its
 bits do not depend on the other words of the call.  A path is a pure
-function of (seed, i), whatever the refinement order, block size,
-frontier size or worker count.
+function of (seed, i), whatever the refinement order, frontier size or
+worker count.
 """
 
 from __future__ import annotations
@@ -107,8 +109,9 @@ import numpy as np
 from .boundary import BoundaryCurve
 from .solver import DensityEstimate, SourceSpec, check_problem, sorted_union, write_csv, write_json
 
-#: paths per coarse walk: bounds the walk's working set and is the step in
-#: which paths join the refinement frontier (results do not depend on it)
+#: paths per block: one stream block of the coarse increments, one coarse
+#: walk (which bounds its working set) and the step in which paths join the
+#: refinement frontier; part of the stream's definition (module docstring)
 BLOCK_PATHS = 256
 
 #: pending intervals at which the refinement frontier stops admitting walked
@@ -116,10 +119,6 @@ BLOCK_PATHS = 256
 #: per-call cost; splitting can grow the frontier past it (results do not
 #: depend on it)
 FRONTIER_INTERVALS = 4096
-
-#: paths per stream block of the coarse increments: part of the stream's
-#: definition (module docstring), unlike BLOCK_PATHS
-_STREAM_PATHS = 256
 
 #: an interval is refined while exp(-2 e0 e1 / Δ) > 2^-53, i.e. while
 #: e0 e1 < _HALF_LOG_INV_EPS * Δ
@@ -300,23 +299,6 @@ def _variates(seed: int, path: np.ndarray, word: np.ndarray, n_uniform: int) -> 
     return x
 
 
-def _coarse_normals(seed: int, i0: int, i1: int, n: int) -> np.ndarray:
-    """The coarse increments Z_0..Z_{n-1} of paths i0..i1-1, one row per path.
-
-    Path i's are row i % `_STREAM_PATHS` of the legacy `standard_normal`
-    draw of stream block i // `_STREAM_PATHS` (module docstring).  A block
-    draws only the rows up to the last one needed; a range that spans
-    blocks draws from each and joins the rows.
-    """
-    parts = []
-    for block in range(i0 // _STREAM_PATHS, -(-i1 // _STREAM_PATHS)):
-        base = block * _STREAM_PATHS
-        rng = np.random.RandomState(np.random.PCG64(np.random.SeedSequence([seed, block])))
-        z = rng.standard_normal((min(i1, base + _STREAM_PATHS) - base, n))
-        parts.append(z[max(i0 - base, 0):])
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-
 # ---------------------------------------------------------------------------
 # refinement tree
 # ---------------------------------------------------------------------------
@@ -392,18 +374,22 @@ def _must_split(e0, e1, span):
     return split
 
 
-def _coarse_level(plan: _Plan, seed: int, i0: int, i1: int, r0: float):
-    """First crossed coarse node of paths i0..i1-1 (n + 1 if none), and their busy intervals.
+def _coarse_level(plan: _Plan, seed: int, block: int, rows: int, r0: float):
+    """First crossed coarse node of the `rows` paths of block `block` (n + 1
+    if none), and their busy intervals.
 
-    Busy intervals are those that may hold the first crossing, returned as
-    (path row, fine nodes lo < hi, B at both ends).  The walk works in the
-    buffers it allocates: the normals become the scaled increments, and the
-    gap to the boundary becomes e1 of `_must_split`.
+    The block's coarse increments are one legacy `standard_normal` draw
+    (module docstring).  Busy intervals are those that may hold the first
+    crossing, returned as (path row, fine nodes lo < hi, B at both ends).
+    The walk works in the buffers it allocates: the normals become the
+    scaled increments, and the gap to the boundary becomes e1 of
+    `_must_split`.
     """
     tg, xg, coarse = plan.tgrid, plan.xgrid, plan.coarse
-    z = _coarse_normals(seed, i0, i1, len(coarse) - 1)
+    rng = np.random.RandomState(np.random.PCG64(np.random.SeedSequence([seed, block])))
+    z = rng.standard_normal((rows, len(coarse) - 1))
     z *= np.sqrt(np.diff(tg[coarse]))
-    b = np.empty((i1 - i0, len(coarse)))
+    b = np.empty((rows, len(coarse)))
     b[:, 0] = r0
     np.cumsum(z, axis=1, out=b[:, 1:])
     b[:, 1:] += r0
@@ -427,9 +413,10 @@ def _coarse_level(plan: _Plan, seed: int, i0: int, i1: int, r0: float):
 def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float):
     """First fine crossing index (n + 1 if none) of paths i0..i1-1, and variates drawn.
 
-    Paths join the frontier `BLOCK_PATHS` at a time, after their coarse
-    walk, until it holds `FRONTIER_INTERVALS` intervals (see the module
-    docstring); each step refines the whole frontier one level.
+    i0 starts a block.  Paths join the frontier `BLOCK_PATHS` at a time,
+    after their block's coarse walk, until it holds `FRONTIER_INTERVALS`
+    intervals (see the module docstring); each step refines the whole
+    frontier one level.
     """
     n_coarse = len(plan.coarse) - 1
     first = np.empty(i1 - i0, dtype=np.intp)
@@ -438,7 +425,8 @@ def _simulate_range(plan: _Plan, seed: int, i0: int, i1: int, r0: float):
     while True:
         while row < len(first) and len(front[0]) < FRONTIER_INTERVALS:
             end = min(row + BLOCK_PATHS, len(first))
-            first[row:end], (p, *ends) = _coarse_level(plan, seed, i0 + row, i0 + end, r0)
+            first[row:end], (p, *ends) = _coarse_level(
+                plan, seed, (i0 + row) // BLOCK_PATHS, end - row, r0)
             front = [np.concatenate(pair) for pair in zip(front, (p + row, *ends))]
             n_draws += (end - row) * n_coarse
             row = end
@@ -532,12 +520,13 @@ def _forked(helpers, nbytes, work):
     whether it set its byte, so a helper that died or was never started
     (none is without `os.fork`) reads False.  Every helper not yet reaped is
     killed and reaped when the block ends, however it ends.  Memory that
-    cannot be mapped raises MemoryError.
+    cannot be mapped, or whose size passes ssize_t, raises MemoryError.
     """
     try:
         region = mmap.mmap(-1, nbytes + helpers + 1)  # then a done byte per k = 0..helpers
-    except OSError as exc:
-        raise MemoryError(f"cannot map {nbytes} bytes of shared memory ({exc.strerror})") from None
+    except (OSError, OverflowError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise MemoryError(f"cannot map {nbytes} bytes of shared memory ({reason})") from None
     shared = memoryview(region)[:nbytes]
     pids = {}
 

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -451,6 +452,31 @@ class TestSimulate:
                         "invalid configuration: the run does not fit in memory")
         assert not (tmp_path / "hits.csv").exists()
 
+    @pytest.mark.parametrize("args, doc", [
+        (["--n-paths", str(2 ** 63 - 1)], None),
+        ([], {"mc": {"n_paths": 1e300}}),
+    ], ids=["flag", "config_file"])
+    def test_paths_beyond_any_map_exit_2(self, tmp_path, capsys, forks, args, doc):
+        # 8 bytes a path pass ssize_t: the shared map fails before any walk
+        # or fork, with nothing allocated but the plan
+        if doc is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(doc))
+            args = ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = run(["simulate", "--boundary", "constant", "--a", "1", "--T", "1",
+                        *args, "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert_one_line(capsys.readouterr().err,
+                        "invalid configuration: the run does not fit in memory")
+        assert peak < 2 ** 20
+        assert not forks
+        assert not any(out.iterdir())
+
 
 class TestValidate:
     def test_unknown_suite(self, tmp_path, capsys):
@@ -697,6 +723,10 @@ DEFECTS = {
     "boundary_unknown": (["solve", "--boundary", "bogus"], {}),
     "method_unknown": (["solve", "--method", "bogus"], {}),
     "no_bridge_flag": (["simulate", "--n-paths", "64", "--no-bridge"], {}),
+    # nx * nt float64 values that no array can index
+    **{f"green_lattice_{nx}x{nt}": (["green", "--x-min", "-1", "--x-max", "0.5", "--t-min", "0.1",
+                                     "--t-max", "1", "--nx", str(nx), "--nt", str(nt)], {})
+       for nx, nt in ((2 ** 63 - 1, 1), (2 ** 62, 4), (10 ** 20, 1))},
 }
 
 
@@ -1064,7 +1094,7 @@ def command_lines(draw):
     command = draw(st.sampled_from(list(COMMAND_ARGS)))
     flags, always, bounded = {}, set(LATTICE), {"--nx", "--nt"}
     for path, (kind, _, flag) in fptkit.cli.CONFIG.items():
-        if flag is None or flag == "--out" or SECTION_COMMANDS.get(path[0], command) != command:
+        if flag == "--out" or SECTION_COMMANDS.get(path[0], command) != command:
             continue
         flags[flag] = TYPED.get(path, NUMBER)
         if kind is int:

@@ -393,24 +393,13 @@ def assert_standard_normal(z):
 
 class TestCoarseNormals:
     """The coarse increments: NumPy's legacy standard_normal on PCG64, one
-    stream block per 256 paths."""
-
-    def test_rows_do_not_depend_on_the_range_drawn(self):
-        # paths 250..261 span stream blocks 0 and 1: one call, one call per
-        # block, one per path, and the stream's definition agree
-        whole = montecarlo._coarse_normals(11, 250, 262, 37)
-        by_block = np.concatenate([montecarlo._coarse_normals(11, 250, 256, 37),
-                                   montecarlo._coarse_normals(11, 256, 262, 37)])
-        by_path = np.concatenate([montecarlo._coarse_normals(11, i, i + 1, 37)
-                                  for i in range(250, 262)])
-        assert whole.shape == (12, 37)
-        for got in (by_block, by_path, _coarse_increments(11, 262, 37)[250:]):
-            assert got.tobytes() == whole.tobytes()
+    stream block per 256 paths (`_coarse_increments`), to which
+    `TestRefinement` pins `simulate`."""
 
     @staticmethod
     def normals():
         """The 2^8 coarse normals of each of paths [0, 2^12): 16 stream blocks."""
-        return montecarlo._coarse_normals(20261018, 0, 2 ** 12, 2 ** 8)
+        return _coarse_increments(20261018, 2 ** 12, 2 ** 8)
 
     def test_neighbouring_paths_and_blocks_are_uncorrelated(self):
         # paths i, i + 1, and the same row of stream blocks b, b + 1 (paths i, i + 256)
@@ -423,7 +412,7 @@ class TestCoarseNormals:
 
 
 class TestSchedule:
-    """How paths are spread over blocks, frontier and workers cannot change results."""
+    """How blocks are spread over the frontier and the workers cannot change results."""
 
     # "bridge": the scheme has the bridge correction
     @pytest.mark.parametrize("curve", [BoundaryCurve.linear(1.0, 0.5)], ids=["bridge"])
@@ -431,14 +420,12 @@ class TestSchedule:
         cfg = McConfig(n_paths=1000, dt=1e-3, T=1.0, seed=13)
         ref = simulate(POINT, curve, cfg)
         assert 100 < len(ref.hit_times) < 900
-        for block in (7, montecarlo.BLOCK_PATHS):
-            for frontier in (1, 10 ** 6):
-                monkeypatch.setattr(montecarlo, "BLOCK_PATHS", block)
-                monkeypatch.setattr(montecarlo, "FRONTIER_INTERVALS", frontier)
-                for workers in (1, 3):
-                    run = simulate(POINT, curve, cfg, workers=workers)
-                    assert run.hit_times.tobytes() == ref.hit_times.tobytes()
-                    assert run.n_draws == ref.n_draws
+        for frontier in (1, 10 ** 6):
+            monkeypatch.setattr(montecarlo, "FRONTIER_INTERVALS", frontier)
+            for workers in (1, 3):
+                run = simulate(POINT, curve, cfg, workers=workers)
+                assert run.hit_times.tobytes() == ref.hit_times.tobytes()
+                assert run.n_draws == ref.n_draws
 
     @pytest.mark.parametrize("curve, r0", [
         (BoundaryCurve.linear(1.0, 0.5), 0.0),
