@@ -278,9 +278,10 @@ def cmd_simulate(cfg: dict) -> None:
         mc_cfg = McConfig(T=grid.T, **cfg["mc"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    out = _outdir(cfg)
-    est = _solved_density(out, curve, src, grid.T)
+    # the directory is made only once there is a run to write into it
+    est = _solved_density(Path(cfg["output"]["directory"]), curve, src, grid.T)
     run = simulate(src, curve, mc_cfg, workers=cpu_workers())
+    out = _outdir(cfg)
     with _artifacts(out) as path:
         run.hits_to_csv(path("hits.csv"))
         run.to_json(path("mc.json"))

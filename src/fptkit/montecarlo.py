@@ -56,6 +56,14 @@ always share one tree level, its drop rule reads only its own earliest
 crossing, and paths never interact, so the schedule cannot change the hits
 or `n_draws`.
 
+Memory.  Each refinement level frees a few MB of arrays, which glibc by
+default returns to the kernel for the next level to fault in again.  So
+`simulate` sets one allocator policy per process before it builds the plan
+and forks (`_keep_freed_heap`, through mallopt(3)): from the first call on,
+arrays under 32 MiB come from the heap, and up to 64 MiB of freed heap is
+kept.  The policy is process-wide, the helpers inherit it, and no result
+changes; where the C library has no `mallopt` nothing is set.
+
 Reproducibility is a hard contract.  Path i draws from two streams, both
 functions of (seed, i) alone.  Its K coarse increments Z_j are row
 i % 256 of its block's
@@ -490,6 +498,28 @@ def _triage(plan: _Plan, first: np.ndarray, front):
     return ~leaf & alive & _must_split(d0, d1, tg[hi] - tg[lo]), (p[test], k, bound)
 
 
+def _keep_freed_heap() -> None:
+    """Keep the arrays a refinement level frees in this process's heap.
+
+    By default glibc returns them to the kernel (heap-top trim, or munmap
+    of a mapped block), and the next level faults them in again page by
+    page.  Arrays under 32 MiB now come from the heap, and up to 64 MiB of
+    freed heap is kept: the ceilings of glibc's own dynamic thresholds on
+    64-bit builds.  Both are set, because setting either freezes the other
+    where it stands (the mmap threshold starts at 128 KiB, where a 1 MiB
+    array costs 257 faults each time).  Process-wide and idempotent; does
+    nothing where the C library has no `mallopt`.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no mallopt, or no dlopen(NULL)
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def cpu_workers() -> int:
     """Processes a parallel stage may use: at most 4, at most the CPUs in this
     process's affinity mask, and at most the FPT_THREADS environment variable.
@@ -511,6 +541,17 @@ def cpu_workers() -> int:
         return default
 
 
+def _bytes(n: int) -> str:
+    """A byte count in at most 15 digits, and as "1.23e+301 bytes" past that;
+    integer arithmetic, so no count is too large to print."""
+    if n < 10 ** 15:
+        return f"{n} bytes"
+    e = int(math.log10(n))
+    e += (10 ** (e + 1) <= n) - (10 ** e > n)  # log10 of a large n may round either way
+    lead = n // 10 ** (e - 2)  # the 3 leading digits
+    return f"{lead // 100}.{lead % 100:02d}e+{e} bytes"
+
+
 @contextlib.contextmanager
 def _forked(helpers, nbytes, work):
     """Up to `helpers` forked processes sharing `nbytes` of anonymous memory.
@@ -526,7 +567,7 @@ def _forked(helpers, nbytes, work):
         region = mmap.mmap(-1, nbytes + helpers + 1)  # then a done byte per k = 0..helpers
     except (OSError, OverflowError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc
-        raise MemoryError(f"cannot map {nbytes} bytes of shared memory ({reason})") from None
+        raise MemoryError(f"cannot map {_bytes(nbytes)} of shared memory ({reason})") from None
     shared = memoryview(region)[:nbytes]
     pids = {}
 
@@ -576,11 +617,16 @@ def simulate(
     byte-identical for any `workers`.  Each worker refines one contiguous
     range of whole `BLOCK_PATHS` blocks: this process the first, and a
     `_forked` helper each other one, unless it dies or cannot be forked.
+
+    The first call sets this process's allocator policy (module docstring):
+    from then on arrays under 32 MiB come from the heap and up to 64 MiB of
+    freed heap is kept, in this process and in the helpers it forks.
     """
     if src.kind != "point":
         raise ValueError("Monte Carlo oracle simulates point sources only")
     check_problem(src, curve, cfg.T)
 
+    _keep_freed_heap()
     tgrid = _time_axis(cfg)
     plan = _Plan.build(tgrid, np.asarray(curve.value(tgrid), dtype=float))
     n_blocks = -(-cfg.n_paths // BLOCK_PATHS)

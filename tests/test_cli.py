@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import fptkit.cli
 import fptkit.solver
-from fptkit import DensityEstimate, TimeGrid
+from fptkit import DensityEstimate, TimeGrid, simulate
 from fptkit.cli import main
 
 LINEAR_ARGS = [
@@ -446,19 +446,22 @@ class TestSimulate:
     @pytest.mark.parametrize("dt", ["1e-30", "5e-324"])
     def test_time_axis_too_long_exits_2(self, tmp_path, capsys, dt):
         # T/dt steps do not fit in any array, or T/dt is inf
-        code = run([*self.SIM, "--dt", dt, "--out", str(tmp_path)])
+        out = tmp_path / "out"
+        code = run([*self.SIM, "--dt", dt, "--out", str(out)])
         assert code == 2
         assert_one_line(capsys.readouterr().err,
                         "invalid configuration: the run does not fit in memory")
-        assert not (tmp_path / "hits.csv").exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("args, doc", [
         (["--n-paths", str(2 ** 63 - 1)], None),
         ([], {"mc": {"n_paths": 1e300}}),
-    ], ids=["flag", "config_file"])
+        ([], {"mc": {"n_paths": 10 ** 399}}),
+    ], ids=["flag", "config_file", "config_file_400_digits"])
     def test_paths_beyond_any_map_exit_2(self, tmp_path, capsys, forks, args, doc):
         # 8 bytes a path pass ssize_t: the shared map fails before any walk
-        # or fork, with nothing allocated but the plan
+        # or fork, with nothing allocated but the plan, and its one line
+        # gives the byte count in a few digits
         if doc is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(doc))
             args = ["--config", str(tmp_path / "cfg.json")]
@@ -471,11 +474,25 @@ class TestSimulate:
         finally:
             tracemalloc.stop()
         assert code == 2
-        assert_one_line(capsys.readouterr().err,
-                        "invalid configuration: the run does not fit in memory")
+        err = capsys.readouterr().err
+        assert_one_line(err, "invalid configuration: the run does not fit in memory")
+        assert len(err) <= 200
         assert peak < 2 ** 20
         assert not forks
-        assert not any(out.iterdir())
+        assert not out.exists()
+
+    def test_output_directory_is_made_after_the_run(self, tmp_path, monkeypatch):
+        # a run that fails makes no directory; one that succeeds makes it
+        out, made = tmp_path / "a" / "b", []
+
+        def spy(*args, **kwargs):
+            made.append(out.exists())
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(fptkit.cli, "simulate", spy)
+        assert run([*self.SIM, "--out", str(out)]) == 0
+        assert made == [False]
+        assert (out / "hits.csv").exists()
 
 
 class TestValidate:

@@ -210,6 +210,38 @@ class TestSimulate:
             simulate(SourceSpec.uniform_bump(0.0, 0.1), CONST, cfg)
 
 
+def _has_mallopt():
+    if not sys.platform.startswith("linux"):
+        return False
+    import ctypes
+
+    return hasattr(ctypes.CDLL(None), "mallopt")
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs Linux and a C library with mallopt")
+def test_second_call_reuses_the_heap():
+    # a fresh process, so no earlier test has set the allocator policy: the
+    # arrays the first call freed serve the second without page faults
+    # (2,700-3,400 faults in that call when glibc trims its heap)
+    script = """
+import resource
+from fptkit import BoundaryCurve, McConfig, SourceSpec, simulate
+args = (SourceSpec.point(0.0), BoundaryCurve.linear(1.0, 0.5),
+        McConfig(n_paths=2048, dt=1e-4, T=1.0, seed=5))
+simulate(*args)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+simulate(*args)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    src_dir = str(Path(montecarlo.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 500
+
+
 def _fine_scheme_hits(src, curve, cfg):
     """Hit times of the fine scheme on full paths, one fine node at a time.
 
