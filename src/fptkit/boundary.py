@@ -174,6 +174,22 @@ class BoundaryCurve:
             out = self.b * self.theta * ts ** (self.theta - 1.0)
         return out if out.ndim else float(out)
 
+    def affine_on(self, t0, t1):
+        """Whether X is affine on each [t0, t1], t0 < t1; scalars or arrays.
+
+        Read from the family, not from values: always for `constant` and
+        `linear` curves and for `power` curves with theta = 1 or b = 0, on
+        a `sampled` curve where no knot lies strictly inside (t0, t1), and
+        never on any other `power` curve.
+        """
+        t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+        if self.kind == "sampled":
+            knots = self.knots_t
+            out = np.searchsorted(knots, t1, "left") <= np.searchsorted(knots, t0, "right")
+        else:
+            out = np.full(t0.shape, self.theta == 1.0 or self.b == 0.0)
+        return out if out.ndim else bool(out)
+
 
 def estimate_holder(curve: BoundaryCurve, interval, levels: int = 12) -> HolderEstimate:
     """Conservative scan of the Hölder-gamma difference quotient, a diagnostic.

@@ -16,42 +16,65 @@ bridge refinement:
 * Coarse grid: every 2^k-th fine node plus the last, with
   k = max(0, floor(log2 n) - 6), so K = 64-128 coarse intervals (fewer for
   short runs).  Coarse node values are r0 + cumsum(sqrt(Δt_j) Z_j).
-* An interval [i0, i1] of fine indices is split at m = (i0 + i1) // 2 by
+* An interval [i0, i1] of fine indices is straight when it is one step
+  long or X is affine on it, so that the interpolant of X at its fine
+  nodes is one line.  That is read from the curve's family
+  (`BoundaryCurve.affine_on`): every interval of a constant or linear
+  curve, or of a power curve with θ = 1 or b = 0; on a sampled curve, one
+  with no knot strictly inside; on any other power curve, none longer than
+  one step.
+* An interval is busy while a bound on the fine scheme's crossing
+  probability inside it exceeds 2^-53.  The fine scheme crosses iff a
+  Brownian bridge crosses the piecewise-linear interpolant of X at the fine
+  nodes, which lies above chord - δ, δ = max over the interval's fine nodes
+  of (chord - X)+ (0 on a straight interval).  Hence P(cross) <=
+  exp(-2 (d_0 - δ)(d_1 - δ)/Δ), or 1 when d_0 <= δ or d_1 <= δ: exact on a
+  straight interval and conservative on any other.  δ does not depend on
+  the path; it is tabulated once per call, by midpoint, for the intervals
+  that are not straight (`_Plan`).
+* A busy interval that is not straight is split at m = (i0 + i1) // 2 by
   the Lévy midpoint  B_m = B_0 + w (B_1 - B_0) + s Z_m,  with
   w = (t_m - t_0)/Δ and s = sqrt((t_m - t_0)(t_1 - t_m)/Δ), Δ = t_1 - t_0,
   at the real node times (the last fine step may be short).
-* It is split only while a bound on the fine scheme's crossing probability
-  inside it exceeds 2^-53.  The fine scheme crosses iff a Brownian bridge
-  crosses the piecewise-linear interpolant of X at the fine nodes, which
-  lies above chord - δ, δ = max over the interval's fine nodes of
-  (chord - X)+.  Hence P(cross) <= exp(-2 (d_0 - δ)(d_1 - δ)/Δ), or 1 when
-  d_0 <= δ or d_1 <= δ: exact for constant and linear boundaries and
-  conservative for any other curve.  δ does not depend on the path; it is
-  tabulated once per call, by midpoint (`_Plan`).
-* A one-step interval (leaf) applies the fine scheme's substep test.
-* Intervals that start at or after a path's earliest known crossed node
-  are dropped (by `_triage`, and by the coarse walk): they cannot hold the
-  first crossing.
+* A straight interval, busy or one step long, is not split.  It takes the
+  fine scheme's substep test over its whole span, which is exact against a
+  line at any length: it crosses iff B_1 >= X_1 or u < exp(-2 d_0 d_1/Δ).
+  A one-step interval is the fine scheme's substep, and a crossed one hits
+  at its end.  A longer one hits at the end of the fine substep that holds
+  the bridge's first-passage time τ = t_0 + Δ r/(1 + r), r inverse
+  Gaussian with mean d_0/|d_1| and shape d_0²/Δ given the crossing (Lévy
+  when d_1 = 0; `_passage_fraction`).  τ is drawn only for the earliest
+  interval that crosses among a path's intervals at one level, the only
+  one that can hold its first crossing.
+* Intervals that start at or after a path's earliest known crossing are
+  dropped (by `_triage`, and by the coarse walk): they cannot hold it.
 
-Every skipped interval changes the result with probability at most 2^-53,
-so the hits equal those of the full fine path built by Lévy construction
-at every node.  A path far from the boundary costs about K draws instead
-of 2n.
+An interval that is not busy is neither split nor tested, which changes
+the result with probability at most 2^-53.  So where no interval longer
+than one step is straight (other power curves, a sampled curve with a knot
+at every fine node, and any run with T/dt < 128, whose coarse grid is the
+fine one), the hits equal those of the full fine path built by Lévy
+construction at every node from the same words.  Elsewhere they follow the
+fine scheme's law, since the test and τ are exact against a line, but not
+its paths sample for sample: the nodes inside a straight interval are never
+drawn.  Hits stay on the fine grid either way, so dt keeps its meaning.  A
+path far from the boundary costs about K draws instead of 2n.
 
 Schedule.  Each worker takes one contiguous range of paths, the calling
 process the first and a `_forked` helper, which inherits the plan by fork
 (it is never pickled), each other one.  Paths are independent, so a helper
 only marks its range done; the calling process runs any range left unmarked
 (every one without `os.fork`).  Within a range one loop refines a frontier:
-every step takes each pending interval of every admitted path one tree
-level down, with one Philox call for all of them.  Paths are walked on the
+every step splits or tests each pending interval of every admitted path,
+with one Philox call for all of them (and one more for the first-passage
+times of the paths that crossed).  Paths are walked on the
 coarse grid `BLOCK_PATHS` at a time, which bounds the walk's working set,
 and walked blocks join the frontier until it holds `FRONTIER_INTERVALS`
 pending intervals.  That keeps each Philox call a few thousand words long,
 where numpy's per-call cost no longer dominates.  Admission stops at that
 bound, but nothing caps the frontier: the last block admitted and splitting
-grow it past the bound (to 24,592 intervals for 8192 paths started 0.1
-below a constant boundary, dt = 1e-4, seed 5).  A path's pending intervals
+grow it past the bound (to 23,570 intervals for 8192 paths started 0.1
+below X = 1 + 0.5 t^0.75, dt = 1e-4, seed 5).  A path's pending intervals
 always share one tree level, its drop rule reads only its own earliest
 crossing, and paths never interact, so the schedule cannot change the hits
 or `n_draws`.
@@ -86,7 +109,14 @@ Each Philox block is computed on its own, so words are drawn in any
 order:
 
 * word m: the midpoint normal of fine node m;
-* word n + 1 + k: the bridge uniform u_k of substep k.
+* word n + 1 + k: the bridge uniform u of the straight interval that starts
+  at node k (for a one-step one, u_k of substep k);
+* words 2n + 2 + 4k and 2n + 4 + 4k, the even words of blocks n + 1 + 2k
+  and n + 2 + 2k: the normal and the uniform that draw the first-passage
+  time of the crossed straight interval that starts at node k.
+
+A path tests at most one straight interval per start node, so no word is
+read twice.  Word 2n + 1 is left unused.
 
 A uniform is (w >> 11) 2^-53.  A normal is the Box-Muller transform (Box
 and Muller, Ann. Math. Statist. 29, 1958) of its block's two words
@@ -174,7 +204,8 @@ class McRun:
     Frozen, with hit_times a read-only float64 copy, so `ecdf` and
     `n_censored` stay those of the sample.  `n_draws` counts the variates
     the simulation drew: K coarse increments per path and one per
-    refinement word.  Like the hits it is a function of the config alone.
+    refinement word, so two per first-passage time drawn inside a straight
+    interval.  Like the hits it is a function of the config alone.
     """
 
     config: McConfig
@@ -316,35 +347,52 @@ def _variates(seed: int, path: np.ndarray, word: np.ndarray, n_uniform: int) -> 
 class _Plan:
     """Path-independent tables of one `simulate` call.
 
-    Every interior fine node is the Lévy midpoint of exactly one interval
-    of the refinement tree; `sag[m]` is δ of the interval split at m.
+    An interval of the refinement tree is straight when it is one step
+    long or X is affine on it (`BoundaryCurve.affine_on`).  Only the others
+    are split, and every interior fine node is the Lévy midpoint of at most
+    one of them: `sag[m]` is δ of the interval split at m, and NaN at every
+    other node.  A curve affine on [0, T] has no table (`sag` is None).
     """
 
     tgrid: np.ndarray
     xgrid: np.ndarray
     coarse: np.ndarray  # fine indices of the coarse nodes
-    sag: np.ndarray
+    sag: np.ndarray | None
 
     @property
     def n_steps(self) -> int:
         return len(self.tgrid) - 1
 
     @classmethod
-    def build(cls, tgrid: np.ndarray, xgrid: np.ndarray) -> "_Plan":
+    def build(cls, tgrid: np.ndarray, curve: BoundaryCurve) -> "_Plan":
+        xgrid = np.asarray(curve.value(tgrid), dtype=float)
         n = len(tgrid) - 1
         stride = 1 << max(0, n.bit_length() - 7)  # 2^k, k = max(0, floor(log2 n) - 6)
         coarse = np.append(np.arange(0, n, stride), n)
-        sag = np.zeros(n + 1)
-        lo, hi = coarse[:-1], coarse[1:]
-        while True:
-            split = hi - lo > 1
-            lo, hi = lo[split], hi[split]
-            if not len(lo):
-                break
-            mid = (lo + hi) // 2
-            sag[mid] = _sag(tgrid, xgrid, lo, hi)
-            lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
+        sag = None
+        if not curve.affine_on(0.0, tgrid[-1]):
+            sag = np.full(n + 1, np.nan)
+            lo, hi = coarse[:-1], coarse[1:]
+            while True:
+                split = hi - lo > 1
+                split[split] = ~curve.affine_on(tgrid[lo[split]], tgrid[hi[split]])
+                lo, hi = lo[split], hi[split]
+                if not len(lo):
+                    break
+                mid = (lo + hi) // 2
+                sag[mid] = _sag(tgrid, xgrid, lo, hi)
+                lo, hi = np.column_stack((lo, mid)).ravel(), np.column_stack((mid, hi)).ravel()
         return cls(tgrid=tgrid, xgrid=xgrid, coarse=coarse, sag=sag)
+
+    def sag_at(self, lo: np.ndarray, hi: np.ndarray):
+        """Whether each interval [lo, hi] is straight, and its δ (0 where it is)."""
+        if self.sag is None:
+            return np.ones(len(lo), dtype=bool), np.zeros(len(lo))
+        sag = self.sag[(lo + hi) // 2]
+        straight = np.isnan(sag)
+        straight |= hi - lo == 1
+        sag[straight] = 0.0
+        return straight, sag
 
 
 def _sag(tgrid, xgrid, lo, hi) -> np.ndarray:
@@ -407,7 +455,7 @@ def _coarse_level(plan: _Plan, seed: int, block: int, rows: int, r0: float):
     first = np.where(crossed.any(axis=1), coarse[np.argmax(crossed, axis=1)],
                      plan.n_steps + 1)
     lo, hi = coarse[:-1], coarse[1:]
-    sag = plan.sag[(lo + hi) // 2]
+    sag = plan.sag_at(lo, hi)[1]
     e0 = gap[:, :-1] - sag
     gap[:, 1:] -= sag
     busy = _must_split(e0, gap[:, 1:], tg[hi] - tg[lo])
@@ -451,51 +499,106 @@ def _refine_level(plan: _Plan, seed: int, i0: int, first: np.ndarray, front: lis
     refining, and returns the number of words drawn.  The old intervals are
     freed before the words are drawn.
     """
-    tg, xg = plan.tgrid, plan.xgrid
-    split, (tp, tk, bound) = _triage(plan, first, front)
+    tg, xg, n = plan.tgrid, plan.xgrid, plan.n_steps
+    split, test = _triage(plan, first, front)
     rows = np.flatnonzero(split)  # five gathers by the mask itself cost ~10% of a far run
     p, lo, hi, blo, bhi = (a[rows] for a in front)
+    rows = np.flatnonzero(test)
+    tp, tlo, thi = (a[rows] for a in front[:3])
+    d0, d1 = xg[tlo] - front[3][rows], xg[thi] - front[4][rows]
     front.clear()
     m = (lo + hi) // 2
-    x = _variates(seed, i0 + np.concatenate((tp, p)),
-                  np.concatenate((plan.n_steps + 1 + tk, m)), len(tk))
+    draw = d1 > 0.0  # an interval whose end crossed crosses
+    k = np.count_nonzero(draw)
+    x = _variates(seed, i0 + np.concatenate((tp[draw], p)),
+                  np.concatenate((n + 1 + tlo[draw], m)), k)
+    n_draws = len(x)
 
-    # leaves: the fine scheme's substep test
-    hit = x[:len(tk)] < bound
-    np.minimum.at(first, tp[hit], tk[hit] + 1)
+    # straight intervals: the fine scheme's substep test over the whole span
+    crossed = ~draw
+    crossed[draw] = x[:k] < np.exp(-2.0 * d0[draw] * d1[draw] / (tg[thi[draw]] - tg[tlo[draw]]))
+    tp, tlo, thi, d0, d1 = (a[crossed] for a in (tp, tlo, thi, d0, d1))
+    np.minimum.at(first, tp, thi)
+    # the earliest crossed interval of a path ends at its `first`: if it is
+    # longer than one step, its first-passage time places the hit
+    long = np.flatnonzero((first[tp] == thi) & (thi - tlo > 1))
+    if len(long):
+        first[tp[long]] = _passage_node(plan, seed, i0 + tp[long], tlo[long], thi[long],
+                                        d0[long], d1[long])
+        n_draws += 2 * len(long)
 
     # split intervals: Lévy midpoints
     t0, t1, tm = tg[lo], tg[hi], tg[m]
     span = t1 - t0
     bm = (blo + (tm - t0) / span * (bhi - blo)
-          + np.sqrt((tm - t0) * (t1 - tm) / span) * x[len(tk):])
+          + np.sqrt((tm - t0) * (t1 - tm) / span) * x[k:])
     hit = xg[m] - bm <= 0.0
     np.minimum.at(first, p[hit], m[hit])
     front += (np.concatenate((p, p)), np.concatenate((lo, m)), np.concatenate((m, hi)),
               np.concatenate((blo, bm)), np.concatenate((bm, bhi)))
-    return len(x)
+    return n_draws
 
 
 def _triage(plan: _Plan, first: np.ndarray, front):
-    """Which intervals of `front` to split, and the leaves to test.
+    """Which intervals of `front` to split, and which straight ones to test.
 
-    Drops every interval that starts at or after its path's `first` (a leaf
-    whose right end crossed set `first` there when that end was drawn).
-    Returns the mask of intervals to split and, for each leaf to test, its
-    path row, its substep k and the bridge crossing probability in it.
+    Drops every interval that starts at or after its path's `first`.  Of
+    the rest, a busy interval (`_must_split`) is tested if it is straight
+    and split if not, and a one-step interval is always tested.
     """
     tg, xg = plan.tgrid, plan.xgrid
     p, lo, hi, blo, bhi = front
-    d0, d1 = xg[lo] - blo, xg[hi] - bhi
-    alive = lo < first[p]
-    leaf = hi - lo == 1
-    test = leaf & alive & (d1 > 0.0)
-    k = lo[test]
-    bound = np.exp(-2.0 * d0[test] * d1[test] / (tg[k + 1] - tg[k]))
-    sag = plan.sag[(lo + hi) // 2]
-    d0 -= sag
-    d1 -= sag
-    return ~leaf & alive & _must_split(d0, d1, tg[hi] - tg[lo]), (p[test], k, bound)
+    straight, sag = plan.sag_at(lo, hi)
+    e0, e1 = xg[lo] - blo, xg[hi] - bhi
+    e0 -= sag
+    e1 -= sag
+    busy = _must_split(e0, e1, tg[hi] - tg[lo])
+    busy |= hi - lo == 1
+    busy &= lo < first[p]
+    return busy & ~straight, busy & straight
+
+
+def _passage_node(plan: _Plan, seed: int, path, lo, hi, d0, d1) -> np.ndarray:
+    """The fine node ending the substep that holds the first-passage time
+    of each crossed straight interval [lo, hi] of path `path`.
+
+    d0 > 0 and d1 are the gaps to the boundary at its ends.  The time is
+    drawn from word 2n + 2 + 4 lo, a normal, and word 2n + 4 + 4 lo, a
+    uniform (module docstring).
+    """
+    tg = plan.tgrid
+    word = 2 * plan.n_steps + 2 + 4 * lo
+    x = _variates(seed, np.concatenate((path, path)), np.concatenate((word + 2, word)), len(lo))
+    t0 = tg[lo]
+    span = tg[hi] - t0
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        tau = t0 + span * _passage_fraction(np.abs(d1) / d0, span / (d0 * d0),
+                                            x[len(lo):], x[:len(lo)])
+    return np.clip(np.searchsorted(tg, tau), lo + 1, hi)
+
+
+def _passage_fraction(m, a, z, v):
+    """Where in its span a crossed Brownian bridge first meets a line.
+
+    The bridge spans Δ and ends at gaps d0 > 0 and d1 below the line;
+    m = |d1|/d0 and a = Δ/d0².  Given that it crosses, the crossing time is
+    t_lo + Δ r/(1 + r), r inverse Gaussian with mean d0/|d1| and shape
+    d0²/Δ (Lévy with scale d0²/Δ when d1 = 0), whatever the sign of d1.  r
+    is drawn by Michael, Schucany and Haas (Am. Statist. 30, 1976) from the
+    normal z and the uniform v; returns r/(1 + r).
+    """
+    # with b = a z², MSH's smaller root is r = 1/s, s = m + (b + sqrt(b (b + 4m)))/2,
+    # kept when v (s + m) <= s and replaced by mean²/r = s/m² otherwise; in
+    # this form no gap, however large or small, makes a NaN
+    b = z * z
+    b *= a
+    s = b + 4.0 * m
+    s *= b
+    np.sqrt(s, out=s)
+    s += b
+    s *= 0.5
+    s += m
+    return np.where(v * m <= s * (1.0 - v), 1.0 / (1.0 + s), 1.0 / (1.0 + m * (m / s)))
 
 
 def _keep_freed_heap() -> None:
@@ -628,7 +731,7 @@ def simulate(
 
     _keep_freed_heap()
     tgrid = _time_axis(cfg)
-    plan = _Plan.build(tgrid, np.asarray(curve.value(tgrid), dtype=float))
+    plan = _Plan.build(tgrid, curve)
     n_blocks = -(-cfg.n_paths // BLOCK_PATHS)
     n_ranges = max(1, min(workers, n_blocks))
     cuts = [min(cfg.n_paths, BLOCK_PATHS * (n_blocks * k // n_ranges))

@@ -74,6 +74,25 @@ class TestSlope:
             BoundaryCurve.sampled([0.0, 1.0, 2.0], [1.0, 1.5, 1.2]).slope(t)
 
 
+class TestAffineOn:
+    @pytest.mark.parametrize("curve, expected", [
+        (BoundaryCurve.constant(1.0), True),
+        (BoundaryCurve.linear(1.0, -0.3), True),
+        (BoundaryCurve.power(1.0, 0.5, 1.0), True),
+        (BoundaryCurve.power(1.0, 0.0, 0.75), True),
+        (BoundaryCurve.power(1.0, 0.5, 0.75), False),
+    ], ids=["constant", "linear", "power-theta-1", "power-b-0", "power"])
+    def test_from_the_family(self, curve, expected):
+        assert curve.affine_on(0.0, 4.0) is expected
+        assert np.array_equal(curve.affine_on([0.0, 1.0], [1e-9, 2.0]), [expected] * 2)
+
+    def test_sampled_bends_only_at_knots_strictly_inside(self):
+        curve = BoundaryCurve.sampled([0.0, 1.0, 2.5, 4.0], [1.0, 1.4, 1.2, 1.6])
+        t0 = np.array([0.0, 0.0, 1.0, 0.5, 2.4, 2.6])
+        t1 = np.array([1.0, 1.5, 2.5, 0.9, 2.6, 4.0])
+        assert curve.affine_on(t0, t1).tolist() == [True, False, True, True, False, True]
+
+
 class TestConstruction:
     def test_gamma_must_exceed_half(self):
         # gamma is no parameter: only power's theta sets it, checked in (1/2, 1]

@@ -12,6 +12,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.special import ndtr
 
 from fptkit import (
@@ -37,8 +38,9 @@ TRUE_CDF_1 = 2.0 * psi(1.0)  # reflection principle: P(hit 1 by t=1) = 0.31731..
 # NumPy's legacy standard_normal on PCG64 seeded by SeedSequence([seed, i // 256]),
 # refinement words from Philox4x32-10 keyed by the seed's 32-bit halves at
 # counter (block lo, block hi, path lo, path hi), word j being half j % 2 of
-# block j // 2
-GOLDEN_HITS_SHA256 = "6c8aad390fca8978628a44952acd1829085fc080826e669e59f9cb0a3a236f9b"
+# block j // 2; each straight coarse interval tested whole with word n + 1 + lo,
+# and its first-passage time drawn from words 2n + 2 + 4 lo and 2n + 4 + 4 lo
+GOLDEN_HITS_SHA256 = "47a172c08ae9dbdc2bf6062bd04f0c6286fb9593380811cfdcc90682966ab29a"
 
 MASK32 = 0xFFFFFFFF
 
@@ -188,8 +190,9 @@ class TestSimulate:
         assert errs[2] <= errs[0] + 2.0 * sigma
 
     def test_monotone_in_boundary(self, base_run):
-        # shared seed couples the paths: raising the barrier can only
-        # delay each path's hit
+        # a higher barrier has a smaller first-passage CDF; the shared seed
+        # couples the coarse walks, though inside a straight interval a
+        # path's crossing time is drawn afresh, so a hit may come earlier
         higher = simulate(POINT, BoundaryCurve.constant(1.5), base_run.config)
         for t in (0.25, 0.5, 1.0):
             assert higher.ecdf(t) < base_run.ecdf(t)
@@ -291,16 +294,13 @@ def _fine_scheme_hits(src, curve, cfg):
 class TestRefinement:
     """The dyadic refinement against the fine scheme on full paths."""
 
+    # only curves with no straight interval longer than a step: on a straight
+    # one the refinement draws the crossing time instead of building the
+    # fine path (`TestStraightIntervals`)
     @pytest.mark.parametrize("curve", [
-        CONST,
-        BoundaryCurve.linear(0.8, -0.3),
         BoundaryCurve.power(1.0, 0.5, 0.75),
         BoundaryCurve.power(1.0, -0.5, 0.6),
-        # a dip three fine steps wide inside one coarse interval: only its
-        # sag below the chord makes that interval refine
-        BoundaryCurve.sampled([0.0, 0.395, 0.3964, 0.3978, 1.2], [1.0, 1.0, 0.1, 1.0, 1.0]),
-    ], ids=["bridge-constant", "bridge-linear", "bridge-power", "bridge-power-convex",
-            "bridge-sampled-dip"])  # "bridge": the scheme has the bridge correction
+    ], ids=["bridge-power", "bridge-power-convex"])  # "bridge": the scheme's bridge correction
     def test_matches_full_fine_paths(self, curve):
         # dt = 0.0014: n = 715 steps, a short last step and a 3-step last
         # coarse interval, so the tree is ragged
@@ -324,6 +324,172 @@ class TestRefinement:
         assert run.n_censored > cfg.n_paths / 2
         assert cfg.n_paths * 64 <= run.n_draws < 0.01 * full
         assert run.summary()["n_draws"] == run.n_draws
+
+
+def _ks_to(cdf_values, n):
+    """sup |ECDF - F| of a sorted sample of n, given F at the sample points."""
+    return max(np.max(np.arange(1, n + 1) / n - cdf_values), np.max(cdf_values - np.arange(n) / n))
+
+
+def _passage_law(d0, d1, span):
+    """The law of r = s/(Δ - s), s the first passage of a bridge with gaps d0 > 0
+    and d1 over Δ, given that it crosses: inverse Gaussian, mean d0/|d1| and
+    shape d0²/Δ, or Lévy with scale d0²/Δ when d1 = 0."""
+    shape = d0 ** 2 / span
+    if d1 == 0.0:
+        return stats.levy(scale=shape)
+    return stats.invgauss(mu=d0 / abs(d1) / shape, scale=shape)
+
+
+def _linear_cdf(a, b, r0, t):
+    """P(first passage of B_0 = r0 through a + b t by t), in closed form."""
+    t = np.maximum(t, 1e-300)
+    a = a - r0
+    return ndtr(-(a + b * t) / np.sqrt(t)) + np.exp(-2.0 * a * b) * ndtr((b * t - a) / np.sqrt(t))
+
+
+#: curve, r0, dt, T, n_paths, seed, sha256 of the hit times, n_draws: runs in
+#: which no interval longer than one step is straight, pinned before straight
+#: intervals were tested whole
+NO_LONG_STRAIGHT = {
+    "power": (BoundaryCurve.power(1.0, 0.5, 0.75), 1e-3, 1.0, 2000, 9,
+              "feadad88013ead5f3a30b9b168bdcb1f15d8c9dd6203e2b110e1d0763bfb9f60", 286793),
+    # T/dt = 124 < 128: every coarse interval is one step, and the last is short
+    "short-run": (BoundaryCurve.linear(0.8, -0.3), 0.0081, 1.0, 2000, 9,
+                  "75107629084253cfd98ac5181b1fcd443f2dded41f151a10b5e704d97169314a", 430942),
+    # `TestKsDistance::test_rough_sampled_boundary_cross_check`'s curve: a knot
+    # at every fine node
+    "rough-sampled": (None, 2.0 ** -12, 4.0, 1000, 11,
+                      "a6e111adc6d41b0b178afea5110e7de4d546c35433bf14dd27f069b7c2db546a", 241391),
+}
+
+
+def _rough_curve():
+    """X = 1 + 0.3 sum_{k<14} 2^-0.7k (cos(2^k t) - 1) on 2^14 + 1 knots over [0, 4]."""
+    t = np.linspace(0.0, 4.0, 2 ** 14 + 1)
+    k = np.arange(14)[:, None]
+    return BoundaryCurve.sampled(
+        t, 1.0 + 0.3 * np.sum(2.0 ** (-0.7 * k) * (np.cos(2.0 ** k * t) - 1.0), axis=0))
+
+
+#: a dip three fine steps wide inside one coarse interval at dt = 0.0014:
+#: the interpolant of X at the fine nodes falls to 0.2286 at t = 0.3962
+DIP = BoundaryCurve.sampled([0.0, 0.395, 0.3964, 0.3978, 1.2], [1.0, 1.0, 0.1, 1.0, 1.0])
+
+
+class TestStraightIntervals:
+    """A straight interval is tested whole, and a crossed one places its hit
+    by the bridge's first-passage time: the fine scheme's law, not its paths."""
+
+    @pytest.mark.parametrize("a, b, r0, dt", [
+        (1.0, 0.0, 0.9, 1e-3),
+        (1.0, 0.5, 0.0, 1e-3),
+        (0.8, -0.3, 0.6, 1e-3),
+        # n = 715: a short last step and a 3-step last coarse interval
+        (1.0, 0.5, 0.8, 0.0014),
+    ], ids=["constant-near", "linear", "linear-falling", "linear-short-last-step"])
+    def test_ecdf_at_the_nodes_is_the_closed_form(self, a, b, r0, dt):
+        # the fine scheme hits at the end of the substep that holds the first
+        # passage, so at every node its CDF is the continuous one; T/dt >= 128
+        # makes the coarse intervals 8 steps long, and r0 near X_0 puts many
+        # hits inside the first few, where the law of the crossing time
+        # inside an interval shows most (a quarter of the paths on the
+        # constant boundary)
+        n_paths = 50_000
+        cfg = McConfig(n_paths=n_paths, dt=dt, T=1.0, seed=29)
+        curve = BoundaryCurve.constant(a) if b == 0.0 else BoundaryCurve.linear(a, b)
+        run = simulate(SourceSpec.point(r0), curve, cfg, workers=2)
+        nodes = montecarlo._time_axis(cfg)
+        assert len(nodes) > 128 * 4
+        ks = np.max(np.abs(run.ecdf(nodes) - _linear_cdf(a, b, r0, nodes)))
+        assert ks <= 1.95 / math.sqrt(n_paths)
+
+    @pytest.mark.parametrize("d0, d1, span", [
+        (0.3, 0.2, 1.0), (0.3, -0.5, 1.0), (0.3, 0.0, 1.0), (2e-3, 5e-3, 1e-3), (0.05, -4.0, 0.01),
+    ], ids=["rising", "falling", "levy", "small", "steep"])
+    def test_passage_time_sampler_is_the_bridge_law(self, d0, d1, span):
+        rng = np.random.default_rng(23)
+        n = 100_000
+        m, a = np.full(n, abs(d1) / d0), np.full(n, span / d0 ** 2)
+        q = montecarlo._passage_fraction(m, a, rng.standard_normal(n), rng.random(n))
+        assert np.all((q >= 0.0) & (q <= 1.0))
+        r = np.sort(q / (1.0 - q))
+        assert _ks_to(_passage_law(d0, d1, span).cdf(r), n) <= 1.95 / math.sqrt(n)
+
+    @pytest.mark.parametrize("d1", [0.2, -0.1])
+    def test_law_matches_brute_force_fine_bridges(self, d1):
+        # bridges of the gap X - B from d0 = 0.3 to d1 over Δ = 1 on 200
+        # substeps, each with the fine scheme's substep test against the flat
+        # line: P(cross) is exp(-2 d0 d1+), and the end of the first crossed
+        # substep has, at every substep end s, the CDF of r = s/(1 - s)
+        d0, n_bridges, steps = 0.3, 6000, 200
+        rng = np.random.default_rng(31)
+        s = np.arange(1, steps + 1) / steps
+        w = np.cumsum(rng.standard_normal((n_bridges, steps)), axis=1) / math.sqrt(steps)
+        gap = d0 + (d1 - d0) * s - (w - s * w[:, -1:])
+        gap[:, -1] = d1
+        before = np.column_stack((np.full(n_bridges, d0), gap[:, :-1]))
+        crossed = gap <= 0.0
+        bound = np.exp(-2.0 * steps * np.maximum(before * gap, 0.0))
+        crossed |= rng.random((n_bridges, steps)) < bound
+        hit = crossed.any(axis=1)
+        p = math.exp(-2.0 * d0 * max(d1, 0.0))
+        assert abs(hit.mean() - p) <= 4.0 * math.sqrt(p * (1.0 - p) / n_bridges)
+        ends = s[np.argmax(crossed[hit], axis=1)]
+        m = len(ends)
+        with np.errstate(divide="ignore"):
+            law = _passage_law(d0, d1, 1.0).cdf(s / (1.0 - s))
+        ecdf = np.searchsorted(np.sort(ends), s, side="right") / m
+        assert np.max(np.abs(ecdf - law)) <= 1.95 / math.sqrt(m)
+
+    def test_kinked_sampled_boundary_cross_check(self):
+        # knots at t = 1 and 2.5: the coarse intervals around them refine,
+        # every other one is straight
+        curve = BoundaryCurve.sampled([0.0, 1.0, 2.5, 4.0], [1.0, 1.4, 1.2, 1.6])
+        run = simulate(POINT, curve, McConfig(n_paths=20_000, dt=1e-3, T=4.0, seed=3), workers=2)
+        est = solve_marching(POINT, curve, TimeGrid(T=4.0, N=1024, q=2.0))
+        assert ks_distance(run, est) <= 0.015
+
+    def test_three_step_dip_is_not_missed(self):
+        # the fine scheme hits by t = 0.3976 at least when B at 0.3962 reaches
+        # the dip's 0.2286, 1 - Φ(0.3632) = 0.358, and at most when B reaches
+        # it by 0.3976, 0.717; missing the dip reads P(max B >= 1) = 0.113
+        n_paths = 4000
+        run = simulate(POINT, DIP, McConfig(n_paths=n_paths, dt=0.0014, T=1.0, seed=7))
+        sigma = 0.5 / math.sqrt(n_paths)
+        assert 0.358 - 4.0 * sigma <= run.ecdf(0.3976) <= 0.717 + 4.0 * sigma
+        assert run.ecdf(0.3946) <= 0.2
+
+    def test_hits_and_draws_do_not_depend_on_schedule(self, monkeypatch):
+        # the dip mixes straight intervals and refined ones in one frontier
+        cfg = McConfig(n_paths=1000, dt=0.0014, T=1.0, seed=13)
+        ref = simulate(POINT, DIP, cfg)
+        for frontier in (1, 10 ** 6):
+            monkeypatch.setattr(montecarlo, "FRONTIER_INTERVALS", frontier)
+            for workers in (1, 3):
+                run = simulate(POINT, DIP, cfg, workers=workers)
+                assert run.hit_times.tobytes() == ref.hit_times.tobytes()
+                assert run.n_draws == ref.n_draws
+
+    @pytest.mark.parametrize("case", NO_LONG_STRAIGHT)
+    def test_no_long_straight_interval_keeps_hits_and_draws(self, case):
+        curve, dt, T, n_paths, seed, digest, n_draws = NO_LONG_STRAIGHT[case]
+        run = simulate(POINT, curve or _rough_curve(),
+                       McConfig(n_paths=n_paths, dt=dt, T=T, seed=seed))
+        assert hashlib.sha256(run.hit_times.tobytes()).hexdigest() == digest
+        assert run.n_draws == n_draws
+
+    def test_straight_curves_build_no_sag_table(self):
+        tgrid = montecarlo._time_axis(McConfig(n_paths=1, dt=0.0014, T=1.0, seed=0))
+        for curve in (CONST, BoundaryCurve.linear(0.8, -0.3), BoundaryCurve.power(1.0, 0.0, 0.75),
+                      BoundaryCurve.power(1.0, 0.5, 1.0), BoundaryCurve.sampled([0, 2], [1, 3])):
+            assert montecarlo._Plan.build(tgrid, curve).sag is None
+        # the dip's coarse interval [280, 288] splits at 284, then 282 and
+        # 286, then 283 and 285: only the intervals that hold a knot
+        sag = montecarlo._Plan.build(tgrid, DIP).sag
+        assert np.flatnonzero(~np.isnan(sag)).tolist() == [282, 283, 284, 285, 286]
+        power = montecarlo._Plan.build(tgrid, BoundaryCurve.power(1.0, 0.5, 0.75)).sag
+        assert np.count_nonzero(~np.isnan(power)) == len(tgrid) - 1 - 90  # every midpoint
 
 
 class TestPhilox:
